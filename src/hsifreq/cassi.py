@@ -10,9 +10,10 @@ plain-ndarray form and a differentiable form used inside the unfolding network.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from . import tensor as T
 from .tensor import Tensor
@@ -77,6 +78,19 @@ def random_mask(h: int, w: int, seed: int = 0, binary: bool = True,
 # Plain-ndarray operators
 # ---------------------------------------------------------------------------
 
+def _bands(a: np.ndarray, cfg: SensingConfig) -> np.ndarray:
+    """[H,W,C] view of the band windows: band c = columns d*c .. d*c+W of ``a``.
+
+    ``a`` is a [H, meas_width] measurement, or a [H, meas_width, C] stack whose
+    band c is also read from plane c.  The windows of a measurement overlap,
+    so only the stack's view may be written through.
+    """
+    s = a.strides
+    band_stride = cfg.dispersion_step * s[1] + (s[2] if a.ndim == 3 else 0)
+    return as_strided(a, (cfg.height, cfg.width, cfg.bands), (s[0], s[1], band_stride),
+                      writeable=a.ndim == 3)
+
+
 def phi_forward(x: np.ndarray, cfg: SensingConfig) -> np.ndarray:
     """Mask, shift each band by d*c columns, and integrate to a 2D measurement."""
     cfg.check_cube(x)
@@ -90,21 +104,15 @@ def phi_forward(x: np.ndarray, cfg: SensingConfig) -> np.ndarray:
 def phi_adjoint(y: np.ndarray, cfg: SensingConfig) -> np.ndarray:
     """Exact transpose of :func:`phi_forward`."""
     cfg.check_measurement(y)
-    d, w = cfg.dispersion_step, cfg.width
-    x = np.empty((cfg.height, w, cfg.bands), dtype=y.dtype)
-    for c in range(cfg.bands):
-        x[:, :, c] = cfg.mask * y[:, d * c:d * c + w]
-    return x
+    # the product is taken in float64 (the mask's dtype) and stored as y.dtype
+    x = np.empty((cfg.height, cfg.width, cfg.bands), dtype=y.dtype)
+    return np.multiply(cfg.mask[:, :, None], _bands(y, cfg), out=x, casting="same_kind")
 
 
 def phi_phit_diag(cfg: SensingConfig) -> np.ndarray:
     """Diagonal of Phi Phi^T (the Gram operator is diagonal for this geometry)."""
-    d, w = cfg.dispersion_step, cfg.width
-    diag = np.zeros((cfg.height, cfg.meas_width))
-    m2 = cfg.mask ** 2
-    for c in range(cfg.bands):
-        diag[:, d * c:d * c + w] += m2
-    return diag
+    mask = np.broadcast_to(cfg.mask[:, :, None], (cfg.height, cfg.width, cfg.bands))
+    return phi_forward(mask, cfg)
 
 
 def simulate(x: np.ndarray, cfg: SensingConfig, seed: int = 0) -> np.ndarray:
@@ -119,20 +127,14 @@ def simulate(x: np.ndarray, cfg: SensingConfig, seed: int = 0) -> np.ndarray:
 def shift_back(y: np.ndarray, cfg: SensingConfig) -> np.ndarray:
     """Un-disperse a measurement into a C-band cube (band c = columns d*c .. d*c+W)."""
     cfg.check_measurement(y)
-    d, w = cfg.dispersion_step, cfg.width
-    x = np.empty((cfg.height, w, cfg.bands), dtype=y.dtype)
-    for c in range(cfg.bands):
-        x[:, :, c] = y[:, d * c:d * c + w]
-    return x
+    return _bands(y, cfg).copy()
 
 
 def shift(x: np.ndarray, cfg: SensingConfig) -> np.ndarray:
     """Inverse layout of :func:`shift_back`: place band c at column offset d*c."""
     cfg.check_cube(x)
-    d, w = cfg.dispersion_step, cfg.width
     out = np.zeros((cfg.height, cfg.meas_width, cfg.bands), dtype=x.dtype)
-    for c in range(cfg.bands):
-        out[:, d * c:d * c + w, c] = x[:, :, c]
+    _bands(out, cfg)[...] = x
     return out
 
 

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -95,10 +96,10 @@ def cmd_analyze_hfc(args) -> int:
 
 
 def _train_config_from(args) -> TrainConfig:
-    return TrainConfig(stages=args.stages, share_params=args.share, steps=args.steps,
-                       batch=args.batch, lr0=args.lr0, seed=args.seed,
-                       token=args.token, heads=args.heads, noise_sigma=args.sigma,
-                       augment=not args.no_augment)
+    """TrainConfig from the parsed flags; fields with no flag keep their default."""
+    given = vars(args)
+    return TrainConfig(**{f.name: given[f.name] for f in fields(TrainConfig)
+                          if f.name in given})
 
 
 def _training_mask(args, cubes) -> np.ndarray:
@@ -174,7 +175,7 @@ def cmd_sweep_sharing(args) -> int:
     rows = ["share_params,stages,params,psnr,loss"]
     for share in (True, False):
         a = argparse.Namespace(**vars(args))
-        a.share = share
+        a.share_params = share
         mask = _training_mask(args, cubes)
         tcfg = _train_config_from(a)
         result = train(cubes, mask, tcfg)
@@ -260,16 +261,20 @@ def build_parser() -> argparse.ArgumentParser:
     g.set_defaults(func=cmd_analyze_hfc)
 
     def add_train_flags(g):
-        g.add_argument("--stages", type=int, default=3)
-        g.add_argument("--share", action=argparse.BooleanOptionalAction, default=True)
-        g.add_argument("--steps", type=int, default=2000)
-        g.add_argument("--batch", type=int, default=1)
-        g.add_argument("--lr0", type=float, default=4e-4)
-        g.add_argument("--seed", type=int, default=0)
-        g.add_argument("--token", type=int, default=8)
-        g.add_argument("--heads", type=int, default=4)
-        g.add_argument("--sigma", type=float, default=0.0)
-        g.add_argument("--no-augment", action="store_true")
+        # every dest is a TrainConfig field, which _train_config_from reads by name
+        tc = TrainConfig
+        g.add_argument("--stages", type=int, default=tc.stages)
+        g.add_argument("--share", dest="share_params",
+                       action=argparse.BooleanOptionalAction, default=tc.share_params)
+        g.add_argument("--steps", type=int, default=tc.steps)
+        g.add_argument("--batch", type=int, default=tc.batch)
+        g.add_argument("--lr0", type=float, default=tc.lr0)
+        g.add_argument("--seed", type=int, default=tc.seed)
+        g.add_argument("--token", type=int, default=tc.token)
+        g.add_argument("--heads", type=int, default=tc.heads)
+        g.add_argument("--sigma", dest="noise_sigma", type=float, default=tc.noise_sigma)
+        g.add_argument("--no-augment", dest="augment", action="store_false",
+                       default=tc.augment)
         g.add_argument("--mask", default=None)
         g.add_argument("--crop", type=int, default=32)
 

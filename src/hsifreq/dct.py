@@ -32,18 +32,12 @@ def dct_basis(n: int) -> np.ndarray:
 
 def dct2(band: np.ndarray) -> np.ndarray:
     """Forward orthonormal 2D DCT-II of one [H,W] band."""
-    h, w = band.shape
-    bh = dct_basis(h).astype(band.dtype)
-    bw_ = dct_basis(w).astype(band.dtype)
-    return bh @ band @ bw_.T
+    return _cube_dct(band[:, :, None], inverse=False)[:, :, 0]
 
 
 def idct2(coeffs: np.ndarray) -> np.ndarray:
     """Inverse (DCT-III) of :func:`dct2`."""
-    h, w = coeffs.shape
-    bh = dct_basis(h).astype(coeffs.dtype)
-    bw_ = dct_basis(w).astype(coeffs.dtype)
-    return bh.T @ coeffs @ bw_
+    return _cube_dct(coeffs[:, :, None], inverse=True)[:, :, 0]
 
 
 def _cube_dct(data: np.ndarray, inverse: bool) -> np.ndarray:

@@ -20,9 +20,12 @@ class UnfoldingReconstructor(BaseEstimator):
     lives in ``net_`` and ``log_``.
     """
 
-    def __init__(self, stages=3, share_params=True, token=8, heads=4, base_width=0,
-                 steps=2000, batch=1, lr0=4e-4, noise_sigma=0.0, augment=True,
-                 clip_norm=25.0, seed=0):
+    def __init__(self, stages=TrainConfig.stages, share_params=TrainConfig.share_params,
+                 token=TrainConfig.token, heads=TrainConfig.heads,
+                 base_width=TrainConfig.base_width, steps=TrainConfig.steps,
+                 batch=TrainConfig.batch, lr0=TrainConfig.lr0,
+                 noise_sigma=TrainConfig.noise_sigma, augment=TrainConfig.augment,
+                 clip_norm=TrainConfig.clip_norm, seed=TrainConfig.seed):
         self.stages = stages
         self.share_params = share_params
         self.token = token
@@ -38,12 +41,7 @@ class UnfoldingReconstructor(BaseEstimator):
 
     def fit(self, cubes, mask) -> "UnfoldingReconstructor":
         cubes = [check_cube(c) for c in (cubes if isinstance(cubes, (list, tuple)) else [cubes])]
-        tcfg = TrainConfig(stages=self.stages, share_params=self.share_params,
-                           steps=self.steps, batch=self.batch, lr0=self.lr0,
-                           seed=self.seed, token=self.token, heads=self.heads,
-                           base_width=self.base_width, noise_sigma=self.noise_sigma,
-                           augment=self.augment, clip_norm=self.clip_norm)
-        result = train(cubes, np.asarray(mask), tcfg)
+        result = train(cubes, np.asarray(mask), TrainConfig(**self.get_params()))
         self.net_ = result.net
         self.log_ = result.log
         return self

@@ -214,22 +214,6 @@ def gate_merge(f_attn: Tensor, f_local: Tensor, logits: Tensor) -> Tensor:
     return T.add(T.pixel_scale(f_attn, s), T.pixel_scale(f_local, T.sub(1.0, s)))
 
 
-def bilinear_resize(arr: np.ndarray, h: int, w: int) -> np.ndarray:
-    """Plain bilinear resampling of a 2D map (used to rescale stored gates)."""
-    hs, ws = arr.shape
-    yi = np.linspace(0, hs - 1, h)
-    xi = np.linspace(0, ws - 1, w)
-    y0 = np.clip(np.floor(yi).astype(int), 0, hs - 2) if hs > 1 else np.zeros(h, int)
-    x0 = np.clip(np.floor(xi).astype(int), 0, ws - 2) if ws > 1 else np.zeros(w, int)
-    fy = (yi - y0)[:, None]
-    fx = (xi - x0)[None, :]
-    a = arr[y0][:, x0]
-    b = arr[y0][:, np.minimum(x0 + 1, ws - 1)]
-    c = arr[np.minimum(y0 + 1, hs - 1)][:, x0]
-    d = arr[np.minimum(y0 + 1, hs - 1)][:, np.minimum(x0 + 1, ws - 1)]
-    return a * (1 - fy) * (1 - fx) + b * (1 - fy) * fx + c * fy * (1 - fx) + d * fy * fx
-
-
 # ---------------------------------------------------------------------------
 # Space branch
 # ---------------------------------------------------------------------------
@@ -277,14 +261,15 @@ class DualDomainBlock(Layer):
 
     x' = x + Proj( SpaceAttn(LN(x)) + IDCT(gate(FreqAttn, FreqMix over DCT(LN(x)))) )
     x'' = x' + FFN(LN(x'))
+
+    The gate holds one logit per pixel, so a block runs only at the h x w
+    resolution it was built for; any other input is a ShapeError.
     """
 
     def __init__(self, channels: int, token: int, heads: int, h: int, w: int,
                  rng: np.random.Generator, ffn_expand: int = 2):
         if h % token or w % token:
             raise ValueError(f"token size {token} must divide block dims {h}x{w}")
-        self.h = h
-        self.w = w
         self.ln1 = LayerNorm(channels)
         self.freq_attn = FreqSpectralAttention(channels, token, heads, rng)
         self.freq_mix = FreqLocalMixer(channels, rng)
@@ -297,18 +282,10 @@ class DualDomainBlock(Layer):
         self.ffn_dw = Conv2d(ce, ce, 3, rng, groups=ce)
         self.ffn_out = Conv2d(ce, channels, 1, rng)
 
-    def _gate(self, h: int, w: int) -> Tensor:
-        if (h, w) == (self.h, self.w):
-            return self.gate_logits.value
-        # inference at a different resolution: resample the stored gate
-        return Tensor(bilinear_resize(self.gate_logits.value.data, h, w),
-                      dtype=self.gate_logits.value.dtype)
-
     def __call__(self, x: Tensor) -> Tensor:
-        h, w, _ = x.shape
         xn = self.ln1(x)
         f_in = dct2_forward(xn)
-        f_out = gate_merge(self.freq_attn(f_in), self.freq_mix(f_in), self._gate(h, w))
+        f_out = gate_merge(self.freq_attn(f_in), self.freq_mix(f_in), self.gate_logits.value)
         mixed = T.add(self.space_attn(xn), dct2_inverse(f_out))
         x1 = T.add(x, self.proj(mixed))
         y = T.gelu(self.ffn_in(self.ln2(x1)))

@@ -55,7 +55,6 @@ class PriorNet(Layer):
         cfg.validate()
         c, wd = cfg.bands, cfg.width_
         h, w = cfg.height, cfg.width
-        self.h, self.w = h, w
         self.embed = Conv2d(c + 1, wd, 3, rng)
         self.cond = Linear(1, wd, rng)
         self.cond.weight.assign(np.zeros((1, wd), dtype=self.cond.weight.value.dtype))

@@ -184,10 +184,6 @@ def record(out: Tensor, parents: Sequence[Tensor], backward_fn: Callable) -> Ten
     return _record(out, parents, backward_fn)
 
 
-def tape_active() -> bool:
-    return _ACTIVE_TAPE is not None
-
-
 # ---------------------------------------------------------------------------
 # Parameters
 # ---------------------------------------------------------------------------
@@ -596,13 +592,13 @@ def _conv_pad(kh: int, kw: int):
 
 def conv2d(x: Tensor, k: Tensor, bias: Optional[Tensor] = None, groups: int = 1,
            padding: str = "same", stride: int = 1) -> Tensor:
-    """Grouped 2D cross-correlation over an [H,W,Cin] image.
+    """Dense or depth-wise 2D cross-correlation over an [H,W,Cin] image.
 
     Args:
         x: input of shape [H, W, Cin].
         k: kernel of shape [kh, kw, Cin/groups, Cout].
         bias: optional per-output-channel bias of shape [Cout].
-        groups: channel groups; depth-wise is groups == Cin.
+        groups: 1 (dense) or Cin (depth-wise).
         padding: "same" (stride 1 only) or "valid".
         stride: spatial stride; stride > 1 requires kh == kw == stride and
             "valid" padding (the non-overlapping downsampling case).
@@ -612,9 +608,10 @@ def conv2d(x: Tensor, k: Tensor, bias: Optional[Tensor] = None, groups: int = 1,
                          f"got {x.shape} and {k.shape}")
     h, w, cin = x.shape
     kh, kw, cpg, cout = k.shape
-    if cin % groups or cout % groups or cpg != cin // groups:
+    if groups not in (1, cin) or cpg != cin // groups or (groups != 1 and cout != cin):
         raise ShapeError(f"conv2d: groups={groups} incompatible with Cin={cin}, "
-                         f"kernel {k.shape}")
+                         f"kernel {k.shape}; groups must be 1 or Cin")
+    depthwise = groups != 1
     if padding not in ("same", "valid"):
         raise ValueError(f"conv2d: unknown padding {padding!r}")
     if stride != 1:
@@ -637,22 +634,16 @@ def conv2d(x: Tensor, k: Tensor, bias: Optional[Tensor] = None, groups: int = 1,
         raise ShapeError(f"conv2d: kernel {k.shape} larger than padded input {xp.shape}")
 
     kd = k.data
-    opg = cout // groups
     out_d = np.zeros((hout, wout, cout), dtype=xp.dtype)
     taps = []  # (u, v, view) reused by backward
     for u in range(kh):
         for v in range(kw):
             xs = xp[u:u + stride * hout:stride, v:v + stride * wout:stride]
             taps.append((u, v, xs))
-            if groups == 1:
-                out_d += np.tensordot(xs, kd[u, v], axes=([2], [0]))
-            elif groups == cin and cpg == 1:
+            if depthwise:
                 out_d += xs * kd[u, v, 0]
             else:
-                for gidx in range(groups):
-                    ci, co = gidx * cpg, gidx * opg
-                    out_d[:, :, co:co + opg] += np.tensordot(
-                        xs[:, :, ci:ci + cpg], kd[u, v, :, co:co + opg], axes=([2], [0]))
+                out_d += np.tensordot(xs, kd[u, v], axes=([2], [0]))
     if bias is not None:
         out_d = out_d + bias.data
     out = Tensor(out_d)
@@ -662,20 +653,12 @@ def conv2d(x: Tensor, k: Tensor, bias: Optional[Tensor] = None, groups: int = 1,
         dk = np.zeros_like(kd)
         dxp = np.zeros_like(xp)
         for u, v, xs in taps:
-            if groups == 1:
-                dk[u, v] = np.tensordot(xs, g, axes=([0, 1], [0, 1]))
-                dxs = np.tensordot(g, kd[u, v], axes=([2], [1]))
-            elif groups == cin and cpg == 1:
+            if depthwise:
                 dk[u, v, 0] = (xs * g).sum(axis=(0, 1))
                 dxs = g * kd[u, v, 0]
             else:
-                dxs = np.zeros_like(xs)
-                for gidx in range(groups):
-                    ci, co = gidx * cpg, gidx * opg
-                    dk[u, v, :, co:co + opg] = np.tensordot(
-                        xs[:, :, ci:ci + cpg], g[:, :, co:co + opg], axes=([0, 1], [0, 1]))
-                    dxs[:, :, ci:ci + cpg] = np.tensordot(
-                        g[:, :, co:co + opg], kd[u, v, :, co:co + opg], axes=([2], [1]))
+                dk[u, v] = np.tensordot(xs, g, axes=([0, 1], [0, 1]))
+                dxs = np.tensordot(g, kd[u, v], axes=([2], [1]))
             dxp[u:u + stride * hout:stride, v:v + stride * wout:stride] += dxs
         dx = dxp[pt:pt + h, pl:pl + w] if padding == "same" else dxp
         if bias is None:

@@ -15,6 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import metrics
 from . import tensor as T
 from .cassi import (SensingConfig, phi_adjoint_t, phi_forward_t, phi_phit_diag,
                     shift_back, simulate)
@@ -196,12 +197,6 @@ def _random_crop(cube: np.ndarray, h: int, w: int, rng: np.random.Generator) -> 
     return cube[i:i + h, j:j + w, :]
 
 
-def _mean_band_psnr(pred: np.ndarray, gt: np.ndarray, peak: float = 1.0) -> float:
-    mse = np.mean((pred.astype(np.float64) - gt) ** 2, axis=(0, 1))
-    vals = np.where(mse > 0, 10.0 * np.log10(peak ** 2 / np.maximum(mse, 1e-30)), 100.0)
-    return float(np.minimum(vals, 100.0).mean())
-
-
 def train(cubes: list[np.ndarray], mask: np.ndarray, tcfg: TrainConfig,
           log_path=None, ckpt_path=None) -> TrainResult:
     """Fit an unfolding network on a set of scene cubes.
@@ -247,7 +242,7 @@ def train(cubes: list[np.ndarray], mask: np.ndarray, tcfg: TrainConfig,
                     sample_loss = T.scale(loss(z, crop.astype(z.dtype)), 1.0 / tcfg.batch)
                     tape.backward(sample_loss, params)
                 step_loss += sample_loss.item()
-                psnr += _mean_band_psnr(z.data, crop) / tcfg.batch
+                psnr += metrics.psnr(z.data, crop)[1] / tcfg.batch
             if tcfg.clip_norm > 0:
                 total = np.sqrt(sum(float((p.grad ** 2).sum()) for p in params))
                 if total > tcfg.clip_norm:

@@ -3,8 +3,10 @@
 import numpy as np
 import pytest
 
-from hsifreq.cli import main
+from hsifreq.cli import _train_config_from, build_parser, main
+from hsifreq.estimators import UnfoldingReconstructor
 from hsifreq.hsio import read_hsic
+from hsifreq.unfolding import TrainConfig
 
 from test_hsio import parse_pgm
 
@@ -41,6 +43,21 @@ class TestExitCodes:
 
     def test_unknown_subcommand_is_one(self):
         assert main(["frobnicate"]) == 1
+
+
+class TestTrainDefaults:
+    def test_estimator_and_flagless_train_match_train_config(self):
+        assert TrainConfig(**UnfoldingReconstructor().get_params()) == TrainConfig()
+        args = build_parser().parse_args(["train", "--data", "d", "--out", "m.cmdw"])
+        assert _train_config_from(args) == TrainConfig()
+
+    def test_flags_reach_their_fields(self):
+        args = build_parser().parse_args(
+            ["train", "--data", "d", "--out", "m.cmdw", "--no-share", "--sigma", "0.1",
+             "--no-augment", "--stages", "2"])
+        tcfg = _train_config_from(args)
+        assert (tcfg.share_params, tcfg.noise_sigma, tcfg.augment, tcfg.stages) == (
+            False, 0.1, False, 2)
 
 
 class TestGenerators:

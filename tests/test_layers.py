@@ -10,8 +10,7 @@ from conftest import gradient_check, wrap_input
 from hsifreq import tensor as T
 from hsifreq.dct import dct2_cube
 from hsifreq.layers import (DualDomainBlock, FreqLocalMixer, FreqSpectralAttention,
-                            SpaceAttention, bilinear_resize, gate_merge,
-                            merge_tokens, split_tokens)
+                            SpaceAttention, gate_merge, merge_tokens, split_tokens)
 from hsifreq.network import NetConfig, PriorNet, StepEstimator
 from hsifreq.tensor import Param, Tape, Tensor
 
@@ -330,20 +329,10 @@ class TestDualDomainBlock:
         expect2 = expect + block.ffn_out(T.gelu(block.ffn_dw(y))).data
         assert np.allclose(block(Tensor(x)).data, expect2, atol=1e-10)
 
-    def test_gate_resampled_at_other_resolution(self, rng):
+    def test_other_resolution_rejected(self, rng):
         block = DualDomainBlock(4, 2, 2, 8, 8, rng)
-        out = block(Tensor(rng.standard_normal((4, 4, 4)).astype(np.float32)))
-        assert out.shape == (4, 4, 4)
-
-
-class TestBilinearResize:
-    def test_identity_when_same_size(self, rng):
-        m = rng.random((5, 7))
-        assert np.allclose(bilinear_resize(m, 5, 7), m, atol=1e-12)
-
-    def test_constant_preserved(self):
-        m = np.full((4, 4), 0.3)
-        assert np.allclose(bilinear_resize(m, 8, 8), 0.3, atol=1e-12)
+        with pytest.raises(T.ShapeError):
+            block(Tensor(rng.standard_normal((4, 4, 4)).astype(np.float32)))
 
 
 class TestPriorNet:

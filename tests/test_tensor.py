@@ -121,8 +121,11 @@ class TestConv2d:
         assert np.allclose(out, expect, atol=1e-5)
 
     def test_group_mismatch(self):
-        with pytest.raises(ShapeError):
-            T.conv2d(Tensor(np.zeros((4, 4, 3))), Tensor(np.zeros((3, 3, 1, 3))), groups=2)
+        # groups must be 1 or Cin, and a depth-wise conv keeps Cout == Cin
+        for cin, cpg, cout, groups in ((3, 1, 3, 2), (4, 2, 4, 2), (2, 1, 4, 2)):
+            with pytest.raises(ShapeError):
+                T.conv2d(Tensor(np.zeros((4, 4, cin))), Tensor(np.zeros((3, 3, cpg, cout))),
+                         groups=groups)
 
     def test_strided_needs_matching_kernel(self):
         with pytest.raises(ShapeError):

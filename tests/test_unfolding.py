@@ -201,6 +201,12 @@ class TestTrain:
         r2 = train([cube], mask, self.tcfg(augment=False, steps=2))
         assert r1.log[0][2] != r2.log[0][2]
 
+    def test_nan_scene_is_not_logged_as_perfect(self, rng):
+        cube = self.scene(rng)
+        cube[3, 5, 1] = np.nan
+        result = train([cube], random_mask(16, 16, seed=2), self.tcfg(steps=1))
+        assert np.isnan(result.log[0][3])  # not the 100 dB cap of a perfect match
+
     def test_interrupt_flushes_checkpoint_and_log(self, rng, tmp_path, monkeypatch):
         cube = self.scene(rng)
         mask = random_mask(16, 16, seed=2)
