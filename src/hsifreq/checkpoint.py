@@ -21,6 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .hsio import write_atomic
 from .network import NetConfig
 
 MAGIC = b"CMDW"
@@ -63,7 +64,7 @@ def save_weights(path, cfg: NetConfig, tensors: dict[str, np.ndarray]) -> None:
         parts.append(struct.pack("<B", arr32.ndim))
         parts.append(struct.pack(f"<{arr32.ndim}I", *arr32.shape))
         parts.append(arr32.tobytes())
-    Path(path).write_bytes(b"".join(parts))
+    write_atomic(path, parts)
 
 
 def load_weights(path) -> tuple[NetConfig, dict[str, np.ndarray]]:

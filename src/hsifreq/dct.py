@@ -46,9 +46,11 @@ def _cube_dct(data: np.ndarray, inverse: bool) -> np.ndarray:
     bw_ = dct_basis(w).astype(data.dtype)
     if inverse:
         bh, bw_ = bh.T, bw_.T
-    # per band: bh @ X @ bw'
-    tmp = np.einsum("uh,hwc->uwc", bh, data, optimize=True)
-    return np.einsum("vw,uwc->uvc", bw_, tmp, optimize=True)
+    # per band: bh @ X @ bw'.  The result is a [u, c, v]-strided view; the
+    # backward hands it to reductions that sum in stride order, so the layout
+    # is part of the numbers.
+    tmp = np.tensordot(bh, data, ([1], [0]))
+    return np.tensordot(tmp, bw_, ([1], [1])).transpose(0, 2, 1)
 
 
 def dct2_cube(data: np.ndarray) -> np.ndarray:

@@ -73,6 +73,8 @@ def gap_tv(y: np.ndarray, cfg: SensingConfig, gcfg: GapTvConfig | None = None) -
     if gcfg is None:
         gcfg = GapTvConfig()
     cfg.check_measurement(np.asarray(y))
+    if not np.all(np.isfinite(y)):
+        raise ValueError("measurement holds non-finite values (NaN or inf)")
     diag = np.maximum(phi_phit_diag(cfg), DIAG_FLOOR)
     z = phi_adjoint(y, cfg)
     best = z

@@ -15,9 +15,11 @@ so the header is exactly 21 bytes.  Round trips are bit-exact.
 
 from __future__ import annotations
 
+import os
 import struct
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Iterable
 
 import numpy as np
 
@@ -33,14 +35,31 @@ class HsicError(ValueError):
     """Malformed HSIC file."""
 
 
+def write_atomic(path, chunks: Iterable) -> None:
+    """Write the bytes-like ``chunks`` to ``path`` through a temporary file in
+    the same directory and ``os.replace``: ``path`` ends up with the old bytes
+    or the new ones, never a partial write, and a failed write leaves no
+    temporary file."""
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.urandom(6).hex()}.tmp")
+    try:
+        with open(tmp, "xb") as fh:
+            for chunk in chunks:
+                fh.write(chunk)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 def write_hsic(cube: np.ndarray, path) -> None:
     cube = np.asarray(cube)
     if cube.ndim != 3:
         raise ValueError(f"write_hsic expects an [H,W,C] cube, got shape {cube.shape}")
     h, w, c = cube.shape
     header = HSIC_MAGIC + struct.pack("<H3IBH", HSIC_VERSION, h, w, c, DTYPE_F32, 0)
-    payload = np.ascontiguousarray(np.moveaxis(cube, 2, 0), dtype="<f4").tobytes()
-    Path(path).write_bytes(header + payload)
+    payload = np.ascontiguousarray(np.moveaxis(cube, 2, 0), dtype="<f4")
+    write_atomic(path, (header, payload))
 
 
 def read_hsic(path, normalize: bool = False) -> np.ndarray:

@@ -169,13 +169,11 @@ class FreqSpectralAttention(Layer):
         h, w, c = f.shape
         k = self.token
         tokens = split_tokens(f, k)
-        n = tokens.shape[0]
         q = _split_heads(T.bmm(tokens, self.wq.value), self.heads)
         kk = _split_heads(T.bmm(tokens, self.wk.value), self.heads)
         v = _split_heads(T.bmm(tokens, self.wv.value), self.heads)
         logits = T.bmm(T.transpose(q, (0, 2, 1)), kk)
-        logits = T.scale(logits, 1.0 / math.sqrt(c))
-        logits = T.add(logits, T.tile_batch(self.pos.value, n))
+        logits = T.scale_add_heads(logits, 1.0 / math.sqrt(c), self.pos.value)
         attn = T.softmax(logits, axis=-1)
         self.last_attn = attn.data
         mixed = _merge_heads(T.bmm(v, attn), self.heads)
@@ -239,13 +237,11 @@ class SpaceAttention(Layer):
         h, w, c = x.shape
         k = self.token
         tokens = split_tokens(x, k)
-        n = tokens.shape[0]
         q = _split_heads(T.bmm(tokens, self.wq.value), self.heads)
         kk = _split_heads(T.bmm(tokens, self.wk.value), self.heads)
         v = _split_heads(T.bmm(tokens, self.wv.value), self.heads)
         logits = T.bmm(q, T.transpose(kk, (0, 2, 1)))
-        logits = T.scale(logits, 1.0 / math.sqrt(c / self.heads))
-        logits = T.add(logits, T.tile_batch(self.pos.value, n))
+        logits = T.scale_add_heads(logits, 1.0 / math.sqrt(c / self.heads), self.pos.value)
         attn = T.softmax(logits, axis=-1)
         self.last_attn = attn.data
         mixed = _merge_heads(T.bmm(attn, v), self.heads)

@@ -9,9 +9,15 @@ that were created earlier.
 Tensors are treated as immutable values once created.  Training mutability
 lives in :class:`Param`, which owns a value tensor and a gradient buffer.
 
-Only two broadcasting forms are supported by the arithmetic ops: scalar vs.
-tensor, and a per-channel bias over the last axis (``add_bias``).  Everything
+Only three broadcasting forms are supported by the arithmetic ops: scalar
+vs. tensor, a per-channel bias over the last axis (``add_bias``), and a
+per-head term over a token*heads batch axis (``scale_add_heads``).  Everything
 else must be reshaped explicitly; shape mismatches raise ``ShapeError``.
+
+The forward passes of ``gelu``, ``softmax`` and the depth-wise conv run over
+blocks of the leading axis, so that their temporaries stay in cache.  Every
+block repeats the un-blocked arithmetic element for element, so the results
+are bit for bit those of one pass over the whole array.
 """
 
 from __future__ import annotations
@@ -23,6 +29,9 @@ from typing import Callable, Iterable, Optional, Sequence
 import numpy as np
 
 _DEFAULT_DTYPE = np.float32
+
+# Bytes per block of the blocked ops; a desk-scale array is a single block.
+_BLOCK_BYTES = 1 << 19
 
 
 class ShapeError(ValueError):
@@ -246,6 +255,13 @@ def add_flops(n: int) -> None:
         _FLOP_COUNTER[0] += int(n)
 
 
+def _leading_blocks(a: np.ndarray) -> list[slice]:
+    """Slices of the leading axis of ``a``, about _BLOCK_BYTES and at least one row each."""
+    rows = a.shape[0]
+    step = max(1, _BLOCK_BYTES * rows // max(a.nbytes, 1))
+    return [slice(i, min(i + step, rows)) for i in range(0, rows, step)] or [slice(0, 0)]
+
+
 # ---------------------------------------------------------------------------
 # Elementwise and arithmetic ops
 # ---------------------------------------------------------------------------
@@ -408,13 +424,34 @@ _GELU_C1 = 0.044715
 
 
 def gelu(x: Tensor) -> Tensor:
-    """GELU, tanh approximation: 0.5*x*(1 + tanh(c0*(x + c1*x^3)))."""
+    """GELU, tanh approximation: 0.5*x*(1 + tanh(c0*(x + c1*x^3))).
+
+    The forward runs over leading-axis blocks; the backward recomputes x^2 and
+    the tanh term instead of keeping them on the tape.
+    """
     xd = x.data
-    x2 = xd * xd
-    t = np.tanh(_GELU_C0 * (xd + _GELU_C1 * x2 * xd))
-    out = Tensor(0.5 * xd * (1.0 + t))
+    xr = xd.reshape(x.shape or (1,))  # a 0-d input as one row
+    blocks = _leading_blocks(xr)
+    out_d = np.empty_like(xr)
+    h, t = np.empty((2, blocks[0].stop) + xr.shape[1:], dtype=xr.dtype)
+    for b in blocks:
+        n = b.stop - b.start
+        xb, hb, tb = xr[b], h[:n], t[:n]
+        # the formula's operations in its order: t = tanh(c0*(x + c1*x2*x))
+        np.multiply(xb, xb, out=hb)
+        np.multiply(hb, _GELU_C1, out=tb)
+        tb *= xb
+        tb += xb
+        tb *= _GELU_C0
+        np.tanh(tb, out=tb)
+        tb += 1.0
+        np.multiply(xb, 0.5, out=hb)
+        np.multiply(hb, tb, out=out_d[b])
+    out = Tensor(out_d.reshape(x.shape))
 
     def bw(g):
+        x2 = xd * xd
+        t = np.tanh(_GELU_C0 * (xd + _GELU_C1 * x2 * xd))
         du = _GELU_C0 * (1.0 + 3.0 * _GELU_C1 * x2)
         return (g * (0.5 * (1.0 + t) + 0.5 * xd * (1.0 - t * t) * du),)
 
@@ -434,13 +471,21 @@ def softplus(x: Tensor) -> Tensor:
 
 
 def softmax(x: Tensor, axis: int = -1) -> Tensor:
-    """Normalized exponentials along ``axis``; max-subtraction guards overflow."""
+    """Normalized exponentials along ``axis``; max-subtraction guards overflow.
+
+    The forward runs over leading-axis blocks, or in one pass when ``axis``
+    is the leading axis.
+    """
     xd = x.data
     if not (-xd.ndim <= axis < xd.ndim):
         raise ShapeError(f"softmax: axis {axis} invalid for shape {x.shape}")
-    m = xd.max(axis=axis, keepdims=True)
-    e = np.exp(xd - m)
-    y = e / e.sum(axis=axis, keepdims=True)
+    blocks = [...] if axis % xd.ndim == 0 else _leading_blocks(xd)
+    y = np.empty_like(xd)
+    for b in blocks:
+        xb, yb = xd[b], y[b]
+        np.subtract(xb, xb.max(axis=axis, keepdims=True), out=yb)
+        np.exp(yb, out=yb)
+        yb /= yb.sum(axis=axis, keepdims=True)
     out = Tensor(y)
 
     def bw(g):
@@ -557,15 +602,30 @@ def concat(parts: Sequence[Tensor], axis: int) -> Tensor:
     return _record(out, parts, bw)
 
 
-def tile_batch(a: Tensor, reps: int) -> Tensor:
-    """Stack ``reps`` copies along a batch layout: [B,...] -> [reps*B,...]."""
-    b = a.shape[0]
-    out = Tensor(np.tile(a.data, (reps,) + (1,) * (a.ndim - 1)))
+def scale_add_heads(logits: Tensor, s: float, pos: Tensor) -> Tensor:
+    """Scaled attention logits plus a per-head bias: logits*s + pos[i % heads].
+
+    ``logits`` is [n*heads, L, M] with batch index token*heads + head, and
+    ``pos`` is [heads, L, M]; the bias is broadcast over the n tokens, never
+    copied n times.
+    """
+    if logits.ndim != 3 or pos.ndim != 3 or logits.shape[1:] != pos.shape[1:] \
+            or logits.shape[0] % pos.shape[0]:
+        raise ShapeError(f"scale_add_heads: bias {pos.shape} does not match "
+                         f"logits {logits.shape}")
+    s = float(s)
+    split = (logits.shape[0] // pos.shape[0],) + pos.shape
+    ld = logits.data.reshape(split)
+    out_d = np.empty_like(ld)
+    for b in _leading_blocks(ld):
+        ob = np.multiply(ld[b], s, out=out_d[b])
+        ob += pos.data
+    out = Tensor(out_d.reshape(logits.shape))
 
     def bw(g):
-        return (g.reshape((reps, b) + a.shape[1:]).sum(axis=0),)
+        return g * s, g.reshape(split).sum(axis=0)
 
-    return _record(out, (a,), bw)
+    return _record(out, (logits, pos), bw)
 
 
 def pixel_scale(x: Tensor, s: Tensor) -> Tensor:
@@ -621,6 +681,25 @@ def conv2d(x: Tensor, k: Tensor, bias: Optional[Tensor] = None, groups: int = 1,
     if bias is not None and bias.shape != (cout,):
         raise ShapeError(f"conv2d: bias {bias.shape} must be ({cout},)")
 
+    kd = k.data
+    bd = None if bias is None else bias.data
+    parents = (x, k) if bias is None else (x, k, bias)
+    if kh == kw == 1 and stride == 1 and not depthwise:
+        # point-wise: one [H*W, Cin] @ [Cin, Cout] GEMM, forward and backward
+        x2d = x.data.reshape(h * w, cin)
+        out_d = x2d @ kd[0, 0]
+        if bd is not None:
+            out_d += bd
+        add_flops(2 * cin * cout * h * w)
+
+        def bw_pointwise(g):
+            g2d = g.reshape(h * w, cout)
+            dx = (g2d @ kd[0, 0].T).reshape(h, w, cin)
+            dk = (x2d.T @ g2d).reshape(kd.shape)
+            return (dx, dk) if bd is None else (dx, dk, g.sum(axis=(0, 1)))
+
+        return _record(Tensor(out_d.reshape(h, w, cout)), parents, bw_pointwise)
+
     if padding == "same":
         pt, pb, pl, pr = _conv_pad(kh, kw)
         xp = np.pad(x.data, ((pt, pb), (pl, pr), (0, 0)))
@@ -633,19 +712,30 @@ def conv2d(x: Tensor, k: Tensor, bias: Optional[Tensor] = None, groups: int = 1,
     if hout < 1 or wout < 1:
         raise ShapeError(f"conv2d: kernel {k.shape} larger than padded input {xp.shape}")
 
-    kd = k.data
+    taps = [(u, v, xp[u:u + stride * hout:stride, v:v + stride * wout:stride])
+            for u in range(kh) for v in range(kw)]  # reused by backward
     out_d = np.zeros((hout, wout, cout), dtype=xp.dtype)
-    taps = []  # (u, v, view) reused by backward
-    for u in range(kh):
-        for v in range(kw):
-            xs = xp[u:u + stride * hout:stride, v:v + stride * wout:stride]
-            taps.append((u, v, xs))
-            if depthwise:
-                out_d += xs * kd[u, v, 0]
-            else:
-                out_d += np.tensordot(xs, kd[u, v], axes=([2], [0]))
-    if bias is not None:
-        out_d = out_d + bias.data
+    if depthwise:
+        # Tap by tap over row blocks that stay in cache; each tap's weights are
+        # repeated along a row, so numpy loops per row, not per pixel.
+        krows = [np.broadcast_to(kd[u, v, 0], (wout, cout)).copy() for u, v, _ in taps]
+        blocks = _leading_blocks(out_d)
+        tmp = np.empty((blocks[0].stop, wout, cout), dtype=out_d.dtype)
+        for b in blocks:
+            ob, tb = out_d[b], tmp[:b.stop - b.start]
+            for (_, _, xs), krow in zip(taps, krows):
+                np.multiply(xs[b], krow, out=tb)
+                ob += tb
+            if bd is not None:
+                ob += bd
+    else:
+        # One GEMM over the whole image per tap.  A matmul on the strided view
+        # would run one GEMM per row, for which BLAS may pick a kernel that
+        # sums in another order.
+        for u, v, xs in taps:
+            out_d += np.tensordot(xs, kd[u, v], axes=([2], [0]))
+        if bd is not None:
+            out_d += bd
     out = Tensor(out_d)
     add_flops(2 * kh * kw * cpg * cout * hout * wout)
 
@@ -665,7 +755,6 @@ def conv2d(x: Tensor, k: Tensor, bias: Optional[Tensor] = None, groups: int = 1,
             return dx, dk
         return dx, dk, g.sum(axis=(0, 1))
 
-    parents = (x, k) if bias is None else (x, k, bias)
     return _record(out, parents, bw)
 
 

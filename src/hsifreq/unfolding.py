@@ -76,6 +76,8 @@ class UnfoldingNet(Layer):
     def forward(self, y: np.ndarray) -> Tensor:
         y = np.asarray(y)
         self.sensing.check_measurement(y)
+        if not np.all(np.isfinite(y)):
+            raise ValueError("measurement holds non-finite values (NaN or inf)")
         dt = T.get_default_dtype()
         z = Tensor(shift_back(y, self.sensing), dtype=dt)
         alphas, betas = self.estimator(z, self.sensing.mask)
@@ -234,6 +236,9 @@ def train(cubes: list[np.ndarray], mask: np.ndarray, tcfg: TrainConfig,
             for _ in range(tcfg.batch):
                 cube = cubes[int(rng.integers(0, len(cubes)))]
                 crop = _random_crop(cube, h, w, rng)
+                if not np.all(np.isfinite(crop)):
+                    raise FloatingPointError(f"train: step {step}: the training crop "
+                                             "holds non-finite values")
                 if tcfg.augment:
                     crop = _augment_cube(crop, rng, square)
                 y = simulate(crop, sensing, seed=int(rng.integers(0, 2 ** 31)))
@@ -243,12 +248,15 @@ def train(cubes: list[np.ndarray], mask: np.ndarray, tcfg: TrainConfig,
                     tape.backward(sample_loss, params)
                 step_loss += sample_loss.item()
                 psnr += metrics.psnr(z.data, crop)[1] / tcfg.batch
-            if tcfg.clip_norm > 0:
-                total = np.sqrt(sum(float((p.grad ** 2).sum()) for p in params))
-                if total > tcfg.clip_norm:
-                    scale = tcfg.clip_norm / total
-                    for p in params:
-                        p.grad *= scale
+            total = np.sqrt(sum(float((p.grad ** 2).sum()) for p in params))
+            # stop before clipping and Adam, so NaN never reaches the weights
+            if not (np.isfinite(step_loss) and np.isfinite(total)):
+                raise FloatingPointError(f"train: step {step}: non-finite loss {step_loss} "
+                                         f"or gradient norm {total}")
+            if 0 < tcfg.clip_norm < total:
+                scale = tcfg.clip_norm / total
+                for p in params:
+                    p.grad *= scale
             opt.step(lr)
             if step % tcfg.log_every == 0 or step == tcfg.steps - 1:
                 result.log.append((step, lr, step_loss, psnr))

@@ -8,8 +8,8 @@ import pytest
 
 from conftest import gradient_check, wrap_input
 from hsifreq import tensor as T
-from hsifreq.dct import (dct2, dct2_cube, dct2_forward, dct2_inverse, dct_basis,
-                         idct2, idct2_cube)
+from hsifreq.dct import (_cube_dct, dct2, dct2_cube, dct2_forward, dct2_inverse,
+                         dct_basis, idct2, idct2_cube)
 from hsifreq.tensor import Tape, Tensor
 
 
@@ -130,6 +130,28 @@ class TestGradients:
             y = dct2_inverse(dct2_forward(x.value))
             tape.backward(T.sum_all(T.mul(y, Tensor(weight))), [x])
         assert np.allclose(x.grad, weight, atol=1e-12)
+
+
+class TestCubeDctMatchesEinsum:
+    """The cube DCT equals the parent's einsum formula bit for bit, strides
+    included: its output is a transposed view, and the backward pass hands it
+    on to reductions (a conv's bias gradient) whose summation order follows
+    the strides."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_values_and_strides(self, rng, dtype):
+        x = rng.standard_normal((16, 24, 5)).astype(dtype)
+        for data in (x, np.ascontiguousarray(x.transpose(0, 2, 1)).transpose(0, 2, 1)):
+            for inverse in (False, True):
+                bh = dct_basis(16).astype(dtype)
+                bw = dct_basis(24).astype(dtype)
+                if inverse:
+                    bh, bw = bh.T, bw.T
+                tmp = np.einsum("uh,hwc->uwc", bh, data, optimize=True)
+                expect = np.einsum("vw,uwc->uvc", bw, tmp, optimize=True)
+                got = _cube_dct(data, inverse)
+                assert got.dtype == expect.dtype and got.strides == expect.strides
+                assert np.array_equal(got, expect)
 
 
 class TestRoundTripTolerances:

@@ -41,6 +41,14 @@ class TestGapTv:
         rec = gap_tv(y, cfg, GapTvConfig(iterations=20))
         assert psnr(rec, cube)[1] >= 50.0
 
+    @pytest.mark.parametrize("bad", [np.nan, -np.inf])
+    def test_non_finite_measurement_rejected(self, bad):
+        cfg = SensingConfig(random_mask(8, 8, seed=1), dispersion_step=1, bands=3)
+        y = np.ones((8, cfg.meas_width))
+        y[4, 1] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            gap_tv(y, cfg, GapTvConfig(iterations=2))
+
     def test_zero_measurement_fixed_point(self):
         cfg = SensingConfig(random_mask(8, 8, seed=1), dispersion_step=1, bands=3)
         rec = gap_tv(np.zeros((8, cfg.meas_width)), cfg, GapTvConfig(iterations=10))

@@ -1,8 +1,11 @@
 """File formats: HSIC cubes, CMDW checkpoints, PGM heatmaps, scene generators."""
 
+import errno
+
 import numpy as np
 import pytest
 
+from hsifreq import hsio
 from hsifreq.checkpoint import CheckpointError, load_weights, save_weights
 from hsifreq.correlation import correlation_maps
 from hsifreq.hsio import (HEADER_SIZE, HsicError, SceneSpec, export_heatmap,
@@ -107,6 +110,57 @@ class TestCheckpointFormat:
         p.write_bytes(p.read_bytes() + b"\x00")
         with pytest.raises(CheckpointError, match="trailing"):
             load_weights(p)
+
+
+class HalfWriter:
+    """A file that takes half of the first chunk, then fails as on a full disk."""
+
+    def __init__(self, fh):
+        self.fh = fh
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.fh.close()
+
+    def write(self, data):
+        data = bytes(data)
+        self.fh.write(data[:len(data) // 2])
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+
+class TestAtomicWrites:
+    """A write that fails partway leaves the old file byte for byte and no
+    temporary file behind."""
+
+    @pytest.mark.parametrize("kind", ["hsic", "cmdw"])
+    def test_failed_write_keeps_old_file(self, tmp_path, monkeypatch, kind):
+        if kind == "hsic":
+            p = tmp_path / "cube.hsic"
+
+            def write(seed):
+                cube = np.random.default_rng(seed).random((6, 5, 3)).astype(np.float32)
+                write_hsic(cube, p)
+        else:
+            p = tmp_path / "w.cmdw"
+            cfg = NetConfig(height=16, width=16, bands=4, token=4, heads=2, stages=2)
+
+            def write(seed):
+                w = np.random.default_rng(seed).random((4, 4)).astype(np.float32)
+                save_weights(p, cfg, {"w": w})
+        write(1)
+        old = p.read_bytes()
+        monkeypatch.setattr(hsio, "open", lambda f, mode: HalfWriter(open(f, mode)),
+                            raising=False)
+        with pytest.raises(OSError, match="No space"):
+            write(2)
+        assert p.read_bytes() == old
+        assert [f.name for f in tmp_path.iterdir()] == [p.name]
+        monkeypatch.undo()
+        write(2)
+        assert p.read_bytes() != old
+        assert [f.name for f in tmp_path.iterdir()] == [p.name]
 
 
 class TestScenes:

@@ -235,15 +235,16 @@ class TestOpGradients:
     def test_layout_ops(self, f64, rng):
         x = wrap_input(rng.standard_normal((4, 6, 2)), "x")
         p = wrap_input(rng.standard_normal((2, 3, 3)), "p")
+        lg = wrap_input(rng.standard_normal((6, 3, 3)), "logits")
 
         def build():
             t = T.transpose(T.reshape(x.value, (2, 2, 6, 2)), (1, 0, 2, 3))
             t = T.reshape(t, (4, 6, 2))
             cat = T.concat([t, x.value], axis=2)
-            tiled = T.tile_batch(p.value, 3)
-            return T.add(T.sum_all(T.mul(cat, cat)), T.sum_all(T.mul(tiled, tiled)))
+            biased = T.scale_add_heads(lg.value, 0.7, p.value)
+            return T.add(T.sum_all(T.mul(cat, cat)), T.sum_all(T.mul(biased, biased)))
 
-        gradient_check(build, [x, p], rel_tol=1e-5, samples=8)
+        gradient_check(build, [x, p, lg], rel_tol=1e-5, samples=8)
 
     def test_conv_ops(self, f64, rng):
         x = wrap_input(rng.standard_normal((4, 4, 2)), "x")
@@ -252,16 +253,20 @@ class TestOpGradients:
         kd = Param(rng.standard_normal((3, 3, 1, 2)), name="kd")
         ks = Param(rng.standard_normal((2, 2, 2, 4)), name="ks")
         kt = Param(rng.standard_normal((2, 2, 2, 3)), name="kt")
+        kp = Param(rng.standard_normal((1, 1, 2, 5)), name="kp")
+        bp = Param(rng.standard_normal(5), name="bp")
 
         def build():
             c1 = T.conv2d(x.value, k1.value, bias=b1.value, padding="same")
             c2 = T.conv2d(x.value, kd.value, groups=2, padding="same")
             c3 = T.conv2d(x.value, ks.value, padding="valid", stride=2)
             c4 = T.conv2d_transpose(x.value, kt.value, stride=2)
-            return T.add(T.add(T.sum_all(T.mul(c1, c1)), T.sum_all(T.mul(c2, c2))),
-                         T.add(T.sum_all(T.mul(c3, c3)), T.sum_all(T.mul(c4, c4))))
+            c5 = T.conv2d(x.value, kp.value, bias=bp.value)
+            return T.add(T.add(T.add(T.sum_all(T.mul(c1, c1)), T.sum_all(T.mul(c2, c2))),
+                               T.add(T.sum_all(T.mul(c3, c3)), T.sum_all(T.mul(c4, c4)))),
+                         T.sum_all(T.mul(c5, c5)))
 
-        gradient_check(build, [x, k1, b1, kd, ks, kt], rel_tol=1e-5, samples=6)
+        gradient_check(build, [x, k1, b1, kd, ks, kt, kp, bp], rel_tol=1e-5, samples=6)
 
     def test_misc_ops(self, f64, rng):
         x = wrap_input(rng.standard_normal((4, 4, 3)), "x")
@@ -278,6 +283,143 @@ class TestOpGradients:
             return T.add(T.sum_all(T.mul(v, v)), T.mul(picked, picked))
 
         gradient_check(build, [x, s, b, c], rel_tol=1e-5, samples=8)
+
+
+# The parent engine's formulas, kept as the bitwise reference for the blocked
+# and GEMM-based ops.  Each returns (forward value, input gradients) for the
+# upstream gradient g.
+
+def parent_gelu(x, g):
+    c0, c1 = math.sqrt(2.0 / math.pi), 0.044715
+    x2 = x * x
+    t = np.tanh(c0 * (x + c1 * x2 * x))
+    du = c0 * (1.0 + 3.0 * c1 * x2)
+    return 0.5 * x * (1.0 + t), [g * (0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * du)]
+
+
+def parent_softmax(x, g, axis):
+    e = np.exp(x - x.max(axis=axis, keepdims=True))
+    y = e / e.sum(axis=axis, keepdims=True)
+    return y, [y * (g - (g * y).sum(axis=axis, keepdims=True))]
+
+
+def parent_scale_add_tiled(logits, pos, s, g):
+    n = logits.shape[0] // pos.shape[0]
+    out = logits * s + np.tile(pos, (n, 1, 1))
+    return out, [g * s, g.reshape((n,) + pos.shape).sum(axis=0)]
+
+
+def parent_conv2d(x, k, bias, g, groups=1, padding="same", stride=1):
+    kh, kw = k.shape[:2]
+    h, w = x.shape[:2]
+    pt, pl = (kh - 1) // 2, (kw - 1) // 2
+    if padding == "same":
+        xp = np.pad(x, ((pt, kh - 1 - pt), (pl, kw - 1 - pl), (0, 0)))
+    else:
+        pt = pl = 0
+        xp = x
+    hout = (xp.shape[0] - kh) // stride + 1
+    wout = (xp.shape[1] - kw) // stride + 1
+    out = np.zeros((hout, wout, k.shape[3]), dtype=x.dtype)
+    dk = np.zeros_like(k)
+    dxp = np.zeros_like(xp)
+    for u in range(kh):
+        for v in range(kw):
+            xs = xp[u:u + stride * hout:stride, v:v + stride * wout:stride]
+            if groups != 1:
+                out += xs * k[u, v, 0]
+                dk[u, v, 0] = (xs * g).sum(axis=(0, 1))
+                dxs = g * k[u, v, 0]
+            else:
+                out += np.tensordot(xs, k[u, v], axes=([2], [0]))
+                dk[u, v] = np.tensordot(xs, g, axes=([0, 1], [0, 1]))
+                dxs = np.tensordot(g, k[u, v], axes=([2], [1]))
+            dxp[u:u + stride * hout:stride, v:v + stride * wout:stride] += dxs
+    dx = dxp[pt:pt + h, pl:pl + w] if padding == "same" else dxp
+    return out + bias, [dx, dk, g.sum(axis=(0, 1))]
+
+
+def _rows(row_bytes: int) -> int:
+    """A leading-axis length of 2.5 blocks: several blocks and a ragged one."""
+    return 5 * T._BLOCK_BYTES // (2 * row_bytes)
+
+
+class TestBlockedOpsMatchParentFormulas:
+    """gelu, softmax, the attention-logits op and every conv2d path equal the
+    parent's formulas bit for bit in float32, forward and backward, on inputs
+    that span several blocks and end in a ragged one.  The upstream gradient
+    arrives both contiguous and as a transposed view, as it does from the DCT
+    in a block; gradient strides must match too, because later reductions sum
+    in stride order."""
+
+    @staticmethod
+    def run_op(op, inputs, g_seed, transposed):
+        gen = np.random.default_rng(g_seed)
+        tensors = [Tensor(a) for a in inputs]
+        with Tape() as tape:
+            out = op(*tensors)
+            if transposed:
+                upstream = Tensor(gen.standard_normal(out.shape[::-1]).astype(np.float32))
+                seen = T.transpose(out, tuple(range(out.ndim))[::-1])
+            else:
+                upstream = Tensor(gen.standard_normal(out.shape).astype(np.float32))
+                seen = out
+            grads = tape.backward(T.sum_all(T.mul(seen, upstream)))
+        g = upstream.data.transpose(tuple(range(out.ndim))[::-1]) if transposed \
+            else upstream.data
+        return out.data, [grads[id(t)] for t in tensors], g
+
+    def check(self, op, reference, inputs):
+        for transposed in (False, True):
+            out, grads, g = self.run_op(op, inputs, 7, transposed)
+            expect_out, expect_grads = reference(*inputs, g)
+            assert out.dtype == np.float32 and np.array_equal(out, expect_out)
+            for got, expect in zip(grads, expect_grads, strict=True):
+                assert got.dtype == np.float32
+                assert got.strides == expect.strides
+                assert np.array_equal(got, expect)
+
+    def data(self, rng, *shape):
+        return (3 * rng.standard_normal(shape)).astype(np.float32)
+
+    def test_gelu(self, rng):
+        x = self.data(rng, _rows(4 * 6 * 8), 6, 8)
+        self.check(T.gelu, parent_gelu, [x])
+
+    def test_softmax_last_axis(self, rng):
+        x = self.data(rng, _rows(4 * 5 * 16), 5, 16)
+        self.check(lambda t: T.softmax(t, axis=-1),
+                   lambda a, g: parent_softmax(a, g, -1), [x])
+
+    def test_softmax_leading_axis(self, rng):
+        x = self.data(rng, 9, 40, 50)
+        self.check(lambda t: T.softmax(t, axis=0),
+                   lambda a, g: parent_softmax(a, g, 0), [x])
+
+    def test_scale_add_heads(self, rng):
+        heads, length = 2, 8
+        logits = self.data(rng, heads * _rows(4 * heads * length * length), length, length)
+        pos = self.data(rng, heads, length, length)
+        self.check(lambda a, b: T.scale_add_heads(a, 0.125, b),
+                   lambda a, b, g: parent_scale_add_tiled(a, b, 0.125, g), [logits, pos])
+
+    @pytest.mark.parametrize("ksize,cin,cout,groups,padding,stride", [
+        (1, 6, 7, 1, "same", 1),       # point-wise
+        # dense; at 56 -> 56 channels a GEMM per image row sums differently
+        # from one GEMM over the whole image on some BLAS builds
+        (3, 56, 56, 1, "same", 1),
+        (3, 6, 6, 6, "same", 1),       # depth-wise
+        (2, 6, 12, 1, "valid", 2),     # strided down-sampling
+    ])
+    def test_conv2d(self, rng, ksize, cin, cout, groups, padding, stride):
+        x = self.data(rng, stride * _rows(4 * 32 * cin) + 1, 2 * 32, cin)
+        if stride == 2:
+            x = x[:-1]
+        k = self.data(rng, ksize, ksize, cin // groups, cout)
+        b = self.data(rng, cout)
+        kwargs = dict(groups=groups, padding=padding, stride=stride)
+        self.check(lambda xt, kt, bt: T.conv2d(xt, kt, bias=bt, **kwargs),
+                   lambda xa, ka, ba, g: parent_conv2d(xa, ka, ba, g, **kwargs), [x, k, b])
 
 
 class TestTape:

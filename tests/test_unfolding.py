@@ -6,6 +6,7 @@ import pytest
 
 from conftest import gradient_check, wrap_input
 from hsifreq import tensor as T
+from hsifreq import unfolding
 from hsifreq.cassi import (SensingConfig, dense_phi, phi_forward, random_mask,
                            shift_back, simulate)
 from hsifreq.checkpoint import CheckpointError
@@ -201,11 +202,36 @@ class TestTrain:
         r2 = train([cube], mask, self.tcfg(augment=False, steps=2))
         assert r1.log[0][2] != r2.log[0][2]
 
-    def test_nan_scene_is_not_logged_as_perfect(self, rng):
+    def test_nan_scene_is_not_logged_as_perfect(self, rng, tmp_path):
         cube = self.scene(rng)
         cube[3, 5, 1] = np.nan
-        result = train([cube], random_mask(16, 16, seed=2), self.tcfg(steps=1))
-        assert np.isnan(result.log[0][3])  # not the 100 dB cap of a perfect match
+        ckpt = tmp_path / "nan.cmdw"
+        with pytest.raises(FloatingPointError, match="step 0"):
+            train([cube], random_mask(16, 16, seed=2), self.tcfg(steps=1), ckpt_path=ckpt)
+        assert not ckpt.exists()
+
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    def test_non_finite_loss_stops_before_the_update(self, rng, tmp_path, monkeypatch):
+        calls = {"loss": 0, "adam": 0}
+
+        def overflow_at_step_one(pred, target):
+            calls["loss"] += 1
+            out = loss(pred, target)
+            return T.scale(out, np.inf) if calls["loss"] == 2 else out
+
+        def counted_step(opt, lr=None):
+            calls["adam"] += 1
+            return adam_step(opt, lr)
+
+        adam_step = unfolding.Adam.step
+        monkeypatch.setattr(unfolding, "loss", overflow_at_step_one)
+        monkeypatch.setattr(unfolding.Adam, "step", counted_step)
+        ckpt = tmp_path / "inf.cmdw"
+        with pytest.raises(FloatingPointError, match="step 1"):
+            train([self.scene(rng)], random_mask(16, 16, seed=2), self.tcfg(steps=3),
+                  ckpt_path=ckpt)
+        assert calls["adam"] == 1  # step 1 stopped before its update
+        assert not ckpt.exists()
 
     def test_interrupt_flushes_checkpoint_and_log(self, rng, tmp_path, monkeypatch):
         cube = self.scene(rng)
@@ -257,6 +283,15 @@ class TestReconstructAndCheckpoints:
         y = rng.random((16, net.sensing.meas_width))
         with pytest.raises(CheckpointError, match="bands"):
             reconstruct(y, path, cfg=wrong)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_measurement_rejected(self, rng, bad):
+        cfg = NetConfig(height=16, width=16, bands=4, token=4, heads=2, stages=1)
+        net = UnfoldingNet(cfg, random_mask(16, 16, seed=1))
+        y = rng.random((16, net.sensing.meas_width))
+        y[2, 3] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            reconstruct(y, net)
 
     def test_measurement_shape_rejected(self, rng, tmp_path):
         net = tiny_net(stages=1)
