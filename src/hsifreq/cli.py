@@ -18,6 +18,7 @@ from .correlation import (correlation_maps, corpus_stats, token_correlation,
                           write_maps_csv, write_token_csv)
 from .gaptv import GapTvConfig, gap_tv
 from .hsio import SceneSpec, export_heatmap, gen_scene, read_hsic, write_hsic
+from .layers import attention_maps
 from .metrics import count_flops, count_params, evaluate, write_metrics_csv
 from .unfolding import TrainConfig, UnfoldingNet, train, write_train_log
 
@@ -189,7 +190,8 @@ def cmd_sweep_sharing(args) -> int:
 def cmd_export_maps(args) -> int:
     net = UnfoldingNet.load(args.ckpt)
     y = _load_measurement(args.y)
-    net.forward(y)  # populates per-block attention snapshots
+    with attention_maps() as maps:
+        net.forward(y)
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     for pi, prior in enumerate(net.priors):
@@ -197,12 +199,8 @@ def cmd_export_maps(args) -> int:
             block = getattr(prior, bname)
             gate = 1.0 / (1.0 + np.exp(-block.gate_logits.value.data))
             export_heatmap(gate, out / f"gate_p{pi}_{bname}.pgm", 0.0, 1.0)
-            if block.freq_attn.last_attn is not None:
-                export_heatmap(block.freq_attn.last_attn.mean(axis=0),
-                               out / f"freq_attn_p{pi}_{bname}.pgm")
-            if block.space_attn.last_attn is not None:
-                export_heatmap(block.space_attn.last_attn.mean(axis=0),
-                               out / f"space_attn_p{pi}_{bname}.pgm")
+            export_heatmap(maps[block.freq_attn], out / f"freq_attn_p{pi}_{bname}.pgm")
+            export_heatmap(maps[block.space_attn], out / f"space_attn_p{pi}_{bname}.pgm")
     n_params = count_params(net.config)
     flops = count_flops(net.config)
     print(f"exported maps for {len(net.priors)} prior(s) to {out} "

@@ -14,7 +14,7 @@ missing values and excluded from averages rather than silently substituted.
 
 from __future__ import annotations
 
-import sys
+import warnings
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
@@ -135,7 +135,7 @@ class CorpusStats:
 def corpus_stats(paths: Sequence, out_csv=None, bins: int = 50) -> CorpusStats:
     """Per-cube correlation averages plus histograms over a corpus of cube files.
 
-    Unreadable files are skipped with a warning on stderr and counted in the
+    Unreadable files are skipped with a ``warnings`` warning and counted in the
     summary.  If ``out_csv`` is given, writes the per-cube rows followed by a
     histogram block.
     """
@@ -148,7 +148,7 @@ def corpus_stats(paths: Sequence, out_csv=None, bins: int = 50) -> CorpusStats:
             cube = read_hsic(p)
             rep = correlation_maps(cube)
         except Exception as exc:  # noqa: BLE001 - any unreadable cube is skipped
-            print(f"warning: skipping {p}: {exc}", file=sys.stderr)
+            warnings.warn(f"skipping {p}: {exc}", stacklevel=2)
             skipped += 1
             continue
         rows.append((str(p), rep.space_avg, rep.freq_avg))

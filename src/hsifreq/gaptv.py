@@ -8,7 +8,7 @@ clipping of the dual field.
 
 from __future__ import annotations
 
-import sys
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -88,7 +88,7 @@ def gap_tv(y: np.ndarray, cfg: SensingConfig, gcfg: GapTvConfig | None = None) -
         if res < best_res:
             best, best_res = z, res
         elif res > 10.0 * best_res:
-            print("warning: gap_tv residual diverging, returning best iterate",
-                  file=sys.stderr)
+            warnings.warn("gap_tv residual diverging, returning best iterate",
+                          RuntimeWarning, stacklevel=2)
             return best
     return z

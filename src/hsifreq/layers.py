@@ -6,17 +6,39 @@ high, i.e. low frequencies) and a local depth-wise/point-wise mixer (good for
 the weakly correlated high frequencies).  A learnable per-pixel gate blends
 the two.  The space branch is plain windowed positional attention on the
 un-transformed image.  Both are wrapped pre-norm style with residuals.
+
+Attention layers keep no state between calls.  Inside :func:`attention_maps`
+each one records the batch-mean attention map of its last call.
 """
 
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
+from contextvars import ContextVar
 
 import numpy as np
 
 from . import tensor as T
 from .dct import dct2_forward, dct2_inverse
 from .tensor import Param, Tensor, xavier_uniform
+
+
+_ATTENTION_MAPS: ContextVar[dict | None] = ContextVar("attention_maps", default=None)
+
+
+@contextmanager
+def attention_maps():
+    """Collect ``{layer: batch-mean attention map of its last call}`` in the body.
+
+    Outside this context no attention layer keeps its probabilities.
+    """
+    maps: dict = {}
+    token = _ATTENTION_MAPS.set(maps)
+    try:
+        yield maps
+    finally:
+        _ATTENTION_MAPS.reset(token)
 
 
 class Layer:
@@ -163,7 +185,6 @@ class FreqSpectralAttention(Layer):
         self.wv = Param(xavier_uniform((channels, channels), channels, channels, rng))
         self.pos = Param(np.zeros((heads, ch, ch)))
         self.out = Conv2d(channels, channels, 1, rng)
-        self.last_attn: np.ndarray | None = None
 
     def __call__(self, f: Tensor) -> Tensor:
         h, w, c = f.shape
@@ -175,7 +196,9 @@ class FreqSpectralAttention(Layer):
         logits = T.bmm(T.transpose(q, (0, 2, 1)), kk)
         logits = T.scale_add_heads(logits, 1.0 / math.sqrt(c), self.pos.value)
         attn = T.softmax(logits, axis=-1)
-        self.last_attn = attn.data
+        maps = _ATTENTION_MAPS.get()
+        if maps is not None:
+            maps[self] = attn.data.mean(axis=0)
         mixed = _merge_heads(T.bmm(v, attn), self.heads)
         return self.out(merge_tokens(mixed, h, w, k))
 
@@ -231,7 +254,6 @@ class SpaceAttention(Layer):
         self.wv = Param(xavier_uniform((channels, channels), channels, channels, rng))
         self.pos = Param(np.zeros((heads, k2, k2)))
         self.out = Conv2d(channels, channels, 1, rng)
-        self.last_attn: np.ndarray | None = None
 
     def __call__(self, x: Tensor) -> Tensor:
         h, w, c = x.shape
@@ -240,11 +262,13 @@ class SpaceAttention(Layer):
         q = _split_heads(T.bmm(tokens, self.wq.value), self.heads)
         kk = _split_heads(T.bmm(tokens, self.wk.value), self.heads)
         v = _split_heads(T.bmm(tokens, self.wv.value), self.heads)
-        logits = T.bmm(q, T.transpose(kk, (0, 2, 1)))
-        logits = T.scale_add_heads(logits, 1.0 / math.sqrt(c / self.heads), self.pos.value)
-        attn = T.softmax(logits, axis=-1)
-        self.last_attn = attn.data
-        mixed = _merge_heads(T.bmm(attn, v), self.heads)
+        maps = _ATTENTION_MAPS.get()
+        probs = None if maps is None else np.empty((q.shape[0], k * k, k * k), q.dtype)
+        mixed = T.attention(q, kk, v, 1.0 / math.sqrt(c / self.heads), self.pos.value,
+                            probs=probs)
+        if maps is not None:
+            maps[self] = probs.mean(axis=0)
+        mixed = _merge_heads(mixed, self.heads)
         return self.out(merge_tokens(mixed, h, w, k))
 
 

@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .dct import dct2_cube
+from .dct import _dct_flops, dct2_cube
 from .network import NetConfig
 
 PSNR_CAP_DB = 100.0
@@ -127,10 +127,6 @@ def count_params(config: NetConfig) -> float:
 
 def _conv_flops(kh, kw, cin, cout, h, w, groups=1) -> int:
     return 2 * kh * kw * (cin // groups) * cout * h * w
-
-
-def _dct_flops(h, w, c) -> int:
-    return 2 * c * (h * h * w + h * w * w)
 
 
 def _block_flops(c: int, k: int, heads: int, h: int, w: int, expand: int = 2) -> int:

@@ -14,21 +14,26 @@ vs. tensor, a per-channel bias over the last axis (``add_bias``), and a
 per-head term over a token*heads batch axis (``scale_add_heads``).  Everything
 else must be reshaped explicitly; shape mismatches raise ``ShapeError``.
 
-The forward passes of ``gelu``, ``softmax`` and the depth-wise conv run over
-blocks of the leading axis, so that their temporaries stay in cache.  Every
-block repeats the un-blocked arithmetic element for element, so the results
-are bit for bit those of one pass over the whole array.
+The forward passes of ``gelu``, ``softmax``, ``attention`` and the depth-wise
+conv run over blocks of the leading axis, so that their temporaries stay in
+cache.  Every block repeats the un-blocked arithmetic element for element, so
+the results are bit for bit those of one pass over the whole array.
+
+The active tape, the default dtype and the FLOP counter are context
+variables: each thread (and each ``contextvars`` context) has its own, so two
+reconstructions in one process do not interfere.
 """
 
 from __future__ import annotations
 
 import math
 from contextlib import contextmanager
+from contextvars import ContextVar
 from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
-_DEFAULT_DTYPE = np.float32
+_DEFAULT_DTYPE: ContextVar = ContextVar("default_dtype", default=np.float32)
 
 # Bytes per block of the blocked ops; a desk-scale array is a single block.
 _BLOCK_BYTES = 1 << 19
@@ -40,14 +45,13 @@ class ShapeError(ValueError):
 
 def set_default_dtype(dtype) -> None:
     """Set the floating dtype used for newly created tensors (float32/float64)."""
-    global _DEFAULT_DTYPE
     if dtype not in (np.float32, np.float64):
         raise ValueError(f"unsupported dtype {dtype!r}; use np.float32 or np.float64")
-    _DEFAULT_DTYPE = dtype
+    _DEFAULT_DTYPE.set(dtype)
 
 
 def get_default_dtype():
-    return _DEFAULT_DTYPE
+    return _DEFAULT_DTYPE.get()
 
 
 @contextmanager
@@ -75,7 +79,7 @@ class Tensor:
             if isinstance(data, np.ndarray) and data.dtype in (np.float32, np.float64):
                 dtype = data.dtype
             else:
-                dtype = _DEFAULT_DTYPE
+                dtype = get_default_dtype()
         arr = np.asarray(data, dtype=dtype)
         # ascontiguousarray would promote 0-d scalars to 1-d
         self.data = np.ascontiguousarray(arr) if arr.ndim else arr
@@ -108,11 +112,11 @@ def as_tensor(x, dtype=None) -> Tensor:
 
 
 def zeros(shape, dtype=None) -> Tensor:
-    return Tensor(np.zeros(shape, dtype=dtype or _DEFAULT_DTYPE))
+    return Tensor(np.zeros(shape, dtype=dtype or get_default_dtype()))
 
 
 def ones(shape, dtype=None) -> Tensor:
-    return Tensor(np.ones(shape, dtype=dtype or _DEFAULT_DTYPE))
+    return Tensor(np.ones(shape, dtype=dtype or get_default_dtype()))
 
 
 # ---------------------------------------------------------------------------
@@ -128,7 +132,7 @@ class _Node:
         self.backward_fn = backward_fn
 
 
-_ACTIVE_TAPE: Optional["Tape"] = None
+_ACTIVE_TAPE: ContextVar[Optional["Tape"]] = ContextVar("active_tape", default=None)
 
 
 class Tape:
@@ -139,15 +143,13 @@ class Tape:
         self._live: list[Tensor] = []  # keeps intermediate tensors alive for id stability
 
     def __enter__(self) -> "Tape":
-        global _ACTIVE_TAPE
-        if _ACTIVE_TAPE is not None:
+        if _ACTIVE_TAPE.get() is not None:
             raise RuntimeError("a Tape is already active; tapes do not nest")
-        _ACTIVE_TAPE = self
+        _ACTIVE_TAPE.set(self)
         return self
 
     def __exit__(self, *exc) -> None:
-        global _ACTIVE_TAPE
-        _ACTIVE_TAPE = None
+        _ACTIVE_TAPE.set(None)
 
     def backward(self, loss: Tensor, params: Iterable["Param"] = ()) -> dict:
         """Accumulate d(loss)/d(x) for every tensor on the tape.
@@ -180,7 +182,7 @@ class Tape:
 
 
 def _record(out: Tensor, parents: Sequence[Tensor], backward_fn: Callable) -> Tensor:
-    tape = _ACTIVE_TAPE
+    tape = _ACTIVE_TAPE.get()
     if tape is not None:
         tape.nodes.append(_Node(id(out), tuple(id(p) for p in parents), backward_fn))
         tape._live.append(out)
@@ -205,7 +207,8 @@ class Param:
     def __init__(self, value, name: str = ""):
         self.name = name
         # learnables always live in the configured training precision
-        self.value = value if isinstance(value, Tensor) else Tensor(value, dtype=_DEFAULT_DTYPE)
+        self.value = value if isinstance(value, Tensor) \
+            else Tensor(value, dtype=get_default_dtype())
         self.grad = np.zeros(self.value.shape, dtype=self.value.dtype)
 
     @property
@@ -227,38 +230,37 @@ class Param:
 
 def xavier_uniform(shape, fan_in: int, fan_out: int, rng: np.random.Generator) -> np.ndarray:
     a = math.sqrt(6.0 / (fan_in + fan_out))
-    return rng.uniform(-a, a, size=shape).astype(_DEFAULT_DTYPE)
+    return rng.uniform(-a, a, size=shape).astype(get_default_dtype())
 
 
 # ---------------------------------------------------------------------------
 # Multiply counting (complexity instrumentation)
 # ---------------------------------------------------------------------------
 
-_FLOP_COUNTER: Optional[list] = None
+_FLOP_COUNTER: ContextVar[Optional[list]] = ContextVar("flop_counter", default=None)
 
 
 @contextmanager
 def count_flops():
     """Count multiply-accumulate work (2*M*K*N style) of matmul/conv-class ops."""
-    global _FLOP_COUNTER
-    prev = _FLOP_COUNTER
     box = [0]
-    _FLOP_COUNTER = box
+    token = _FLOP_COUNTER.set(box)
     try:
         yield box
     finally:
-        _FLOP_COUNTER = prev
+        _FLOP_COUNTER.reset(token)
 
 
 def add_flops(n: int) -> None:
-    if _FLOP_COUNTER is not None:
-        _FLOP_COUNTER[0] += int(n)
+    box = _FLOP_COUNTER.get()
+    if box is not None:
+        box[0] += int(n)
 
 
-def _leading_blocks(a: np.ndarray) -> list[slice]:
-    """Slices of the leading axis of ``a``, about _BLOCK_BYTES and at least one row each."""
-    rows = a.shape[0]
-    step = max(1, _BLOCK_BYTES * rows // max(a.nbytes, 1))
+def _leading_blocks(rows: int, nbytes: int) -> list[slice]:
+    """Slices of a leading axis of ``rows`` rows spanning ``nbytes`` in all,
+    about _BLOCK_BYTES and at least one row each."""
+    step = max(1, _BLOCK_BYTES * rows // max(nbytes, 1))
     return [slice(i, min(i + step, rows)) for i in range(0, rows, step)] or [slice(0, 0)]
 
 
@@ -431,7 +433,7 @@ def gelu(x: Tensor) -> Tensor:
     """
     xd = x.data
     xr = xd.reshape(x.shape or (1,))  # a 0-d input as one row
-    blocks = _leading_blocks(xr)
+    blocks = _leading_blocks(len(xr), xr.nbytes)
     out_d = np.empty_like(xr)
     h, t = np.empty((2, blocks[0].stop) + xr.shape[1:], dtype=xr.dtype)
     for b in blocks:
@@ -479,7 +481,7 @@ def softmax(x: Tensor, axis: int = -1) -> Tensor:
     xd = x.data
     if not (-xd.ndim <= axis < xd.ndim):
         raise ShapeError(f"softmax: axis {axis} invalid for shape {x.shape}")
-    blocks = [...] if axis % xd.ndim == 0 else _leading_blocks(xd)
+    blocks = [...] if axis % xd.ndim == 0 else _leading_blocks(len(xd), xd.nbytes)
     y = np.empty_like(xd)
     for b in blocks:
         xb, yb = xd[b], y[b]
@@ -617,7 +619,7 @@ def scale_add_heads(logits: Tensor, s: float, pos: Tensor) -> Tensor:
     split = (logits.shape[0] // pos.shape[0],) + pos.shape
     ld = logits.data.reshape(split)
     out_d = np.empty_like(ld)
-    for b in _leading_blocks(ld):
+    for b in _leading_blocks(len(ld), ld.nbytes):
         ob = np.multiply(ld[b], s, out=out_d[b])
         ob += pos.data
     out = Tensor(out_d.reshape(logits.shape))
@@ -626,6 +628,71 @@ def scale_add_heads(logits: Tensor, s: float, pos: Tensor) -> Tensor:
         return g * s, g.reshape(split).sum(axis=0)
 
     return _record(out, (logits, pos), bw)
+
+
+def attention(q: Tensor, k: Tensor, v: Tensor, s: float, pos: Tensor,
+              probs: Optional[np.ndarray] = None) -> Tensor:
+    """Positional attention softmax(q @ k^T * s + pos[i % heads]) @ v, fused.
+
+    ``q`` is [n*heads, L, C], ``k`` [n*heads, M, C], ``v`` [n*heads, M, Cv]
+    and ``pos`` [heads, L, M], with batch index token*heads + head.  The
+    forward runs over blocks of whole tokens holding about _BLOCK_BYTES of
+    logits, each with the arithmetic of the unfused transpose, bmm,
+    scale_add_heads, softmax and bmm chain, so the [n*heads, L, M] logits are
+    never held whole.  The probabilities are kept whole only for a tape's
+    backward, or when the caller passes ``probs``, a C-contiguous
+    [n*heads, L, M] array of the logits' dtype that receives them.
+    """
+    qd, kd, vd, pd = q.data, k.data, v.data, pos.data
+    if qd.ndim != 3 or kd.ndim != 3 or vd.ndim != 3 or pd.ndim != 3 \
+            or kd.shape[0] != qd.shape[0] or kd.shape[2] != qd.shape[2] \
+            or vd.shape[:2] != kd.shape[:2] or pd.shape[1:] != (qd.shape[1], kd.shape[1]) \
+            or qd.shape[0] % pd.shape[0]:
+        raise ShapeError(f"attention: shapes q {q.shape}, k {k.shape}, v {v.shape} "
+                         f"and pos {pos.shape} do not match")
+    nh, length, c = qd.shape
+    m = kd.shape[1]
+    heads = pd.shape[0]
+    split = (nh // heads,) + pd.shape
+    s = float(s)
+    dtype = np.result_type(qd, kd)
+    if probs is not None and (probs.shape != (nh, length, m) or probs.dtype != dtype
+                              or not probs.flags.c_contiguous):
+        raise ShapeError(f"attention: probs must be a C-contiguous {dtype} array of "
+                         f"shape {(nh, length, m)}")
+    if probs is None and _ACTIVE_TAPE.get() is not None:
+        probs = np.empty((nh, length, m), dtype=dtype)
+    kt = np.ascontiguousarray(kd.transpose(0, 2, 1))
+    blocks = _leading_blocks(split[0], nh * length * m * dtype.itemsize)
+    work = None if probs is not None \
+        else np.empty((blocks[0].stop * heads, length, m), dtype=dtype)
+    out_d = np.empty((nh, length, vd.shape[2]), dtype=np.result_type(dtype, vd))
+    for b in blocks:
+        r = slice(b.start * heads, b.stop * heads)
+        pb = probs[r] if work is None else work[:r.stop - r.start]
+        np.matmul(qd[r], kt[r], out=pb)
+        pb *= s
+        sb = pb.reshape((b.stop - b.start,) + pd.shape)
+        sb += pd
+        np.subtract(pb, pb.max(axis=-1, keepdims=True), out=pb)
+        np.exp(pb, out=pb)
+        pb /= pb.sum(axis=-1, keepdims=True)
+        np.matmul(pb, vd[r], out=out_d[r])
+    out = Tensor(out_d)
+    add_flops(2 * nh * length * c * m + 2 * nh * length * m * vd.shape[2])
+
+    def bw(g):
+        # the unfused chain's backward, op by op in tape order
+        da = g @ vd.transpose(0, 2, 1)
+        dv = probs.transpose(0, 2, 1) @ g
+        dot = (da * probs).sum(axis=-1, keepdims=True)
+        dsl = probs * (da - dot)
+        dlog = dsl * s
+        dq = dlog @ kt.transpose(0, 2, 1)
+        dk = (qd.transpose(0, 2, 1) @ dlog).transpose(0, 2, 1)
+        return dq, dk, dv, dsl.reshape(split).sum(axis=0)
+
+    return _record(out, (q, k, v, pos), bw)
 
 
 def pixel_scale(x: Tensor, s: Tensor) -> Tensor:
@@ -719,7 +786,7 @@ def conv2d(x: Tensor, k: Tensor, bias: Optional[Tensor] = None, groups: int = 1,
         # Tap by tap over row blocks that stay in cache; each tap's weights are
         # repeated along a row, so numpy loops per row, not per pixel.
         krows = [np.broadcast_to(kd[u, v, 0], (wout, cout)).copy() for u, v, _ in taps]
-        blocks = _leading_blocks(out_d)
+        blocks = _leading_blocks(hout, out_d.nbytes)
         tmp = np.empty((blocks[0].stop, wout, cout), dtype=out_d.dtype)
         for b in blocks:
             ob, tb = out_d[b], tmp[:b.stop - b.start]

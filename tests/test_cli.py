@@ -175,8 +175,9 @@ class TestPipeline:
         assert gate.shape == (16, 16)
         # fresh gate logits are zero: sigmoid=0.5 everywhere, fixed-range mapping
         assert np.all(gate == 127)
-        assert (maps / "freq_attn_p0_mid.pgm").exists()
-        assert (maps / "space_attn_p0_dec.pgm").exists()
+        for kind in ("gate", "freq_attn", "space_attn"):
+            for block in ("enc", "mid", "dec"):
+                assert (maps / f"{kind}_p0_{block}.pgm").exists()
 
 
 class TestSweeps:

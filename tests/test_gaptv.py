@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 
-from hsifreq.cassi import SensingConfig, phi_forward, random_mask, shift_back, simulate
+from hsifreq import gaptv
+from hsifreq.cassi import (SensingConfig, phi_adjoint, phi_forward, random_mask, shift_back,
+                           simulate)
 from hsifreq.gaptv import GapTvConfig, gap_tv, tv_denoise
 from hsifreq.hsio import SceneSpec, gen_scene
 from hsifreq.metrics import psnr
@@ -49,6 +51,21 @@ class TestGapTv:
         with pytest.raises(ValueError, match="non-finite"):
             gap_tv(y, cfg, GapTvConfig(iterations=2))
 
+    def test_divergence_warns_and_returns_best_iterate(self, monkeypatch):
+        cfg = SensingConfig(random_mask(8, 8, seed=1), dispersion_step=1, bands=3)
+        y = phi_forward(np.full((8, 8, 3), 0.5), cfg)
+        calls = []
+
+        def blow_up(band, lam, iters):
+            calls.append(band)
+            return band * 1e3
+
+        monkeypatch.setattr(gaptv, "tv_denoise", blow_up)
+        with pytest.warns(RuntimeWarning, match="diverging"):
+            rec = gap_tv(y, cfg, GapTvConfig(iterations=10))
+        assert len(calls) == cfg.bands  # stopped after the first iteration
+        assert np.array_equal(rec, phi_adjoint(y, cfg))
+
     def test_zero_measurement_fixed_point(self):
         cfg = SensingConfig(random_mask(8, 8, seed=1), dispersion_step=1, bands=3)
         rec = gap_tv(np.zeros((8, cfg.meas_width)), cfg, GapTvConfig(iterations=10))
@@ -69,7 +86,6 @@ class TestGapTv:
                                     bands=4, seed=2))
         cfg = SensingConfig(random_mask(16, 16, seed=3), dispersion_step=1, bands=4)
         y = phi_forward(scene, cfg)
-        from hsifreq.cassi import phi_adjoint
         z0 = phi_adjoint(y, cfg)
         start = np.linalg.norm(y - phi_forward(z0, cfg))
         rec = gap_tv(y, cfg, GapTvConfig(iterations=30))

@@ -2,6 +2,7 @@
 residual structure, gradients, and the attention complexity contract."""
 
 import math
+from contextlib import nullcontext
 
 import numpy as np
 import pytest
@@ -9,10 +10,14 @@ import pytest
 from conftest import gradient_check, wrap_input
 from hsifreq import tensor as T
 from hsifreq.dct import dct2_cube
-from hsifreq.layers import (DualDomainBlock, FreqLocalMixer, FreqSpectralAttention,
-                            SpaceAttention, gate_merge, merge_tokens, split_tokens)
+from hsifreq.cassi import SensingConfig, random_mask, simulate
+from hsifreq.hsio import SceneSpec, gen_scene
+from hsifreq.layers import (DualDomainBlock, FreqLocalMixer, FreqSpectralAttention, Layer,
+                            SpaceAttention, _split_heads, attention_maps, gate_merge,
+                            merge_tokens, split_tokens)
 from hsifreq.network import NetConfig, PriorNet, StepEstimator
 from hsifreq.tensor import Param, Tape, Tensor
+from hsifreq.unfolding import UnfoldingNet
 
 
 def identity_conv(conv, c):
@@ -292,6 +297,69 @@ class TestSpaceAttention:
             return T.sum_all(T.mul(out, out))
 
         gradient_check(build, [x] + attn.params(), rel_tol=1e-4, samples=4)
+
+
+def composed_attention_probs(layer, x):
+    """The probabilities of an attention layer's call on ``x``, by the composed
+    transpose, bmm, scale_add_heads and softmax ops."""
+    c = x.shape[2]
+    tokens = split_tokens(x, layer.token)
+    q, kk = (_split_heads(T.bmm(tokens, w.value), layer.heads) for w in (layer.wq, layer.wk))
+    if isinstance(layer, SpaceAttention):
+        logits, s = T.bmm(q, T.transpose(kk, (0, 2, 1))), 1.0 / math.sqrt(c / layer.heads)
+    else:
+        logits, s = T.bmm(T.transpose(q, (0, 2, 1)), kk), 1.0 / math.sqrt(c)
+    return T.softmax(T.scale_add_heads(logits, s, layer.pos.value), axis=-1).data
+
+
+def all_layers(layer):
+    yield layer
+    for attr in vars(layer).values():
+        for item in attr if isinstance(attr, (list, tuple)) else [attr]:
+            if isinstance(item, Layer):
+                yield from all_layers(item)
+
+
+class TestAttentionMaps:
+    @pytest.fixture
+    def net_and_y(self):
+        cfg = NetConfig(height=16, width=16, bands=4, token=4, heads=2, stages=2,
+                        share_params=False)
+        mask = random_mask(16, 16, seed=3)
+        net = UnfoldingNet(cfg, mask, seed=4)
+        rng = np.random.default_rng(5)
+        for _, p in net.named_params():
+            p.assign((p.value.data + 0.1 * rng.standard_normal(p.shape)).astype(p.value.dtype))
+        scene = gen_scene(SceneSpec(kind="cosine-modes", height=16, width=16, bands=4, seed=6))
+        return net, simulate(scene, SensingConfig(mask, cfg.dispersion_step, 4))
+
+    @pytest.mark.parametrize("taped", [False, True])
+    def test_maps_equal_mean_of_composed_probabilities(self, net_and_y, monkeypatch, taped):
+        net, y = net_and_y
+        inputs = {}
+        for cls in (SpaceAttention, FreqSpectralAttention):
+            def seen(layer, x, call=cls.__call__):
+                inputs[layer] = x
+                return call(layer, x)
+            monkeypatch.setattr(cls, "__call__", seen)
+        with attention_maps() as maps, Tape() if taped else nullcontext():
+            net.forward(y)
+        assert len(maps) == 2 * 3 * 2 and maps.keys() == inputs.keys()
+        for layer, x in inputs.items():
+            expect = composed_attention_probs(layer, x).mean(axis=0)
+            assert maps[layer].dtype == np.float32 and np.array_equal(maps[layer], expect)
+
+    def test_no_attention_state_outside_the_context(self, net_and_y):
+        net, y = net_and_y
+        with attention_maps() as maps:
+            pass
+        before = {id(layer): dict(vars(layer)) for layer in all_layers(net)}
+        net.forward(y)
+        for layer in all_layers(net):
+            after = vars(layer)
+            assert after.keys() == before[id(layer)].keys()
+            assert all(after[name] is value for name, value in before[id(layer)].items())
+        assert maps == {}
 
 
 class TestDualDomainBlock:

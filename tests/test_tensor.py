@@ -1,6 +1,9 @@
 """Engine ops: forward values, gradient rules, tape behaviour, optimizer."""
 
 import math
+import sys
+import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -246,6 +249,18 @@ class TestOpGradients:
 
         gradient_check(build, [x, p, lg], rel_tol=1e-5, samples=8)
 
+    def test_attention(self, f64, rng):
+        q = wrap_input(rng.standard_normal((4, 3, 2)), "q")
+        k = wrap_input(rng.standard_normal((4, 5, 2)), "k")
+        v = wrap_input(rng.standard_normal((4, 5, 3)), "v")
+        p = wrap_input(rng.standard_normal((2, 3, 5)), "pos")
+
+        def build():
+            out = T.attention(q.value, k.value, v.value, 0.7, p.value)
+            return T.sum_all(T.mul(out, Tensor(np.arange(36.0).reshape(4, 3, 3))))
+
+        gradient_check(build, [q, k, v, p], rel_tol=1e-5, samples=8)
+
     def test_conv_ops(self, f64, rng):
         x = wrap_input(rng.standard_normal((4, 4, 2)), "x")
         k1 = Param(rng.standard_normal((3, 3, 2, 3)), name="k1")
@@ -309,6 +324,19 @@ def parent_scale_add_tiled(logits, pos, s, g):
     return out, [g * s, g.reshape((n,) + pos.shape).sum(axis=0)]
 
 
+def parent_attention(q, k, v, pos, s, g):
+    """The composed chain transpose, bmm, scale_add_heads, softmax, bmm."""
+    kt = np.ascontiguousarray(k.transpose(0, 2, 1))
+    logits = q @ kt
+    da = g @ v.transpose(0, 2, 1)
+    sl, _ = parent_scale_add_tiled(logits, pos, s, da)
+    p, [dsl] = parent_softmax(sl, da, -1)
+    _, [dlog, dpos] = parent_scale_add_tiled(logits, pos, s, dsl)
+    dq = dlog @ kt.transpose(0, 2, 1)
+    dk = (q.transpose(0, 2, 1) @ dlog).transpose(0, 2, 1)
+    return p @ v, [dq, dk, p.transpose(0, 2, 1) @ g, dpos]
+
+
 def parent_conv2d(x, k, bias, g, groups=1, padding="same", stride=1):
     kh, kw = k.shape[:2]
     h, w = x.shape[:2]
@@ -345,12 +373,12 @@ def _rows(row_bytes: int) -> int:
 
 
 class TestBlockedOpsMatchParentFormulas:
-    """gelu, softmax, the attention-logits op and every conv2d path equal the
-    parent's formulas bit for bit in float32, forward and backward, on inputs
-    that span several blocks and end in a ragged one.  The upstream gradient
-    arrives both contiguous and as a transposed view, as it does from the DCT
-    in a block; gradient strides must match too, because later reductions sum
-    in stride order."""
+    """gelu, softmax, the attention-logits op, the fused attention and every
+    conv2d path equal the parent's formulas bit for bit in float32, forward
+    and backward, on inputs that span several blocks and end in a ragged one.
+    The upstream gradient arrives both contiguous and as a transposed view, as
+    it does from the DCT in a block; gradient strides must match too, because
+    later reductions sum in stride order."""
 
     @staticmethod
     def run_op(op, inputs, g_seed, transposed):
@@ -402,6 +430,31 @@ class TestBlockedOpsMatchParentFormulas:
         pos = self.data(rng, heads, length, length)
         self.check(lambda a, b: T.scale_add_heads(a, 0.125, b),
                    lambda a, b, g: parent_scale_add_tiled(a, b, 0.125, g), [logits, pos])
+
+    @pytest.mark.parametrize("heads", [1, 4])
+    def test_attention(self, rng, heads):
+        length, c = 64, 7
+        nh = heads * _rows(4 * heads * length * length)
+        q, k, v = (self.data(rng, nh, length, c) for _ in range(3))
+        pos = self.data(rng, heads, length, length)
+        s = 1.0 / math.sqrt(c)
+        self.check(lambda *t: T.attention(*t[:3], s, t[3]),
+                   lambda *a: parent_attention(*a[:4], s, a[4]), [q, k, v, pos])
+
+    def test_attention_without_tape_holds_no_full_logits(self, rng):
+        # a 64x64x8 image in 8x8 tokens, two heads: 64 tokens of L = 64
+        heads, length, c = 2, 64, 4
+        nh = heads * 64
+        q, k, v = (self.data(rng, nh, length, c) for _ in range(3))
+        pos = self.data(rng, heads, length, length)
+        full = nh * length * length * 4
+        tracemalloc.start()
+        try:
+            T.attention(Tensor(q), Tensor(k), Tensor(v), 0.5, Tensor(pos))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < full
 
     @pytest.mark.parametrize("ksize,cin,cout,groups,padding,stride", [
         (1, 6, 7, 1, "same", 1),       # point-wise
@@ -468,6 +521,62 @@ class TestTape:
             return T.softmax(T.conv2d(x, k), axis=-1).data
 
         assert np.array_equal(run(), run())
+
+
+class TestContextState:
+    """The active tape, the default dtype and the FLOP counter belong to the
+    thread (context) that set them."""
+
+    @staticmethod
+    def forward(x):
+        h = T.gelu(T.matmul(x.value, x.value))
+        return T.sum_all(T.softmax(h, axis=-1))
+
+    def test_threads_keep_their_own_tape_dtype_and_flops(self, rng):
+        data = rng.standard_normal((4, 4)).astype(np.float32)
+        x = Param(data.copy(), name="x")
+        with Tape() as expect_tape:
+            expect_tape.backward(self.forward(x), [x])
+        expect_grad, x.grad[...] = x.grad.copy(), 0
+
+        results, errors = {}, []
+        start = threading.Barrier(4)
+
+        def worker(i):
+            try:
+                xi = Param(data.copy(), name="x")
+                start.wait(timeout=30)
+                with T.count_flops() as flops:
+                    for _ in range(20):
+                        xi.zero_grad()
+                        with Tape() as tape:
+                            tape.backward(self.forward(xi), [xi])
+                results[i] = (len(tape.nodes), flops[0], xi.grad.copy(), Tensor([1.0]).dtype)
+            except Exception as exc:  # noqa: BLE001 - reported by the main thread
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with T.using_dtype(np.float64), T.count_flops() as main_flops, Tape() as main_tape:
+                self.forward(Param(np.eye(2)))
+                threads = [threading.Thread(target=worker, args=(i,)) for i in range(4)]
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join(timeout=60)
+                main_nodes = len(main_tape.nodes)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert not errors, errors
+        assert main_nodes == len(expect_tape.nodes) and main_flops[0] == 2 * 2 * 2 * 2
+        for nodes, flops, grad, dtype in results.values():
+            assert nodes == len(expect_tape.nodes)
+            assert flops == 20 * 2 * 4 * 4 * 4
+            assert dtype == np.float32
+            assert np.array_equal(grad, expect_grad)
+        assert len(results) == 4
 
 
 class TestAdam:
