@@ -18,6 +18,11 @@ from .cassi import SensingConfig, phi_adjoint, phi_forward, phi_phit_diag
 DIAG_FLOOR = 1e-6
 
 
+def _check_tv_weight(lam) -> None:
+    if not (np.isfinite(lam) and lam > 0):
+        raise ValueError(f"TV weight must be finite and > 0, got {lam!r}")
+
+
 @dataclass
 class GapTvConfig:
     iterations: int = 100
@@ -25,50 +30,64 @@ class GapTvConfig:
     tv_inner_iters: int = 5
 
     def __post_init__(self):
-        if self.iterations <= 0 or self.tv_weight <= 0 or self.tv_inner_iters <= 0:
-            raise ValueError("GapTvConfig fields must all be positive")
-
-
-def _grad(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    gx = np.zeros_like(u)
-    gy = np.zeros_like(u)
-    gx[:, :-1] = u[:, 1:] - u[:, :-1]
-    gy[:-1, :] = u[1:, :] - u[:-1, :]
-    return gx, gy
-
-
-def _div(px: np.ndarray, py: np.ndarray) -> np.ndarray:
-    d = np.zeros_like(px)
-    d[:, 0] = px[:, 0]
-    d[:, 1:] = px[:, 1:] - px[:, :-1]
-    d[0, :] += py[0, :]
-    d[1:, :] += py[1:, :] - py[:-1, :]
-    return d
+        if self.iterations <= 0 or self.tv_inner_iters <= 0:
+            raise ValueError("GapTvConfig iterations and tv_inner_iters must be positive")
+        _check_tv_weight(self.tv_weight)
 
 
 def tv_denoise(band: np.ndarray, lam: float, iters: int = 5) -> np.ndarray:
-    """Approximate prox of lam * anisotropic TV at ``band`` (dual projection)."""
-    if lam <= 0:
-        raise ValueError("tv_denoise: lam must be > 0")
+    """Approximate prox of lam * anisotropic TV at a 2-D ``band`` (dual projection).
+
+    Runs ``iters`` steps of p <- clip(p - (tau/lam) * grad u, -1, 1) with
+    u = f - lam * div p, from p = 0 (where u is f itself), and returns the
+    last u in float64.  grad is the forward difference with a zero last
+    column (horizontal) and last row (vertical); div is its negative adjoint.
+    The working arrays are allocated once and updated in place; the
+    horizontal differences are one subtract over the flattened band, after
+    which the row-boundary column is overwritten.
+    """
+    if np.ndim(band) != 2:
+        raise ValueError(f"tv_denoise takes one [H, W] band, got shape {np.shape(band)}")
+    _check_tv_weight(lam)
     f = band.astype(np.float64)
-    px = np.zeros_like(f)
-    py = np.zeros_like(f)
-    tau = 0.125  # stable step for the 2D TV dual update
+    h, w = f.shape
+    n = h * w
+    u = f.copy()  # f - lam * div p at p = 0; also div's scratch below
+    d = np.empty((h, w))
+    p = np.zeros((2, h, w))  # dual field: p[0] horizontal, p[1] vertical
+    g = np.zeros((2, h, w))  # grad u in the same layout; its last row stays 0
+    t = np.empty((2, h, w))  # (tau/lam) * g
+    px, py, gx = p[0], p[1], g[0]
+    pxf, pyf, gxf, gyf = px.reshape(-1), py.reshape(-1), gx.reshape(-1), g[1].reshape(-1)
+    df, uf = d.reshape(-1), u.reshape(-1)
+    step = 0.125 / lam  # tau / lam, tau = 1/8 is the stable 2D TV dual step
     for _ in range(iters):
-        u = f - lam * _div(px, py)
-        gx, gy = _grad(u)
-        # dual descent paired with u = f - lam*div(p); clip is the projection
-        # onto the anisotropic unit ball
-        px = np.clip(px - (tau / lam) * gx, -1.0, 1.0)
-        py = np.clip(py - (tau / lam) * gy, -1.0, 1.0)
-    return f - lam * _div(px, py)
+        np.subtract(uf[1:], uf[:-1], out=gxf[:-1])
+        gx[:, -1] = 0.0
+        np.subtract(uf[w:], uf[:n - w], out=gyf[:n - w])
+        # dual descent paired with u = f - lam*div(p); the clip is the
+        # projection onto the anisotropic unit ball (maximum then minimum is
+        # np.clip's value, NaN and -0.0 included, without its Python wrapper)
+        np.multiply(g, step, out=t)
+        np.subtract(p, t, out=p)
+        np.maximum(p, -1.0, out=p)
+        np.minimum(p, 1.0, out=p)
+        # u = f - lam * div p, with div's vertical differences held in u
+        np.subtract(pxf[1:], pxf[:-1], out=df[1:])
+        d[:, 0] = px[:, 0]
+        np.add(d[0], py[0], out=d[0])
+        np.subtract(pyf[w:], pyf[:n - w], out=uf[w:])
+        np.add(d[1:], u[1:], out=d[1:])
+        np.multiply(d, lam, out=u)
+        np.subtract(f, u, out=u)
+    return u
 
 
 def gap_tv(y: np.ndarray, cfg: SensingConfig, gcfg: GapTvConfig | None = None) -> np.ndarray:
     """Reconstruct a cube from one measurement by GAP iterations with a TV prior.
 
     Stops early and returns the best iterate if the data residual grows to
-    10x its running minimum (divergence guard).
+    10x its running minimum or is not finite (divergence guard).
     """
     if gcfg is None:
         gcfg = GapTvConfig()
@@ -87,7 +106,7 @@ def gap_tv(y: np.ndarray, cfg: SensingConfig, gcfg: GapTvConfig | None = None) -
         res = float(np.linalg.norm(y - phi_forward(z, cfg)))
         if res < best_res:
             best, best_res = z, res
-        elif res > 10.0 * best_res:
+        elif not np.isfinite(res) or res > 10.0 * best_res:
             warnings.warn("gap_tv residual diverging, returning best iterate",
                           RuntimeWarning, stacklevel=2)
             return best

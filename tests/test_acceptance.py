@@ -220,6 +220,7 @@ def overfit_models():
     return dict(scene=scene, mask=mask, runs=runs, y=y, elapsed=elapsed)
 
 
+@pytest.mark.slow
 def test_07_overfit_sanity_and_stage_trend(overfit_models):
     m = overfit_models
     scene, y = m["scene"], m["y"]
@@ -265,6 +266,7 @@ def test_08_frequency_correlation_surrogate():
     assert time.perf_counter() - t0 < 60.0
 
 
+@pytest.mark.slow
 def test_09_baseline_ordering(overfit_models):
     pw = gen_scene(SceneSpec(kind="piecewise-constant", height=32, width=32,
                              bands=8, seed=5))

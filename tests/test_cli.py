@@ -160,6 +160,19 @@ class TestPipeline:
         assert code == 0
         assert read_hsic(xhat).shape == (16, 16, 4)
 
+    def test_reconstruct_gap_tv_rejects_nan_weight(self, tmp_path, scene_file, mask_file,
+                                                   capsys):
+        y = tmp_path / "y.hsic"
+        main(["simulate", "--in", str(scene_file), "--mask", str(mask_file),
+              "--d", "2", "--sigma", "0", "--out", str(y)])
+        xhat = tmp_path / "gaptv.hsic"
+        code = main(["reconstruct", "--y", str(y), "--method", "gap-tv",
+                     "--mask", str(mask_file), "--d", "2", "--bands", "4",
+                     "--iters", "10", "--tv-weight", "nan", "--out", str(xhat)])
+        assert code == 2
+        assert "finite" in capsys.readouterr().err
+        assert not xhat.exists()
+
     def test_export_maps(self, tmp_path, scene_file, mask_file):
         ckpt = tmp_path / "model.cmdw"
         main(["train", "--data", str(scene_file), "--stages", "1", "--steps", "1",

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from hsifreq import gaptv
-from hsifreq.cassi import (SensingConfig, phi_adjoint, phi_forward, random_mask, shift_back,
-                           simulate)
+from hsifreq.cassi import (SensingConfig, phi_adjoint, phi_forward, phi_phit_diag,
+                           random_mask, shift_back, simulate)
 from hsifreq.gaptv import GapTvConfig, gap_tv, tv_denoise
 from hsifreq.hsio import SceneSpec, gen_scene
 from hsifreq.metrics import psnr
@@ -95,3 +95,149 @@ class TestGapTv:
     def test_config_validation(self):
         with pytest.raises(ValueError):
             GapTvConfig(iterations=0)
+
+
+class TestTvWeightAndBandChecks:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_config_rejects_non_finite_weight(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            GapTvConfig(tv_weight=bad)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_tv_denoise_rejects_non_finite_weight(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            tv_denoise(np.zeros((4, 4)), lam=bad)
+
+    @pytest.mark.parametrize("shape", [(4, 4, 3), (16,)])
+    def test_tv_denoise_takes_only_a_2d_band(self, shape):
+        with pytest.raises(ValueError, match=r"\[H, W\] band"):
+            tv_denoise(np.zeros(shape), lam=0.1)
+
+    def test_nan_residual_warns_and_returns_best_iterate(self, monkeypatch):
+        cfg = SensingConfig(random_mask(8, 8, seed=1), dispersion_step=1, bands=3)
+        y = phi_forward(np.full((8, 8, 3), 0.5), cfg)
+        calls = []
+
+        def nan_band(band, lam, iters):
+            calls.append(band)
+            return np.full_like(band, np.nan)
+
+        monkeypatch.setattr(gaptv, "tv_denoise", nan_band)
+        with pytest.warns(RuntimeWarning, match="diverging"):
+            rec = gap_tv(y, cfg, GapTvConfig(iterations=10))
+        assert len(calls) == cfg.bands  # stopped after the first iteration
+        assert np.array_equal(rec, phi_adjoint(y, cfg))
+
+
+# The TV prox as it was written before the in-place kernel, kept as the
+# bitwise reference: fresh arrays per step, per-row slices, np.clip.
+def parent_grad(u):
+    gx = np.zeros_like(u)
+    gy = np.zeros_like(u)
+    gx[:, :-1] = u[:, 1:] - u[:, :-1]
+    gy[:-1, :] = u[1:, :] - u[:-1, :]
+    return gx, gy
+
+
+def parent_div(px, py):
+    d = np.zeros_like(px)
+    d[:, 0] = px[:, 0]
+    d[:, 1:] = px[:, 1:] - px[:, :-1]
+    d[0, :] += py[0, :]
+    d[1:, :] += py[1:, :] - py[:-1, :]
+    return d
+
+
+def parent_tv_denoise(band, lam, iters=5):
+    f = band.astype(np.float64)
+    px = np.zeros_like(f)
+    py = np.zeros_like(f)
+    tau = 0.125
+    for _ in range(iters):
+        u = f - lam * parent_div(px, py)
+        gx, gy = parent_grad(u)
+        px = np.clip(px - (tau / lam) * gx, -1.0, 1.0)
+        py = np.clip(py - (tau / lam) * gy, -1.0, 1.0)
+    return f - lam * parent_div(px, py)
+
+
+def parent_gap_tv(y, cfg, gcfg):
+    diag = np.maximum(phi_phit_diag(cfg), gaptv.DIAG_FLOOR)
+    z = phi_adjoint(y, cfg)
+    best = z
+    best_res = float(np.linalg.norm(y - phi_forward(z, cfg)))
+    for _ in range(gcfg.iterations):
+        r = y - phi_forward(z, cfg)
+        x = z + phi_adjoint(r / diag, cfg)
+        z = np.stack([parent_tv_denoise(x[:, :, c], gcfg.tv_weight, gcfg.tv_inner_iters)
+                      for c in range(cfg.bands)], axis=2)
+        res = float(np.linalg.norm(y - phi_forward(z, cfg)))
+        if res < best_res:
+            best, best_res = z, res
+        elif res > 10.0 * best_res:
+            return best
+    return z
+
+
+class TestTvDenoiseMatchesParentFormula:
+    # lam 1e-8 clips every dual step, 2.0 almost none; 0.07 is the default
+    LAMS = (1e-8, 0.07, 2.0)
+    ITERS = (1, 5, 20)
+
+    def assert_matches_parent(self, band):
+        for lam in self.LAMS:
+            for iters in self.ITERS:
+                want = parent_tv_denoise(band, lam, iters)
+                got = tv_denoise(band, lam, iters)
+                assert got.dtype == want.dtype, (lam, iters)
+                assert np.array_equal(got, want, equal_nan=True), (lam, iters)
+                assert np.array_equal(np.signbit(got), np.signbit(want)), (lam, iters)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("shape", [(1, 1), (1, 9), (9, 1), (7, 3), (64, 64)])
+    def test_bitwise_equal(self, shape, dtype, rng):
+        self.assert_matches_parent(rng.standard_normal(shape).astype(dtype))
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_bitwise_equal_on_band_view(self, dtype, rng):
+        cube = rng.standard_normal((12, 10, 4)).astype(dtype)
+        for c in range(cube.shape[2]):
+            self.assert_matches_parent(cube[:, :, c])
+        self.assert_matches_parent(cube[:, :, 0].T)  # Fortran-ordered
+
+    def test_nan_and_negative_zero_match_parent(self, rng):
+        band = rng.standard_normal((9, 8))
+        band[2, 3] = np.nan
+        band[6, :] = -0.0
+        self.assert_matches_parent(band)
+
+    def test_input_not_modified(self, rng):
+        band = rng.standard_normal((6, 5))
+        before = band.copy()
+        tv_denoise(band, 0.07, 5)
+        assert np.array_equal(band, before)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_gap_tv_bitwise_equal(self, dtype):
+        scene = gen_scene(SceneSpec(kind="piecewise-constant", height=32, width=32,
+                                    bands=8, seed=5))
+        cfg = SensingConfig(random_mask(32, 32, seed=11), dispersion_step=2, bands=8)
+        y = simulate(scene, cfg, seed=0).astype(dtype)
+        gcfg = GapTvConfig(iterations=15)
+        want = parent_gap_tv(y, cfg, gcfg)
+        got = gap_tv(y, cfg, gcfg)
+        assert got.dtype == want.dtype
+        assert np.array_equal(got, want)
+
+    def test_gap_tv_calls_tv_denoise_once_per_band_and_iteration(self, monkeypatch):
+        cfg = SensingConfig(random_mask(16, 12, seed=4), dispersion_step=1, bands=5)
+        y = phi_forward(np.full((16, 12, 5), 0.5), cfg)
+        shapes = []
+
+        def counted(band, lam, iters):
+            shapes.append(band.shape)
+            return tv_denoise(band, lam, iters)
+
+        monkeypatch.setattr(gaptv, "tv_denoise", counted)
+        gap_tv(y, cfg, GapTvConfig(iterations=7))
+        assert shapes == [(16, 12)] * (cfg.bands * 7)
