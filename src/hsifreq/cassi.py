@@ -32,6 +32,8 @@ class SensingConfig:
         self.mask = np.asarray(self.mask, dtype=np.float64)
         if self.mask.ndim != 2:
             raise ValueError(f"mask must be 2D, got shape {self.mask.shape}")
+        if not np.all(np.isfinite(self.mask)):
+            raise ValueError("mask holds non-finite values (NaN or inf)")
         if self.mask.min() < 0.0 or self.mask.max() > 1.0:
             raise ValueError("mask transmittances must lie in [0, 1]")
         if self.dispersion_step < 0:

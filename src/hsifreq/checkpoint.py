@@ -95,6 +95,8 @@ def load_weights(path) -> tuple[NetConfig, dict[str, np.ndarray]]:
         shape = struct.unpack(f"<{ndim}I", take(4 * ndim))
         n = int(np.prod(shape, dtype=np.int64)) if ndim else 1
         data = np.frombuffer(take(4 * n), dtype="<f4").reshape(shape)
+        if not np.all(np.isfinite(data)):
+            raise CheckpointError(f"tensor {name} holds non-finite values (NaN or inf)")
         tensors[name] = data.copy()
     if off != len(buf):
         raise CheckpointError(f"{len(buf) - off} trailing bytes after tensor table")

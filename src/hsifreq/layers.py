@@ -136,14 +136,6 @@ def split_tokens(x: Tensor, k: int) -> Tensor:
     return T.reshape(t, ((h // k) * (w // k), k * k, c))
 
 
-def merge_tokens(t: Tensor, h: int, w: int, k: int) -> Tensor:
-    """Inverse of :func:`split_tokens`."""
-    c = t.shape[2]
-    t = T.reshape(t, (h // k, w // k, k, k, c))
-    t = T.transpose(t, (0, 2, 1, 3, 4))
-    return T.reshape(t, (h, w, c))
-
-
 def _split_heads(x: Tensor, heads: int) -> Tensor:
     """[n, L, C] -> [n*heads, L, C/heads]; batch index is token*heads + head."""
     n, l, c = x.shape
@@ -152,12 +144,14 @@ def _split_heads(x: Tensor, heads: int) -> Tensor:
     return T.reshape(t, (n * heads, l, c // heads))
 
 
-def _merge_heads(x: Tensor, heads: int) -> Tensor:
+def _merge_heads_tokens(x: Tensor, h: int, w: int, k: int) -> Tensor:
+    """[n*heads, K*K, C/heads] -> [H,W,C] in one copy: the inverse of
+    :func:`_split_heads` after :func:`split_tokens`."""
     nh, l, ch = x.shape
-    n = nh // heads
-    t = T.reshape(x, (n, heads, l, ch))
-    t = T.transpose(t, (0, 2, 1, 3))
-    return T.reshape(t, (n, l, heads * ch))
+    heads = nh // ((h // k) * (w // k))
+    t = T.reshape(x, (h // k, w // k, heads, k, k, ch))
+    t = T.transpose(t, (0, 3, 1, 4, 2, 5))
+    return T.reshape(t, (h, w, heads * ch))
 
 
 # ---------------------------------------------------------------------------
@@ -193,14 +187,19 @@ class FreqSpectralAttention(Layer):
         q = _split_heads(T.bmm(tokens, self.wq.value), self.heads)
         kk = _split_heads(T.bmm(tokens, self.wk.value), self.heads)
         v = _split_heads(T.bmm(tokens, self.wv.value), self.heads)
+        del tokens
         logits = T.bmm(T.transpose(q, (0, 2, 1)), kk)
+        del q, kk
         logits = T.scale_add_heads(logits, 1.0 / math.sqrt(c), self.pos.value)
         attn = T.softmax(logits, axis=-1)
+        del logits
         maps = _ATTENTION_MAPS.get()
         if maps is not None:
             maps[self] = attn.data.mean(axis=0)
-        mixed = _merge_heads(T.bmm(v, attn), self.heads)
-        return self.out(merge_tokens(mixed, h, w, k))
+        mixed = T.bmm(v, attn)
+        del v, attn
+        mixed = _merge_heads_tokens(mixed, h, w, k)
+        return self.out(mixed)
 
 
 class FreqLocalMixer(Layer):
@@ -231,8 +230,7 @@ def gate_merge(f_attn: Tensor, f_local: Tensor, logits: Tensor) -> Tensor:
     if logits.shape != f_attn.shape[:2]:
         raise T.ShapeError(f"gate_merge: gate {logits.shape} does not match "
                            f"spatial dims of {f_attn.shape}")
-    s = T.sigmoid(logits)
-    return T.add(T.pixel_scale(f_attn, s), T.pixel_scale(f_local, T.sub(1.0, s)))
+    return T.gate_blend(f_attn, f_local, T.sigmoid(logits))
 
 
 # ---------------------------------------------------------------------------
@@ -262,14 +260,16 @@ class SpaceAttention(Layer):
         q = _split_heads(T.bmm(tokens, self.wq.value), self.heads)
         kk = _split_heads(T.bmm(tokens, self.wk.value), self.heads)
         v = _split_heads(T.bmm(tokens, self.wv.value), self.heads)
+        del tokens
         maps = _ATTENTION_MAPS.get()
         probs = None if maps is None else np.empty((q.shape[0], k * k, k * k), q.dtype)
         mixed = T.attention(q, kk, v, 1.0 / math.sqrt(c / self.heads), self.pos.value,
                             probs=probs)
+        del q, kk, v
         if maps is not None:
             maps[self] = probs.mean(axis=0)
-        mixed = _merge_heads(mixed, self.heads)
-        return self.out(merge_tokens(mixed, h, w, k))
+        mixed = _merge_heads_tokens(mixed, h, w, k)
+        return self.out(mixed)
 
 
 # ---------------------------------------------------------------------------
@@ -303,11 +303,19 @@ class DualDomainBlock(Layer):
         self.ffn_out = Conv2d(ce, channels, 1, rng)
 
     def __call__(self, x: Tensor) -> Tensor:
+        # Each activation is dropped after its last use: without a tape
+        # nothing else holds it.
         xn = self.ln1(x)
         f_in = dct2_forward(xn)
         f_out = gate_merge(self.freq_attn(f_in), self.freq_mix(f_in), self.gate_logits.value)
-        mixed = T.add(self.space_attn(xn), dct2_inverse(f_out))
+        del f_in
+        space = self.space_attn(xn)
+        del xn
+        mixed = T.add(space, dct2_inverse(f_out))
+        del space, f_out
         x1 = T.add(x, self.proj(mixed))
+        del mixed
         y = T.gelu(self.ffn_in(self.ln2(x1)))
-        y = T.gelu(self.ffn_dw(y))
+        y = self.ffn_dw(y)
+        y = T.gelu(y)
         return T.add(x1, self.ffn_out(y))

@@ -73,8 +73,10 @@ class PriorNet(Layer):
         gains = T.add(self.cond(T.reshape(beta, (1, 1))), 1.0)
         e = T.channel_scale(e, T.reshape(gains, (gains.shape[1],)))
         e1 = self.enc(e)
-        m = self.mid(self.down(e1))
-        f = self.fuse(T.concat([self.up(m), e1], axis=2))
+        del e
+        m = self.up(self.mid(self.down(e1)))
+        f = self.fuse(T.concat([m, e1], axis=2))
+        del m, e1
         return T.add(x, self.out(self.dec(f)))
 
 

@@ -14,10 +14,11 @@ vs. tensor, a per-channel bias over the last axis (``add_bias``), and a
 per-head term over a token*heads batch axis (``scale_add_heads``).  Everything
 else must be reshaped explicitly; shape mismatches raise ``ShapeError``.
 
-The forward passes of ``gelu``, ``softmax``, ``attention`` and the depth-wise
-conv run over blocks of the leading axis, so that their temporaries stay in
-cache.  Every block repeats the un-blocked arithmetic element for element, so
-the results are bit for bit those of one pass over the whole array.
+The forward passes of ``gelu``, ``softmax``, ``layer_norm``, ``attention``,
+``gate_blend`` and the k x k convs run over blocks of the leading axis, so
+that their temporaries stay in cache and no full-size temporary is made.
+Every block repeats the un-blocked arithmetic element for element, so the
+results are bit for bit those of one pass over the whole array.
 
 The active tape, the default dtype and the FLOP counter are context
 variables: each thread (and each ``contextvars`` context) has its own, so two
@@ -37,6 +38,10 @@ _DEFAULT_DTYPE: ContextVar = ContextVar("default_dtype", default=np.float32)
 
 # Bytes per block of the blocked ops; a desk-scale array is a single block.
 _BLOCK_BYTES = 1 << 19
+
+# OpenBLAS runs a GEMM with M*N*K at most this through a small-matrix kernel,
+# which for some shapes sums in another order than its large kernel.
+_SMALL_GEMM = 10 ** 6
 
 
 class ShapeError(ValueError):
@@ -262,6 +267,13 @@ def _leading_blocks(rows: int, nbytes: int) -> list[slice]:
     about _BLOCK_BYTES and at least one row each."""
     step = max(1, _BLOCK_BYTES * rows // max(nbytes, 1))
     return [slice(i, min(i + step, rows)) for i in range(0, rows, step)] or [slice(0, 0)]
+
+
+def _even_blocks(rows: int, min_rows: int) -> list[slice]:
+    """Slices of ``rows`` rows into as many near-equal blocks of at least
+    ``min_rows`` rows as fit (one block when fewer rows are given)."""
+    n = max(1, rows // min_rows)
+    return [slice(rows * i // n, rows * (i + 1) // n) for i in range(n)]
 
 
 # ---------------------------------------------------------------------------
@@ -498,17 +510,35 @@ def softmax(x: Tensor, axis: int = -1) -> Tensor:
 
 
 def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Tensor:
-    """Normalize over the last (channel) axis per position, then scale/shift."""
+    """Normalize over the last (channel) axis per position, then scale/shift.
+
+    The forward runs over blocks of positions.  With a tape active, the
+    normalized values are filled into a whole array for the backward;
+    without one they live in a block-sized buffer.
+    """
     c = x.shape[-1]
     if gamma.shape != (c,) or beta.shape != (c,):
         raise ShapeError(f"layer_norm: scale/shift must have shape ({c},)")
     xd = x.data
-    mu = xd.mean(axis=-1, keepdims=True)
-    xc = xd - mu
-    var = (xc * xc).mean(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
-    xhat = xc * inv
-    out = Tensor(xhat * gamma.data + beta.data)
+    xr = xd.reshape(-1, c)
+    blocks = _leading_blocks(len(xr), xr.nbytes)
+    out_d = np.empty(xr.shape, dtype=np.result_type(xd, gamma.data, beta.data))
+    taped = _ACTIVE_TAPE.get() is not None
+    xhat = np.empty_like(xd) if taped else np.empty((blocks[0].stop, c), dtype=xd.dtype)
+    inv = np.empty(xd.shape[:-1] + (1,), dtype=xd.dtype)
+    sq = np.empty((blocks[0].stop, c), dtype=xd.dtype)
+    xhat_r, inv_r = xhat.reshape(-1, c), inv.reshape(-1, 1)
+    for b in blocks:
+        xb = xr[b]
+        n = len(xb)
+        hb = xhat_r[b] if taped else xhat_r[:n]
+        # the whole-array formula's operations in its order
+        np.subtract(xb, xb.mean(axis=-1, keepdims=True), out=hb)
+        var = np.multiply(hb, hb, out=sq[:n]).mean(axis=-1, keepdims=True)
+        hb *= np.divide(1.0, np.sqrt(var + eps), out=inv_r[b])
+        ob = np.multiply(hb, gamma.data, out=out_d[b])
+        ob += beta.data
+    out = Tensor(out_d.reshape(xd.shape))
     lead = tuple(range(xd.ndim - 1))
 
     def bw(g):
@@ -695,18 +725,34 @@ def attention(q: Tensor, k: Tensor, v: Tensor, s: float, pos: Tensor,
     return _record(out, (q, k, v, pos), bw)
 
 
-def pixel_scale(x: Tensor, s: Tensor) -> Tensor:
-    """Scale every channel of x[H,W,C] by the 2D map s[H,W]."""
-    if x.ndim != 3 or s.shape != x.shape[:2]:
-        raise ShapeError(f"pixel_scale: map {s.shape} does not match image {x.shape}")
+def gate_blend(a: Tensor, b: Tensor, s: Tensor) -> Tensor:
+    """Per-pixel convex blend a*s + b*(1 - s) of two [H,W,C] images by s[H,W].
+
+    The forward runs over leading-axis blocks.  Values and gradients are bit
+    for bit those of the blend composed from per-pixel scales, a subtraction
+    and an add on the tape: there the gradient of s accumulates as
+    (-sum(g*b)) + sum(g*a), which equals sum(g*a) - sum(g*b) in IEEE
+    arithmetic.
+    """
+    if a.ndim != 3 or b.shape != a.shape or s.shape != a.shape[:2]:
+        raise ShapeError(f"gate_blend: images {a.shape}, {b.shape} and map {s.shape} "
+                         "do not match")
+    ad, bd = a.data, b.data
     sd = s.data[:, :, None]
-    xd = x.data
-    out = Tensor(xd * sd)
+    cd = (1.0 - s.data)[:, :, None]
+    out_d = np.empty(a.shape, dtype=np.result_type(ad, bd, sd))
+    blocks = _leading_blocks(len(out_d), out_d.nbytes)
+    tmp = np.empty((blocks[0].stop,) + a.shape[1:], dtype=np.result_type(ad, sd))
+    for r in blocks:
+        tb = np.multiply(ad[r], sd[r], out=tmp[:r.stop - r.start])
+        ob = np.multiply(bd[r], cd[r], out=out_d[r])
+        np.add(tb, ob, out=ob)
+    out = Tensor(out_d)
 
     def bw(g):
-        return g * sd, (g * xd).sum(axis=2)
+        return g * sd, g * cd, (g * ad).sum(axis=2) - (g * bd).sum(axis=2)
 
-    return _record(out, (x, s), bw)
+    return _record(out, (a, b, s), bw)
 
 
 # ---------------------------------------------------------------------------
@@ -715,6 +761,23 @@ def pixel_scale(x: Tensor, s: Tensor) -> Tensor:
 
 def _conv_pad(kh: int, kw: int):
     return (kh - 1) // 2, kh - 1 - (kh - 1) // 2, (kw - 1) // 2, kw - 1 - (kw - 1) // 2
+
+
+def _padded_rows(xd: np.ndarray, start: int, stop: int, pt: int, pl: int,
+                 buf: Optional[np.ndarray]) -> np.ndarray:
+    """Rows start:stop of ``xd`` zero-padded by ``pt`` rows on top and ``pl``
+    columns on the left, written into ``buf``; a view of ``xd`` when ``buf``
+    is None.  ``buf`` starts zeroed and its width fixes the right padding; it
+    is filled for increasing ``start``, so its columns outside the image and
+    its rows above it are still zero."""
+    if buf is None:
+        return xd[start:stop]
+    xb = buf[:stop - start]
+    top = max(pt - start, 0)
+    lo, hi = start + top - pt, min(stop - pt, len(xd))
+    xb[top:top + hi - lo, pl:pl + xd.shape[1]] = xd[lo:hi]
+    xb[top + hi - lo:] = 0
+    return xb
 
 
 def conv2d(x: Tensor, k: Tensor, bias: Optional[Tensor] = None, groups: int = 1,
@@ -767,49 +830,63 @@ def conv2d(x: Tensor, k: Tensor, bias: Optional[Tensor] = None, groups: int = 1,
 
         return _record(Tensor(out_d.reshape(h, w, cout)), parents, bw_pointwise)
 
-    if padding == "same":
-        pt, pb, pl, pr = _conv_pad(kh, kw)
-        xp = np.pad(x.data, ((pt, pb), (pl, pr), (0, 0)))
-    else:
-        pt = pl = 0
-        xp = x.data
-    hp, wp = xp.shape[:2]
+    pt, pb, pl, pr = _conv_pad(kh, kw) if padding == "same" else (0, 0, 0, 0)
+    hp, wp = h + pt + pb, w + pl + pr
     hout = (hp - kh) // stride + 1
     wout = (wp - kw) // stride + 1
     if hout < 1 or wout < 1:
-        raise ShapeError(f"conv2d: kernel {k.shape} larger than padded input {xp.shape}")
+        raise ShapeError(f"conv2d: kernel {k.shape} larger than padded input {(hp, wp, cin)}")
 
-    taps = [(u, v, xp[u:u + stride * hout:stride, v:v + stride * wout:stride])
-            for u in range(kh) for v in range(kw)]  # reused by backward
-    out_d = np.zeros((hout, wout, cout), dtype=xp.dtype)
+    # Over output-row blocks that stay in cache, tap by tap in (u, v) order.
+    # A block reads its rows of the zero-padded input from a reused buffer, so
+    # the padded image is never held whole.
+    xd = x.data
+    taps = [(u, v) for u in range(kh) for v in range(kw)]
+    out_d = np.zeros((hout, wout, cout), dtype=xd.dtype)
+    blocks = _leading_blocks(hout, out_d.nbytes)
+    if not depthwise:
+        # even blocks: a ragged last one could fall under the small-matrix cut
+        blocks = _even_blocks(hout, max(blocks[0].stop, _SMALL_GEMM // (wout * cin * cout) + 1))
+    step = max(b.stop - b.start for b in blocks)
+    pad_buf = None if padding == "valid" \
+        else np.zeros((stride * (step - 1) + kh, wp, cin), dtype=xd.dtype)
     if depthwise:
-        # Tap by tap over row blocks that stay in cache; each tap's weights are
-        # repeated along a row, so numpy loops per row, not per pixel.
-        krows = [np.broadcast_to(kd[u, v, 0], (wout, cout)).copy() for u, v, _ in taps]
-        blocks = _leading_blocks(hout, out_d.nbytes)
-        tmp = np.empty((blocks[0].stop, wout, cout), dtype=out_d.dtype)
-        for b in blocks:
-            ob, tb = out_d[b], tmp[:b.stop - b.start]
-            for (_, _, xs), krow in zip(taps, krows):
-                np.multiply(xs[b], krow, out=tb)
-                ob += tb
-            if bd is not None:
-                ob += bd
+        # each tap's weights are repeated along a row, so numpy loops per row,
+        # not per pixel
+        krows = [np.broadcast_to(kd[u, v, 0], (wout, cout)).copy() for u, v in taps]
+        tmp = np.empty((step, wout, cout), dtype=out_d.dtype)
     else:
-        # One GEMM over the whole image per tap.  A matmul on the strided view
-        # would run one GEMM per row, for which BLAS may pick a kernel that
-        # sums in another order.
-        for u, v, xs in taps:
-            out_d += np.tensordot(xs, kd[u, v], axes=([2], [0]))
+        # Each tap is one [rows*W, Cin] @ [Cin, Cout] GEMM on a contiguous copy
+        # of its window: the GEMM that tensordot ran over the whole image,
+        # and above the small-matrix cut, so BLAS runs the same kernel.  A
+        # matmul on the strided view would run one GEMM per row, which may
+        # sum in another order.
+        win = np.empty((step * wout, cin), dtype=xd.dtype)
+        res = np.empty((step * wout, cout), dtype=np.result_type(xd, kd))
+    for b in blocks:
+        n = b.stop - b.start
+        xb = _padded_rows(xd, stride * b.start, stride * (b.stop - 1) + kh, pt, pl, pad_buf)
+        ob = out_d[b]
+        for i, (u, v) in enumerate(taps):
+            xs = xb[u:u + stride * n:stride, v:v + stride * wout:stride]
+            if depthwise:
+                tb = np.multiply(xs, krows[i], out=tmp[:n])
+            else:
+                wb = win[:n * wout]
+                wb.reshape(n, wout, cin)[...] = xs
+                tb = np.dot(wb, kd[u, v], out=res[:n * wout]).reshape(n, wout, cout)
+            ob += tb
         if bd is not None:
-            out_d += bd
+            ob += bd
     out = Tensor(out_d)
     add_flops(2 * kh * kw * cpg * cout * hout * wout)
 
     def bw(g):
+        xp = np.pad(xd, ((pt, pb), (pl, pr), (0, 0))) if padding == "same" else xd
         dk = np.zeros_like(kd)
         dxp = np.zeros_like(xp)
-        for u, v, xs in taps:
+        for u, v in taps:
+            xs = xp[u:u + stride * hout:stride, v:v + stride * wout:stride]
             if depthwise:
                 dk[u, v, 0] = (xs * g).sum(axis=(0, 1))
                 dxs = g * kd[u, v, 0]

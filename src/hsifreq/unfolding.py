@@ -84,6 +84,7 @@ class UnfoldingNet(Layer):
         y_t = Tensor(y, dtype=dt)
         for k in range(self.config.stages):
             x = data_module(z, y_t, self.sensing, alphas[k], self._diag)
+            del z  # without a tape nothing else holds it through the prior
             z = self.prior_for(k)(x, betas[k])
         return z
 

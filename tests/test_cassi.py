@@ -220,3 +220,10 @@ class TestProperties:
     def test_mask_range_validated(self):
         with pytest.raises(ValueError, match="\\[0, 1\\]"):
             SensingConfig(np.full((2, 2), 1.5), dispersion_step=1, bands=2)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_mask_rejected(self, bad):
+        mask = np.full((2, 2), 0.5)
+        mask[1, 0] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            SensingConfig(mask, dispersion_step=1, bands=2)

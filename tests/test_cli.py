@@ -6,7 +6,7 @@ import pytest
 from hsifreq.cli import _train_config_from, build_parser, main
 from hsifreq.estimators import UnfoldingReconstructor
 from hsifreq.hsio import read_hsic
-from hsifreq.unfolding import TrainConfig
+from hsifreq.unfolding import TrainConfig, UnfoldingNet
 
 from test_hsio import parse_pgm
 
@@ -171,6 +171,29 @@ class TestPipeline:
                      "--iters", "10", "--tv-weight", "nan", "--out", str(xhat)])
         assert code == 2
         assert "finite" in capsys.readouterr().err
+        assert not xhat.exists()
+
+    def test_reconstruct_rejects_nan_weight_checkpoint(self, tmp_path, scene_file,
+                                                      mask_file, capsys):
+        ckpt = tmp_path / "model.cmdw"
+        main(["train", "--data", str(scene_file), "--stages", "1", "--steps", "1",
+              "--token", "4", "--heads", "2", "--mask", str(mask_file),
+              "--no-augment", "--out", str(ckpt)])
+        net = UnfoldingNet.load(ckpt)
+        w = net.estimator.fc1.bias
+        bad = w.value.data.copy()
+        bad[0] = np.nan
+        w.assign(bad)
+        net.save(ckpt)
+        y = tmp_path / "y.hsic"
+        main(["simulate", "--in", str(scene_file), "--mask", str(mask_file),
+              "--d", "2", "--sigma", "0", "--out", str(y)])
+        xhat = tmp_path / "xhat.hsic"
+        capsys.readouterr()
+        code = main(["reconstruct", "--y", str(y), "--ckpt", str(ckpt),
+                     "--out", str(xhat)])
+        assert code == 2
+        assert "estimator.fc1.bias" in capsys.readouterr().err
         assert not xhat.exists()
 
     def test_export_maps(self, tmp_path, scene_file, mask_file):

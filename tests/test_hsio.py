@@ -111,6 +111,16 @@ class TestCheckpointFormat:
         with pytest.raises(CheckpointError, match="trailing"):
             load_weights(p)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_tensor_named(self, tmp_path, rng, bad):
+        fine = rng.random((2, 3)).astype(np.float32)
+        hit = rng.random(5).astype(np.float32)
+        hit[3] = bad
+        p = tmp_path / "w.cmdw"
+        save_weights(p, self.cfg(), {"a.weight": fine, "b.bias": hit, "c.bias": hit})
+        with pytest.raises(CheckpointError, match="b\\.bias.*non-finite"):
+            load_weights(p)
+
 
 class HalfWriter:
     """A file that takes half of the first chunk, then fails as on a full disk."""

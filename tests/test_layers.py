@@ -13,8 +13,8 @@ from hsifreq.dct import dct2_cube
 from hsifreq.cassi import SensingConfig, random_mask, simulate
 from hsifreq.hsio import SceneSpec, gen_scene
 from hsifreq.layers import (DualDomainBlock, FreqLocalMixer, FreqSpectralAttention, Layer,
-                            SpaceAttention, _split_heads, attention_maps, gate_merge,
-                            merge_tokens, split_tokens)
+                            SpaceAttention, _merge_heads_tokens, _split_heads,
+                            attention_maps, gate_merge, split_tokens)
 from hsifreq.network import NetConfig, PriorNet, StepEstimator
 from hsifreq.tensor import Param, Tape, Tensor
 from hsifreq.unfolding import UnfoldingNet
@@ -77,8 +77,8 @@ def space_oracle(x, wq, wk, wv, pos, token, heads):
 
 class TestTokenLayout:
     def test_split_merge_round_trip(self, rng):
-        x = Tensor(rng.standard_normal((8, 12, 3)))
-        back = merge_tokens(split_tokens(x, 4), 8, 12, 4)
+        x = Tensor(rng.standard_normal((8, 12, 6)))
+        back = _merge_heads_tokens(_split_heads(split_tokens(x, 4), 2), 8, 12, 4)
         assert np.array_equal(back.data, x.data)
 
     def test_split_needs_divisibility(self, rng):

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from conftest import gradient_check, wrap_input
 from hsifreq import tensor as T
+from hsifreq.layers import _merge_heads_tokens
 from hsifreq.optim import Adam, cosine_lr
 from hsifreq.tensor import Param, ShapeError, Tape, Tensor
 
@@ -285,19 +286,20 @@ class TestOpGradients:
 
     def test_misc_ops(self, f64, rng):
         x = wrap_input(rng.standard_normal((4, 4, 3)), "x")
+        y = wrap_input(rng.standard_normal((4, 4, 3)), "y")
         s = wrap_input(rng.standard_normal((4, 4)), "s")
         b = Param(rng.standard_normal(3), name="bias")
         c = Param(0.5 + rng.random(3), name="gains")
 
         def build():
-            z = T.pixel_scale(x.value, s.value)
+            z = T.gate_blend(x.value, y.value, s.value)
             z = T.add_bias(z, b.value)
             z = T.channel_scale(z, c.value)
             v = T.spatial_mean(z)
             picked = T.take_scalar(v, 1)
             return T.add(T.sum_all(T.mul(v, v)), T.mul(picked, picked))
 
-        gradient_check(build, [x, s, b, c], rel_tol=1e-5, samples=8)
+        gradient_check(build, [x, y, s, b, c], rel_tol=1e-5, samples=8)
 
 
 # The parent engine's formulas, kept as the bitwise reference for the blocked
@@ -367,30 +369,68 @@ def parent_conv2d(x, k, bias, g, groups=1, padding="same", stride=1):
     return out + bias, [dx, dk, g.sum(axis=(0, 1))]
 
 
+def parent_layer_norm(x, gamma, beta, g, eps=1e-5):
+    mu = x.mean(axis=-1, keepdims=True)
+    xc = x - mu
+    var = (xc * xc).mean(axis=-1, keepdims=True)
+    inv = 1.0 / np.sqrt(var + eps)
+    xhat = xc * inv
+    lead = tuple(range(x.ndim - 1))
+    dxhat = g * gamma
+    dx = inv * (dxhat
+                - dxhat.mean(axis=-1, keepdims=True)
+                - xhat * (dxhat * xhat).mean(axis=-1, keepdims=True))
+    return xhat * gamma + beta, [dx, (g * xhat).sum(axis=lead), g.sum(axis=lead)]
+
+
+def parent_gate_chain(a, b, s, g):
+    """The blend composed on the tape as a*s + b*(1 - s) from per-pixel
+    scales, a subtraction and an add; the tape visits the b branch first, so
+    the gradient of s accumulates as (-sum g*b) + sum g*a."""
+    sd, cd = s[:, :, None], (1.0 - s)[:, :, None]
+    ds = -(g * b).sum(axis=2)
+    ds = ds + (g * a).sum(axis=2)
+    return a * sd + b * cd, [g * sd, g * cd, ds]
+
+
+def parent_merge_heads_tokens(x, g, h, w, k, heads):
+    """Heads into channels, then tokens into the image: two copies, each a
+    reshape, transpose, reshape."""
+    nh, length, ch = x.shape
+    n, c = nh // heads, heads * ch
+    t = np.ascontiguousarray(x.reshape(n, heads, length, ch).transpose(0, 2, 1, 3))
+    t = np.ascontiguousarray(t.reshape(h // k, w // k, k, k, c).transpose(0, 2, 1, 3, 4))
+    gt = g.reshape(h // k, k, w // k, k, c).transpose(0, 2, 1, 3, 4).reshape(n, length, c)
+    gx = gt.reshape(n, length, heads, ch).transpose(0, 2, 1, 3).reshape(nh, length, ch)
+    return t.reshape(h, w, c), [gx]
+
+
 def _rows(row_bytes: int) -> int:
     """A leading-axis length of 2.5 blocks: several blocks and a ragged one."""
     return 5 * T._BLOCK_BYTES // (2 * row_bytes)
 
 
 class TestBlockedOpsMatchParentFormulas:
-    """gelu, softmax, the attention-logits op, the fused attention and every
-    conv2d path equal the parent's formulas bit for bit in float32, forward
-    and backward, on inputs that span several blocks and end in a ragged one.
-    The upstream gradient arrives both contiguous and as a transposed view, as
-    it does from the DCT in a block; gradient strides must match too, because
-    later reductions sum in stride order."""
+    """gelu, softmax, layer_norm, the attention-logits op, the fused
+    attention, the gate blend, the head/token merge and every conv2d path
+    equal the parent's formulas bit for bit, forward and backward, on inputs
+    that span several blocks and end in a ragged one.  The upstream gradient
+    arrives both contiguous and as a transposed view, as it does from the DCT
+    in a block; gradient strides must match too, because later reductions sum
+    in stride order."""
 
     @staticmethod
     def run_op(op, inputs, g_seed, transposed):
         gen = np.random.default_rng(g_seed)
+        dtype = inputs[0].dtype
         tensors = [Tensor(a) for a in inputs]
-        with Tape() as tape:
+        with T.using_dtype(dtype), Tape() as tape:
             out = op(*tensors)
             if transposed:
-                upstream = Tensor(gen.standard_normal(out.shape[::-1]).astype(np.float32))
+                upstream = Tensor(gen.standard_normal(out.shape[::-1]).astype(dtype))
                 seen = T.transpose(out, tuple(range(out.ndim))[::-1])
             else:
-                upstream = Tensor(gen.standard_normal(out.shape).astype(np.float32))
+                upstream = Tensor(gen.standard_normal(out.shape).astype(dtype))
                 seen = out
             grads = tape.backward(T.sum_all(T.mul(seen, upstream)))
         g = upstream.data.transpose(tuple(range(out.ndim))[::-1]) if transposed \
@@ -398,17 +438,18 @@ class TestBlockedOpsMatchParentFormulas:
         return out.data, [grads[id(t)] for t in tensors], g
 
     def check(self, op, reference, inputs):
+        dtype = inputs[0].dtype
         for transposed in (False, True):
             out, grads, g = self.run_op(op, inputs, 7, transposed)
             expect_out, expect_grads = reference(*inputs, g)
-            assert out.dtype == np.float32 and np.array_equal(out, expect_out)
+            assert out.dtype == dtype and np.array_equal(out, expect_out)
             for got, expect in zip(grads, expect_grads, strict=True):
-                assert got.dtype == np.float32
+                assert got.dtype == dtype
                 assert got.strides == expect.strides
                 assert np.array_equal(got, expect)
 
-    def data(self, rng, *shape):
-        return (3 * rng.standard_normal(shape)).astype(np.float32)
+    def data(self, rng, *shape, dtype=np.float32):
+        return (3 * rng.standard_normal(shape)).astype(dtype)
 
     def test_gelu(self, rng):
         x = self.data(rng, _rows(4 * 6 * 8), 6, 8)
@@ -455,6 +496,81 @@ class TestBlockedOpsMatchParentFormulas:
         finally:
             tracemalloc.stop()
         assert peak < full
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("rows", [5, 0])
+    def test_layer_norm(self, rng, dtype, rows):
+        # rows=5: one block; 0: several blocks and a ragged last one
+        c = 28
+        rows = rows or _rows(4 * 48 * c)
+        x = self.data(rng, rows, 48, c, dtype=dtype) + 2.0
+        gamma = self.data(rng, c, dtype=dtype)
+        beta = self.data(rng, c, dtype=dtype)
+        self.check(T.layer_norm, parent_layer_norm, [x, gamma, beta])
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("cin,cout", [(29, 28), (29, 16), (24, 8), (9, 24)])
+    def test_dense_conv2d_row_blocks(self, rng, dtype, cin, cout):
+        # the dense k x k shapes the network runs, over about four row blocks
+        rows = 4 * T._BLOCK_BYTES // (4 * 40 * cout) + 3
+        x = self.data(rng, rows, 40, cin, dtype=dtype)
+        k = self.data(rng, 3, 3, cin, cout, dtype=dtype)
+        b = self.data(rng, cout, dtype=dtype)
+        self.check(lambda xt, kt, bt: T.conv2d(xt, kt, bias=bt),
+                   lambda xa, ka, ba, g: parent_conv2d(xa, ka, ba, g), [x, k, b])
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("ksize,stride", [(3, 1), (2, 2)])
+    def test_conv2d_without_padded_copy(self, rng, dtype, ksize, stride):
+        # depth-wise "same" (top, bottom and both side pads, per row block)
+        # and dense strided "valid", each over several blocks and a ragged one
+        c = 12
+        rows = stride * _rows(4 * 32 * c) + 1 - (stride - 1)
+        x = self.data(rng, rows, 2 * 32, c, dtype=dtype)
+        kwargs = dict(groups=c, padding="same") if stride == 1 \
+            else dict(groups=1, padding="valid", stride=stride)
+        k = self.data(rng, ksize, ksize, 1 if stride == 1 else c, c, dtype=dtype)
+        b = self.data(rng, c, dtype=dtype)
+        self.check(lambda xt, kt, bt: T.conv2d(xt, kt, bias=bt, **kwargs),
+                   lambda xa, ka, ba, g: parent_conv2d(xa, ka, ba, g, **kwargs), [x, k, b])
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_depthwise_conv2d_one_row_blocks(self, rng, dtype, monkeypatch):
+        # a 5x5 kernel pads two rows: with one-row blocks the second block
+        # still starts inside the top padding
+        monkeypatch.setattr(T, "_BLOCK_BYTES", 1)
+        c = 3
+        x = self.data(rng, 7, 9, c, dtype=dtype)
+        k = self.data(rng, 5, 5, 1, c, dtype=dtype)
+        b = self.data(rng, c, dtype=dtype)
+        self.check(lambda xt, kt, bt: T.conv2d(xt, kt, bias=bt, groups=c),
+                   lambda xa, ka, ba, g: parent_conv2d(xa, ka, ba, g, groups=c), [x, k, b])
+
+    def test_conv2d_forward_holds_no_padded_image(self, rng):
+        # output plus a few blocks; a padded copy of the input would add 1x
+        x = Tensor(self.data(rng, 16 * T._BLOCK_BYTES // (4 * 64 * 16), 64, 16))
+        k = Tensor(self.data(rng, 3, 3, 1, 16))
+        tracemalloc.start()
+        try:
+            T.conv2d(x, k, groups=16)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * x.data.nbytes
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_gate_blend(self, rng, dtype):
+        rows = _rows(4 * 24 * 8)
+        a, b = (self.data(rng, rows, 24, 8, dtype=dtype) for _ in range(2))
+        s = rng.random((rows, 24)).astype(dtype)
+        self.check(T.gate_blend, parent_gate_chain, [a, b, s])
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_merge_heads_tokens(self, rng, dtype):
+        h, w, k, heads, ch = 32, 48, 8, 4, 3
+        x = self.data(rng, (h // k) * (w // k) * heads, k * k, ch, dtype=dtype)
+        self.check(lambda t: _merge_heads_tokens(t, h, w, k),
+                   lambda a, g: parent_merge_heads_tokens(a, g, h, w, k, heads), [x])
 
     @pytest.mark.parametrize("ksize,cin,cout,groups,padding,stride", [
         (1, 6, 7, 1, "same", 1),       # point-wise

@@ -1,6 +1,8 @@
 """Unfolding: data step against the dense solve oracle, end-to-end gradients,
 loss contract, training loop mechanics, checkpoint round trips."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -255,6 +257,25 @@ class TestTrain:
         UnfoldingNet.load(ckpt)  # flushed checkpoint is readable
 
 
+class TestInferenceMemory:
+    def test_no_tape_reconstruct_holds_only_live_activations(self, rng):
+        # paper-like width at 64x64x28; one activation is an [H,W,28] float32
+        # image.  Holding every dead block activation and padded or per-tap
+        # temporaries peaks near 19 of them.
+        cfg = NetConfig(height=64, width=64, bands=28)
+        net = UnfoldingNet(cfg, random_mask(64, 64, seed=1))
+        y = rng.random((64, net.sensing.meas_width)).astype(np.float32)
+        net.reconstruct(y)  # warm the DCT basis cache
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            net.reconstruct(y)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak <= 14 * (64 * 64 * 28 * 4)
+
+
 class TestReconstructAndCheckpoints:
     def test_save_load_round_trip_identical_output(self, rng, tmp_path):
         net = tiny_net(stages=2)
@@ -292,6 +313,24 @@ class TestReconstructAndCheckpoints:
         y[2, 3] = bad
         with pytest.raises(ValueError, match="non-finite"):
             reconstruct(y, net)
+
+    def test_nan_mask_rejected(self):
+        mask = random_mask(16, 16, seed=1)
+        mask[4, 5] = np.nan
+        cfg = NetConfig(height=16, width=16, bands=4, token=4, heads=2, stages=1)
+        with pytest.raises(ValueError, match="non-finite"):
+            UnfoldingNet(cfg, mask)
+
+    def test_nan_weight_checkpoint_rejected_at_load(self, tmp_path):
+        net = tiny_net(stages=1)
+        w = net.estimator.fc1.bias
+        bad = w.value.data.copy()
+        bad[1] = np.nan
+        w.assign(bad)
+        path = tmp_path / "model.cmdw"
+        net.save(path)
+        with pytest.raises(CheckpointError, match="estimator\\.fc1\\.bias"):
+            UnfoldingNet.load(path)
 
     def test_measurement_shape_rejected(self, rng, tmp_path):
         net = tiny_net(stages=1)
