@@ -48,6 +48,16 @@ def check_fitted(estimator, attribute: str) -> None:
                              "call fit() first")
 
 
+def check_at_least(cfg, low, *names: str) -> None:
+    """Raise ValueError naming the first field of ``cfg`` in ``names`` that is
+    not a finite number >= ``low``."""
+    for name in names:
+        value = getattr(cfg, name)
+        if not (np.isfinite(value) and value >= low):
+            raise ValueError(f"{type(cfg).__name__}.{name} must be finite and >= {low}, "
+                             f"got {value!r}")
+
+
 def check_cube(x, name: str = "cube") -> np.ndarray:
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 3:

@@ -16,6 +16,7 @@ import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
 from . import tensor as T
+from .base import check_at_least
 from .tensor import Tensor
 
 
@@ -36,12 +37,8 @@ class SensingConfig:
             raise ValueError("mask holds non-finite values (NaN or inf)")
         if self.mask.min() < 0.0 or self.mask.max() > 1.0:
             raise ValueError("mask transmittances must lie in [0, 1]")
-        if self.dispersion_step < 0:
-            raise ValueError("dispersion_step must be >= 0")
-        if self.bands < 1:
-            raise ValueError("bands must be >= 1")
-        if self.noise_sigma < 0:
-            raise ValueError("noise_sigma must be >= 0")
+        check_at_least(self, 0, "dispersion_step", "noise_sigma")
+        check_at_least(self, 1, "bands")
 
     @property
     def height(self) -> int:

@@ -32,23 +32,20 @@ class CheckpointError(ValueError):
     """Malformed checkpoint file or config mismatch."""
 
 
+# the config header in on-disk order: six u32, share_params as u8, three u32
+_CONFIG_FIELDS = ("height", "width", "bands", "token", "heads", "stages", "share_params",
+                  "base_width", "est_hidden", "dispersion_step")
+_CONFIG_FORMAT = "<6IB3I"
+_CONFIG_SIZE = struct.calcsize(_CONFIG_FORMAT)
+
+
 def _pack_config(cfg: NetConfig) -> bytes:
-    return struct.pack(
-        "<6IB3I",
-        cfg.height, cfg.width, cfg.bands, cfg.token, cfg.heads, cfg.stages,
-        1 if cfg.share_params else 0,
-        cfg.base_width, cfg.est_hidden, cfg.dispersion_step,
-    )
+    return struct.pack(_CONFIG_FORMAT, *(getattr(cfg, name) for name in _CONFIG_FIELDS))
 
 
 def _unpack_config(buf: bytes) -> NetConfig:
-    vals = struct.unpack("<6IB3I", buf)
-    return NetConfig(height=vals[0], width=vals[1], bands=vals[2], token=vals[3],
-                     heads=vals[4], stages=vals[5], share_params=bool(vals[6]),
-                     base_width=vals[7], est_hidden=vals[8], dispersion_step=vals[9])
-
-
-_CONFIG_SIZE = struct.calcsize("<6IB3I")
+    vals = dict(zip(_CONFIG_FIELDS, struct.unpack(_CONFIG_FORMAT, buf)))
+    return NetConfig(**vals | {"share_params": bool(vals["share_params"])})
 
 
 def save_weights(path, cfg: NetConfig, tensors: dict[str, np.ndarray]) -> None:

@@ -116,8 +116,8 @@ def _training_mask(args, cubes) -> np.ndarray:
 
 def cmd_train(args) -> int:
     cubes = _collect_cubes(args.data)
-    mask = _training_mask(args, cubes)
     tcfg = _train_config_from(args)
+    mask = _training_mask(args, cubes)
     log_path = args.log or str(Path(args.out).with_suffix(".log.csv"))
     result = train(cubes, mask, tcfg, log_path=log_path, ckpt_path=args.out)
     last = result.log[-1] if result.log else (0, 0.0, float("nan"), float("nan"))
@@ -162,8 +162,8 @@ def cmd_sweep_kernel(args) -> int:
     for k in (int(v) for v in args.kernels.split(",")):
         a = argparse.Namespace(**vars(args))
         a.token = k
-        mask = _training_mask(a, cubes)
         tcfg = _train_config_from(a)
+        mask = _training_mask(a, cubes)
         result = train(cubes, mask, tcfg)
         rows.append(f"{k},{result.log[-1][3]:.4f},{result.log[-1][2]:.6g}")
         print(rows[-1])
@@ -177,8 +177,8 @@ def cmd_sweep_sharing(args) -> int:
     for share in (True, False):
         a = argparse.Namespace(**vars(args))
         a.share_params = share
-        mask = _training_mask(args, cubes)
         tcfg = _train_config_from(a)
+        mask = _training_mask(args, cubes)
         result = train(cubes, mask, tcfg)
         rows.append(f"{share},{args.stages},{result.net.param_count()},"
                     f"{result.log[-1][3]:.4f},{result.log[-1][2]:.6g}")
@@ -224,12 +224,12 @@ def build_parser() -> argparse.ArgumentParser:
     sub = p.add_subparsers(dest="command", required=True)
 
     g = sub.add_parser("gen-scene", help="write a synthetic scene cube")
-    g.add_argument("--kind", default="rank1-smooth")
-    g.add_argument("--h", dest="height", type=int, default=32)
-    g.add_argument("--w", dest="width", type=int, default=32)
-    g.add_argument("--c", dest="bands", type=int, default=8)
-    g.add_argument("--seed", type=int, default=0)
-    g.add_argument("--rho", type=float, default=0.9)
+    g.add_argument("--kind", default=SceneSpec.kind)
+    g.add_argument("--h", dest="height", type=int, default=SceneSpec.height)
+    g.add_argument("--w", dest="width", type=int, default=SceneSpec.width)
+    g.add_argument("--c", dest="bands", type=int, default=SceneSpec.bands)
+    g.add_argument("--seed", type=int, default=SceneSpec.seed)
+    g.add_argument("--rho", type=float, default=SceneSpec.rho)
     g.add_argument("--out", required=True)
     g.set_defaults(func=cmd_gen_scene)
 
@@ -245,8 +245,8 @@ def build_parser() -> argparse.ArgumentParser:
     g = sub.add_parser("simulate", help="simulate a snapshot measurement")
     g.add_argument("--in", dest="inp", required=True)
     g.add_argument("--mask", required=True)
-    g.add_argument("--d", type=int, default=2)
-    g.add_argument("--sigma", type=float, default=0.0)
+    g.add_argument("--d", type=int, default=SensingConfig.dispersion_step)
+    g.add_argument("--sigma", type=float, default=SensingConfig.noise_sigma)
     g.add_argument("--seed", type=int, default=0)
     g.add_argument("--out", required=True)
     g.set_defaults(func=cmd_simulate)
@@ -288,10 +288,10 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--ckpt", default=None)
     g.add_argument("--method", choices=("ckpt", "gap-tv"), default="ckpt")
     g.add_argument("--mask", default=None)
-    g.add_argument("--d", type=int, default=2)
-    g.add_argument("--bands", type=int, default=28)
-    g.add_argument("--iters", type=int, default=100)
-    g.add_argument("--tv-weight", type=float, default=0.07)
+    g.add_argument("--d", type=int, default=SensingConfig.dispersion_step)
+    g.add_argument("--bands", type=int, default=SensingConfig.bands)
+    g.add_argument("--iters", type=int, default=GapTvConfig.iterations)
+    g.add_argument("--tv-weight", type=float, default=GapTvConfig.tv_weight)
     g.add_argument("--out", required=True)
     g.set_defaults(func=cmd_reconstruct)
 

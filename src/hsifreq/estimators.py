@@ -64,9 +64,7 @@ class UnfoldingReconstructor(BaseEstimator):
     @classmethod
     def from_checkpoint(cls, path) -> "UnfoldingReconstructor":
         net = UnfoldingNet.load(path)
-        cfg = net.config
-        est = cls(stages=cfg.stages, share_params=cfg.share_params, token=cfg.token,
-                  heads=cfg.heads, base_width=cfg.base_width)
+        est = cls(**net.config.architecture())
         est.net_ = net
         est.log_ = []
         return est
@@ -75,15 +73,15 @@ class UnfoldingReconstructor(BaseEstimator):
 class GapTvReconstructor(BaseEstimator):
     """Training-free GAP-TV baseline with the same predict surface."""
 
-    def __init__(self, iterations=100, tv_weight=0.07, tv_inner_iters=5):
+    def __init__(self, iterations=GapTvConfig.iterations, tv_weight=GapTvConfig.tv_weight,
+                 tv_inner_iters=GapTvConfig.tv_inner_iters):
         self.iterations = iterations
         self.tv_weight = tv_weight
         self.tv_inner_iters = tv_inner_iters
 
     def predict(self, y, sensing: SensingConfig) -> np.ndarray:
-        gcfg = GapTvConfig(iterations=self.iterations, tv_weight=self.tv_weight,
-                           tv_inner_iters=self.tv_inner_iters)
-        return gap_tv(np.asarray(y, dtype=np.float64), sensing, gcfg)
+        return gap_tv(np.asarray(y, dtype=np.float64), sensing,
+                      GapTvConfig(**self.get_params()))
 
 
 class BandwiseDct(BaseEstimator):

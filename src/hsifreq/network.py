@@ -2,37 +2,55 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from . import tensor as T
+from .base import check_at_least
+from .cassi import SensingConfig
 from .layers import Conv2d, ConvTranspose2d, DualDomainBlock, Layer, Linear
 from .tensor import Tensor
 
 
-@dataclass(frozen=True)
-class NetConfig:
-    """Everything needed to rebuild a reconstruction network deterministically."""
+@dataclass(frozen=True, kw_only=True)
+class ArchConfig:
+    """The architecture shared by every member of the stage-count family:
+    token size, attention heads, stage count, stage sharing and width."""
 
-    height: int
-    width: int
-    bands: int
     token: int = 8
     heads: int = 4
     stages: int = 3
     share_params: bool = True
     base_width: int = 0          # 0 means "same as bands"
+
+    def __post_init__(self):
+        check_at_least(self, 1, "token", "heads", "stages")
+        check_at_least(self, 0, "base_width")
+
+    def architecture(self) -> dict:
+        """The architecture fields by name, to build another config from."""
+        return {f.name: getattr(self, f.name) for f in fields(ArchConfig)}
+
+
+@dataclass(frozen=True, kw_only=True)
+class NetConfig(ArchConfig):
+    """Everything needed to rebuild a reconstruction network deterministically."""
+
+    height: int
+    width: int
+    bands: int
     est_hidden: int = 16
-    dispersion_step: int = 2
+    dispersion_step: int = SensingConfig.dispersion_step
 
     @property
     def width_(self) -> int:
         return self.base_width or self.bands
 
-    def validate(self) -> None:
-        if self.stages < 1:
-            raise ValueError("stages must be >= 1")
+    def __post_init__(self):
+        super().__post_init__()
+        check_at_least(self, 1, "height", "width", "bands", "est_hidden")
+        check_at_least(self, 0, "dispersion_step")
         if self.height % (2 * self.token) or self.width % (2 * self.token):
             raise ValueError(f"spatial dims {self.height}x{self.width} must be "
                              f"divisible by 2*token ({2 * self.token})")
@@ -52,7 +70,6 @@ class PriorNet(Layer):
     """
 
     def __init__(self, cfg: NetConfig, rng: np.random.Generator):
-        cfg.validate()
         c, wd = cfg.bands, cfg.width_
         h, w = cfg.height, cfg.width
         self.embed = Conv2d(c + 1, wd, 3, rng)

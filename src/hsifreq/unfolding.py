@@ -10,18 +10,19 @@ head, so gradients reach every part of the network from a single scalar loss.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
 
 from . import metrics
 from . import tensor as T
+from .base import check_at_least
 from .cassi import (SensingConfig, phi_adjoint_t, phi_forward_t, phi_phit_diag,
                     shift_back, simulate)
 from .checkpoint import CheckpointError, load_weights, save_weights
 from .layers import Layer
-from .network import NetConfig, PriorNet, StepEstimator
+from .network import ArchConfig, NetConfig, PriorNet, StepEstimator
 from .optim import Adam, cosine_lr
 from .tensor import Tape, Tensor
 
@@ -56,7 +57,6 @@ class UnfoldingNet(Layer):
     """The full reconstruction network for one sensing geometry."""
 
     def __init__(self, config: NetConfig, mask: np.ndarray, seed: int = 0):
-        config.validate()
         mask = np.asarray(mask, dtype=np.float64)
         if mask.shape != (config.height, config.width):
             raise ValueError(f"mask shape {mask.shape} does not match config "
@@ -152,25 +152,25 @@ def reconstruct(y: np.ndarray, source, cfg: SensingConfig | None = None) -> np.n
 STAGE_PRESETS = (2, 3, 5, 9)
 
 
-@dataclass
-class TrainConfig:
+@dataclass(frozen=True, kw_only=True)
+class TrainConfig(ArchConfig):
     """Desk-scale training setup; stage presets mirror the 2/3/5/9 variants."""
 
-    stages: int = 3
-    share_params: bool = True
     steps: int = 2000
     batch: int = 1
     lr0: float = 4e-4
     seed: int = 0
-    token: int = 8
-    heads: int = 4
-    base_width: int = 0
     noise_sigma: float = 0.0
     augment: bool = True
     # stage-shared unrolling occasionally explodes gradients (recurrent
     # dynamics); global-norm clipping keeps Adam's moments sane. 0 disables.
     clip_norm: float = 25.0
     log_every: int = 25
+
+    def __post_init__(self):
+        super().__post_init__()
+        check_at_least(self, 1, "steps", "batch", "log_every")
+        check_at_least(self, 0, "lr0", "clip_norm", "noise_sigma")
 
 
 @dataclass
@@ -208,6 +208,7 @@ def train(cubes: list[np.ndarray], mask: np.ndarray, tcfg: TrainConfig,
     simulate their measurements, run the network, and take one Adam step on
     the mean Euclidean-norm loss under a cosine learning-rate schedule.
     A keyboard interrupt flushes the checkpoint and log before returning.
+    Non-finite weights raise FloatingPointError before anything is written.
     """
     if not cubes:
         raise ValueError("train: need at least one training cube")
@@ -216,12 +217,9 @@ def train(cubes: list[np.ndarray], mask: np.ndarray, tcfg: TrainConfig,
         raise ValueError("train: all cubes must share the band count")
     mask = np.asarray(mask, dtype=np.float64)
     h, w = mask.shape
-    config = NetConfig(height=h, width=w, bands=bands, token=tcfg.token,
-                       heads=tcfg.heads, stages=tcfg.stages,
-                       share_params=tcfg.share_params, base_width=tcfg.base_width)
-    net = UnfoldingNet(config, mask, seed=tcfg.seed)
-    sensing = SensingConfig(mask, config.dispersion_step, bands,
-                            noise_sigma=tcfg.noise_sigma)
+    net = UnfoldingNet(NetConfig(height=h, width=w, bands=bands, **tcfg.architecture()),
+                       mask, seed=tcfg.seed)
+    sensing = replace(net.sensing, noise_sigma=tcfg.noise_sigma)
     params = net.params()
     opt = Adam(params, lr=tcfg.lr0)
     rng = np.random.default_rng(tcfg.seed)
@@ -263,6 +261,11 @@ def train(cubes: list[np.ndarray], mask: np.ndarray, tcfg: TrainConfig,
                 result.log.append((step, lr, step_loss, psnr))
     except KeyboardInterrupt:
         result.interrupted = True
+    # the loop's guard runs before each update, so the last one is checked here
+    for name, p in net.named_params():
+        if not np.all(np.isfinite(p.value.data)):
+            raise FloatingPointError(f"train: parameter {name} holds non-finite values "
+                                     "after the last update; nothing was saved")
     if ckpt_path is not None:
         net.save(ckpt_path)
     if log_path is not None:

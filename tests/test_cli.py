@@ -3,9 +3,11 @@
 import numpy as np
 import pytest
 
+from hsifreq.cassi import SensingConfig
 from hsifreq.cli import _train_config_from, build_parser, main
-from hsifreq.estimators import UnfoldingReconstructor
-from hsifreq.hsio import read_hsic
+from hsifreq.estimators import GapTvReconstructor, UnfoldingReconstructor
+from hsifreq.gaptv import GapTvConfig
+from hsifreq.hsio import SceneSpec, read_hsic
 from hsifreq.unfolding import TrainConfig, UnfoldingNet
 
 from test_hsio import parse_pgm
@@ -51,6 +53,19 @@ class TestTrainDefaults:
         args = build_parser().parse_args(["train", "--data", "d", "--out", "m.cmdw"])
         assert _train_config_from(args) == TrainConfig()
 
+    def test_gap_tv_and_flag_defaults_match_their_configs(self):
+        assert GapTvConfig(**GapTvReconstructor().get_params()) == GapTvConfig()
+        parse = build_parser().parse_args
+        rec = parse(["reconstruct", "--y", "y", "--out", "x"])
+        assert (rec.iters, rec.tv_weight) == (GapTvConfig.iterations, GapTvConfig.tv_weight)
+        assert (rec.d, rec.bands) == (SensingConfig.dispersion_step, SensingConfig.bands)
+        sim = parse(["simulate", "--in", "i", "--mask", "m", "--out", "y"])
+        assert (sim.d, sim.sigma) == (SensingConfig.dispersion_step,
+                                      SensingConfig.noise_sigma)
+        scene = vars(parse(["gen-scene", "--out", "s"]))
+        assert SceneSpec(**{k: scene[k] for k in ("kind", "height", "width", "bands",
+                                                  "seed", "rho")}) == SceneSpec()
+
     def test_flags_reach_their_fields(self):
         args = build_parser().parse_args(
             ["train", "--data", "d", "--out", "m.cmdw", "--no-share", "--sigma", "0.1",
@@ -93,6 +108,39 @@ class TestSimulate:
                   "--d", "2", "--sigma", "0.05", "--seed", "9", "--out", str(out)])
             outs.append(out.read_bytes()[21:])
         assert outs[0] == outs[1]
+
+
+    def test_nan_sigma_exits_two_and_writes_nothing(self, tmp_path, scene_file, mask_file,
+                                                   capsys):
+        out = tmp_path / "y.hsic"
+        code = main(["simulate", "--in", str(scene_file), "--mask", str(mask_file),
+                     "--sigma", "nan", "--out", str(out)])
+        assert code == 2
+        assert "SensingConfig.noise_sigma" in capsys.readouterr().err
+        assert not out.exists()
+
+
+class TestTrainRejects:
+    """A run that cannot train, or whose weights end non-finite, exits 2 and
+    writes neither checkpoint nor log."""
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("flags, named", [
+        (["--batch", "0"], "TrainConfig.batch"),
+        (["--heads", "0"], "TrainConfig.heads"),
+        (["--token", "0"], "TrainConfig.token"),
+        (["--lr0", "nan"], "TrainConfig.lr0"),
+        (["--lr0", "1e300"], "non-finite"),   # finite, but overflows float32 weights
+    ])
+    def test_exit_two_and_no_output(self, tmp_path, scene_file, mask_file, capsys,
+                                    flags, named):
+        ckpt = tmp_path / "model.cmdw"
+        code = main(["train", "--data", str(scene_file), "--stages", "1", "--steps", "1",
+                     "--token", "4", "--heads", "2", "--mask", str(mask_file),
+                     "--no-augment", "--out", str(ckpt)] + flags)
+        assert code == 2
+        assert named in capsys.readouterr().err
+        assert not ckpt.exists() and not ckpt.with_suffix(".log.csv").exists()
 
 
 class TestAnalyzeHfc:

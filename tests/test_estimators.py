@@ -7,6 +7,8 @@ from hsifreq.base import NotFittedError
 from hsifreq.cassi import SensingConfig, random_mask, simulate
 from hsifreq.estimators import BandwiseDct, GapTvReconstructor, UnfoldingReconstructor
 from hsifreq.hsio import SceneSpec, gen_scene
+from hsifreq.network import NetConfig
+from hsifreq.unfolding import UnfoldingNet
 
 
 def tiny_scene(seed=5):
@@ -76,6 +78,14 @@ class TestUnfoldingReconstructor:
         y = simulate(tiny_scene(), est.net_.sensing, seed=0)
         assert np.array_equal(est.predict(y), back.predict(y))
         assert back.get_params()["stages"] == 1
+
+    def test_from_checkpoint_restores_architecture(self, tmp_path):
+        arch = dict(token=4, heads=3, stages=2, share_params=False, base_width=6)
+        net = UnfoldingNet(NetConfig(height=16, width=16, bands=4, **arch),
+                           random_mask(16, 16, seed=2))
+        net.save(tmp_path / "net.cmdw")
+        params = UnfoldingReconstructor.from_checkpoint(tmp_path / "net.cmdw").get_params()
+        assert {k: params[k] for k in arch} == arch
 
 
 class TestGapTvReconstructor:

@@ -1,6 +1,7 @@
 """File formats: HSIC cubes, CMDW checkpoints, PGM heatmaps, scene generators."""
 
 import errno
+import struct
 
 import numpy as np
 import pytest
@@ -90,6 +91,18 @@ class TestCheckpointFormat:
         p2 = tmp_path / "w2.cmdw"
         save_weights(p2, cfg2, back)
         assert p.read_bytes() == p2.read_bytes()
+
+    def test_config_header_bytes(self, tmp_path):
+        # every field differs from the others and from its default, so a field
+        # packed out of the docstring's order changes the bytes
+        cfg = NetConfig(height=32, width=48, bands=5, token=8, heads=3, stages=7,
+                        share_params=False, base_width=24, est_hidden=12,
+                        dispersion_step=3)
+        p = tmp_path / "w.cmdw"
+        save_weights(p, cfg, {})
+        header = struct.pack("<6IB3I", 32, 48, 5, 8, 3, 7, 0, 24, 12, 3)
+        assert p.read_bytes() == b"CMDW" + struct.pack("<H", 1) + header + bytes(4)
+        assert load_weights(p) == (cfg, {})
 
     def test_bad_magic(self, tmp_path):
         p = tmp_path / "w.cmdw"

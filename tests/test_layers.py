@@ -423,7 +423,7 @@ class TestPriorNet:
 
     def test_divisibility_enforced(self):
         with pytest.raises(ValueError, match="divisible"):
-            NetConfig(height=20, width=16, bands=4, token=4).validate()
+            NetConfig(height=20, width=16, bands=4, token=4)
 
     def test_gradient_check(self, f64, rng):
         prior = PriorNet(self.cfg(), np.random.default_rng(0))

@@ -1,6 +1,7 @@
 """Unfolding: data step against the dense solve oracle, end-to-end gradients,
 loss contract, training loop mechanics, checkpoint round trips."""
 
+import re
 import tracemalloc
 
 import numpy as np
@@ -235,6 +236,29 @@ class TestTrain:
         assert calls["adam"] == 1  # step 1 stopped before its update
         assert not ckpt.exists()
 
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    def test_overflowing_last_update_saves_nothing(self, rng, tmp_path):
+        ckpt, log = tmp_path / "big.cmdw", tmp_path / "big.csv"
+        with pytest.raises(FloatingPointError, match="parameter .* non-finite"):
+            train([self.scene(rng)], random_mask(16, 16, seed=2),
+                  self.tcfg(steps=1, lr0=1e300), log_path=log, ckpt_path=ckpt)
+        assert not ckpt.exists() and not log.exists()
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    def test_interrupt_after_overflowing_update_saves_nothing(self, rng, tmp_path,
+                                                              monkeypatch):
+        def overflow_then_interrupt(step, total, lr0):
+            if step:
+                raise KeyboardInterrupt
+            return 1e300
+
+        monkeypatch.setattr(unfolding, "cosine_lr", overflow_then_interrupt)
+        ckpt, log = tmp_path / "big.cmdw", tmp_path / "big.csv"
+        with pytest.raises(FloatingPointError, match="parameter .* non-finite"):
+            train([self.scene(rng)], random_mask(16, 16, seed=2), self.tcfg(steps=5),
+                  log_path=log, ckpt_path=ckpt)
+        assert not ckpt.exists() and not log.exists()
+
     def test_interrupt_flushes_checkpoint_and_log(self, rng, tmp_path, monkeypatch):
         cube = self.scene(rng)
         mask = random_mask(16, 16, seed=2)
@@ -255,6 +279,33 @@ class TestTrain:
         assert ckpt.exists() and log.exists()
         monkeypatch.setattr(UnfoldingNet, "forward", orig)
         UnfoldingNet.load(ckpt)  # flushed checkpoint is readable
+
+
+class TestConfigChecks:
+    """Every config rejects an out-of-range field at construction, by name."""
+
+    REQUIRED = {TrainConfig: {},
+                NetConfig: dict(height=16, width=16, bands=4, token=4, heads=2),
+                SensingConfig: dict(mask=np.ones((2, 2)))}
+
+    @pytest.mark.parametrize("cls, field, value", [
+        (TrainConfig, "token", 0), (TrainConfig, "heads", 0), (TrainConfig, "stages", 0),
+        (TrainConfig, "base_width", -1), (TrainConfig, "steps", 0),
+        (TrainConfig, "batch", 0), (TrainConfig, "log_every", 0),
+        (TrainConfig, "lr0", np.nan), (TrainConfig, "lr0", np.inf),
+        (TrainConfig, "lr0", -1e-3), (TrainConfig, "clip_norm", np.nan),
+        (TrainConfig, "clip_norm", -1.0), (TrainConfig, "noise_sigma", np.nan),
+        (TrainConfig, "noise_sigma", -0.1),
+        (NetConfig, "token", 0), (NetConfig, "heads", 0), (NetConfig, "stages", 0),
+        (NetConfig, "bands", 0),
+        (SensingConfig, "noise_sigma", np.nan), (SensingConfig, "noise_sigma", np.inf),
+    ])
+    def test_bad_value_named(self, cls, field, value):
+        with pytest.raises(ValueError, match=re.escape(f"{cls.__name__}.{field}")):
+            cls(**self.REQUIRED[cls] | {field: value})
+
+    def test_zero_lr_and_zero_clip_stay_legal(self):
+        assert TrainConfig(lr0=0.0, clip_norm=0.0).clip_norm == 0.0
 
 
 class TestInferenceMemory:
