@@ -67,6 +67,10 @@ class SensingConfig:
 def random_mask(h: int, w: int, seed: int = 0, binary: bool = True,
                 density: float = 0.5) -> np.ndarray:
     """Seeded coded aperture; binary 0/1 by default, else uniform [0,1]."""
+    if h < 1 or w < 1:
+        raise ValueError(f"random_mask: h and w must be >= 1, got {h}x{w}")
+    if not 0.0 <= density <= 1.0:
+        raise ValueError(f"random_mask: density must lie in [0, 1], got {density!r}")
     rng = np.random.default_rng(seed)
     if binary:
         return (rng.random((h, w)) < density).astype(np.float64)

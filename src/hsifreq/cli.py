@@ -79,14 +79,14 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_analyze_hfc(args) -> int:
+    cube = _load_cube(args.inp[0])
+    curve = token_correlation(cube, args.token)  # checks --token before any write
+    rep = correlation_maps(cube)
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    cube = _load_cube(args.inp[0])
-    rep = correlation_maps(cube)
     write_maps_csv(rep, out / "corr_maps.csv")
     export_heatmap(np.nan_to_num(rep.space_map), out / "space_map.pgm", -1.0, 1.0)
     export_heatmap(np.nan_to_num(rep.freq_map), out / "freq_map.pgm", -1.0, 1.0)
-    curve = token_correlation(cube, args.token)
     write_token_csv(curve, out / "token_curve.csv")
     print(f"space_avg={rep.space_avg:.4f} freq_avg={rep.freq_avg:.4f} "
           f"tokens={len(curve.mean_corr)}")

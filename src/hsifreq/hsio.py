@@ -23,6 +23,7 @@ from typing import Iterable
 
 import numpy as np
 
+from .base import check_at_least
 from .dct import dct_basis
 
 HSIC_MAGIC = b"HSIC"
@@ -106,6 +107,7 @@ class SceneSpec:
     def __post_init__(self):
         if self.kind not in SCENE_KINDS:
             raise ValueError(f"unknown scene kind {self.kind!r}; choose from {SCENE_KINDS}")
+        check_at_least(self, 1, "height", "width", "bands")
         if not 0.0 <= self.rho <= 1.0:
             raise ValueError("rho must lie in [0, 1]")
 

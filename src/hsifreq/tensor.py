@@ -17,8 +17,12 @@ else must be reshaped explicitly; shape mismatches raise ``ShapeError``.
 The forward passes of ``gelu``, ``softmax``, ``layer_norm``, ``attention``,
 ``gate_blend`` and the k x k convs run over blocks of the leading axis, so
 that their temporaries stay in cache and no full-size temporary is made.
-Every block repeats the un-blocked arithmetic element for element, so the
-results are bit for bit those of one pass over the whole array.
+So does the backward of ``attention``, over blocks of whole tokens.  Every
+block repeats the un-blocked arithmetic element for element, so the results
+are bit for bit those of one pass over the whole array.  The backward passes
+of ``gelu`` and the k x k convs (and ``conv2d_transpose``) write into a few
+reused buffers instead of one new array per operation, again with the same
+operations in the same order, and the same GEMMs.
 
 The active tape, the default dtype and the FLOP counter are context
 variables: each thread (and each ``contextvars`` context) has its own, so two
@@ -464,10 +468,27 @@ def gelu(x: Tensor) -> Tensor:
     out = Tensor(out_d.reshape(x.shape))
 
     def bw(g):
-        x2 = xd * xd
-        t = np.tanh(_GELU_C0 * (xd + _GELU_C1 * x2 * xd))
-        du = _GELU_C0 * (1.0 + 3.0 * _GELU_C1 * x2)
-        return (g * (0.5 * (1.0 + t) + 0.5 * xd * (1.0 - t * t) * du),)
+        # g * (0.5*(1 + t) + 0.5*x*(1 - t*t)*du) with du = c0*(1 + 3*c1*x2),
+        # operation by operation in the formula's order, in four temporaries
+        x2, t, tt, h = (np.empty_like(xd) for _ in range(4))
+        np.multiply(xd, xd, out=x2)
+        np.multiply(x2, _GELU_C1, out=t)
+        t *= xd
+        t += xd
+        t *= _GELU_C0
+        np.tanh(t, out=t)
+        du = np.multiply(x2, 3.0 * _GELU_C1, out=x2)
+        du += 1.0
+        du *= _GELU_C0
+        np.multiply(t, t, out=tt)
+        np.subtract(1.0, tt, out=tt)
+        t += 1.0
+        t *= 0.5
+        np.multiply(xd, 0.5, out=h)
+        h *= tt
+        h *= du
+        np.add(t, h, out=h)
+        return (g * h,)
 
     return _record(out, (x,), bw)
 
@@ -712,15 +733,33 @@ def attention(q: Tensor, k: Tensor, v: Tensor, s: float, pos: Tensor,
     add_flops(2 * nh * length * c * m + 2 * nh * length * m * vd.shape[2])
 
     def bw(g):
-        # the unfused chain's backward, op by op in tape order
-        da = g @ vd.transpose(0, 2, 1)
-        dv = probs.transpose(0, 2, 1) @ g
-        dot = (da * probs).sum(axis=-1, keepdims=True)
-        dsl = probs * (da - dot)
-        dlog = dsl * s
-        dq = dlog @ kt.transpose(0, 2, 1)
-        dk = (qd.transpose(0, 2, 1) @ dlog).transpose(0, 2, 1)
-        return dq, dk, dv, dsl.reshape(split).sum(axis=0)
+        # The unfused chain's backward, op by op in tape order, over blocks of
+        # whole tokens whose two temporaries hold about _BLOCK_BYTES.  dk is
+        # the transposed view of q^T @ dlog, as in the chain, and the bias
+        # gradient sums the tokens in order: each block's first token carries
+        # the total of the blocks before it.
+        dt = np.result_type(g, vd, probs)
+        dq = np.empty(qd.shape, dtype=dt)
+        dkt = np.empty((nh, c, m), dtype=dt)
+        dv = np.empty((nh, m, g.shape[2]), dtype=dt)
+        dpos = np.empty(pd.shape, dtype=dt)
+        bblocks = _leading_blocks(split[0], 2 * nh * length * m * dt.itemsize)
+        da, dlog = np.empty((2, bblocks[0].stop * heads, length, m), dtype=dt)
+        for b in bblocks:
+            r = slice(b.start * heads, b.stop * heads)
+            pb, ab, lb = probs[r], da[:r.stop - r.start], dlog[:r.stop - r.start]
+            np.matmul(g[r], vd[r].transpose(0, 2, 1), out=ab)  # da
+            np.matmul(pb.transpose(0, 2, 1), g[r], out=dv[r])
+            ab -= np.multiply(ab, pb, out=lb).sum(axis=-1, keepdims=True)
+            ab *= pb  # dsl
+            np.multiply(ab, s, out=lb)  # dlog
+            np.matmul(lb, kt[r].transpose(0, 2, 1), out=dq[r])
+            np.matmul(qd[r].transpose(0, 2, 1), lb, out=dkt[r])
+            sb = ab.reshape((b.stop - b.start,) + pd.shape)
+            if b.start:
+                sb[0] += dpos
+            sb.sum(axis=0, out=dpos)
+        return dq, dkt.transpose(0, 2, 1), dv, dpos
 
     return _record(out, (q, k, v, pos), bw)
 
@@ -882,17 +921,45 @@ def conv2d(x: Tensor, k: Tensor, bias: Optional[Tensor] = None, groups: int = 1,
     add_flops(2 * kh * kw * cpg * cout * hout * wout)
 
     def bw(g):
-        xp = np.pad(xd, ((pt, pb), (pl, pr), (0, 0))) if padding == "same" else xd
+        xp = xd
+        if padding == "same":
+            xp = np.zeros((hp, wp, cin), dtype=xd.dtype)
+            xp[pt:pt + h, pl:pl + w] = xd
         dk = np.zeros_like(kd)
         dxp = np.zeros_like(xp)
+        if depthwise:
+            # With stride 1, g and each tap's row of weights are widened to
+            # the padded width by zero columns, so that a tap's products add
+            # into dxp as one contiguous run.  The zero columns add +0.0,
+            # which changes no value: dxp starts at +0.0, so it never holds
+            # -0.0.
+            wide = wp if stride == 1 else wout
+            gp = np.zeros((hout, wide, cout), dtype=g.dtype)
+            gp[:, :wout] = g
+            krows = np.zeros((kh, kw, wide, cout), dtype=kd.dtype)
+            krows[:, :, :wout] = kd
+            prod = np.empty(gp.shape, dtype=np.result_type(xd, g, kd))
+            tmp = prod.reshape(-1)[:g.size].reshape(g.shape)  # each tap's xs * g
+            run = ((hout - 1) * wide + wout) * cout
+        else:
+            # the GEMMs tensordot ran: the tap window as a C-contiguous
+            # [Cin, H*W] copy times g as [H*W, Cout], and g times k[u, v]^T
+            g2d = g.reshape(hout * wout, cout)
+            win = np.empty((cin, hout * wout), dtype=xd.dtype)
+            res = np.empty((hout * wout, cin), dtype=np.result_type(g, kd))
         for u, v in taps:
             xs = xp[u:u + stride * hout:stride, v:v + stride * wout:stride]
             if depthwise:
-                dk[u, v, 0] = (xs * g).sum(axis=(0, 1))
-                dxs = g * kd[u, v, 0]
+                dk[u, v, 0] = np.multiply(xs, g, out=tmp).reshape(-1, cout).sum(axis=0)
+                dxs = np.multiply(gp, krows[u, v], out=prod)
+                if stride == 1:
+                    start = (u * wp + v) * cout
+                    dxp.reshape(-1)[start:start + run] += dxs.reshape(-1)[:run]
+                    continue
             else:
-                dk[u, v] = np.tensordot(xs, g, axes=([0, 1], [0, 1]))
-                dxs = np.tensordot(g, kd[u, v], axes=([2], [1]))
+                win.reshape(cin, hout, wout)[...] = xs.transpose(2, 0, 1)
+                dk[u, v] = np.dot(win, g2d)
+                dxs = np.dot(g2d, kd[u, v].T, out=res).reshape(hout, wout, cin)
             dxp[u:u + stride * hout:stride, v:v + stride * wout:stride] += dxs
         dx = dxp[pt:pt + h, pl:pl + w] if padding == "same" else dxp
         if bias is None:
@@ -927,11 +994,15 @@ def conv2d_transpose(x: Tensor, k: Tensor, bias: Optional[Tensor] = None,
     def bw(g):
         dx = np.zeros_like(xd)
         dk = np.zeros_like(kd)
+        # the GEMMs tensordot ran, on each tap's slice of g copied once
+        xt = xd.reshape(h * w, cin).T
+        gs = np.empty((h * w, cout), dtype=g.dtype)
+        res = np.empty((h * w, cin), dtype=np.result_type(g, kd))
         for u in range(kh):
             for v in range(kw):
-                gs = g[u::stride, v::stride]
-                dx += np.tensordot(gs, kd[u, v], axes=([2], [1]))
-                dk[u, v] = np.tensordot(xd, gs, axes=([0, 1], [0, 1]))
+                gs.reshape(h, w, cout)[...] = g[u::stride, v::stride]
+                dx += np.dot(gs, kd[u, v].T, out=res).reshape(h, w, cin)
+                dk[u, v] = np.dot(xt, gs)
         if bias is None:
             return dx, dk
         return dx, dk, g.sum(axis=(0, 1))

@@ -227,3 +227,9 @@ class TestProperties:
         mask[1, 0] = bad
         with pytest.raises(ValueError, match="non-finite"):
             SensingConfig(mask, dispersion_step=1, bands=2)
+
+    @pytest.mark.parametrize("h, w, density", [(0, 8, 0.5), (8, 0, 0.5), (4, 4, 2.0),
+                                               (4, 4, -0.1), (4, 4, np.nan)])
+    def test_random_mask_rejects_empty_shape_and_bad_density(self, h, w, density):
+        with pytest.raises(ValueError, match="random_mask"):
+            random_mask(h, w, density=density)

@@ -88,6 +88,23 @@ class TestGenerators:
         assert m.shape == (16, 16, 1)
         assert set(np.unique(m)) <= {0.0, 1.0}
 
+    @pytest.mark.parametrize("flags, named", [(["--c", "0"], "SceneSpec.bands"),
+                                              (["--h", "0"], "SceneSpec.height")])
+    def test_gen_scene_empty_dims_exit_two_and_write_nothing(self, tmp_path, capsys,
+                                                            flags, named):
+        out = tmp_path / "s.hsic"
+        assert main(["gen-scene", "--out", str(out)] + flags) == 2
+        assert named in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flags", [["--h", "0", "--w", "8"], ["--density", "2"]])
+    def test_gen_mask_bad_shape_or_density_exit_two_and_write_nothing(self, tmp_path,
+                                                                     capsys, flags):
+        out = tmp_path / "m.hsic"
+        assert main(["gen-mask", "--out", str(out)] + flags) == 2
+        assert "random_mask" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestSimulate:
     def test_measurement_dims_and_input_untouched(self, tmp_path, scene_file, mask_file):
@@ -167,6 +184,14 @@ class TestAnalyzeHfc:
                      "--token", "4", "--out-dir", str(out_dir)])
         assert code == 0
         assert (out_dir / "corpus_hist.csv").exists()
+
+    def test_bad_token_exits_two_and_makes_no_directory(self, tmp_path, scene_file, capsys):
+        out_dir = tmp_path / "r3"
+        code = main(["analyze-hfc", "--in", str(scene_file), "--token", "3",
+                     "--out-dir", str(out_dir)])
+        assert code == 2
+        assert "token size 3" in capsys.readouterr().err
+        assert not out_dir.exists()
 
 
 class TestPipeline:

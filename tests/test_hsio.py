@@ -214,6 +214,11 @@ class TestScenes:
         with pytest.raises(ValueError, match="kind"):
             SceneSpec(kind="swirl")
 
+    @pytest.mark.parametrize("field", ["height", "width", "bands"])
+    def test_empty_dims_rejected(self, field):
+        with pytest.raises(ValueError, match=f"SceneSpec.{field}"):
+            SceneSpec(**{field: 0})
+
 
 def parse_pgm(raw: bytes):
     """Independent minimal P5 parser used only by tests."""

@@ -482,6 +482,35 @@ class TestBlockedOpsMatchParentFormulas:
         self.check(lambda *t: T.attention(*t[:3], s, t[3]),
                    lambda *a: parent_attention(*a[:4], s, a[4]), [q, k, v, pos])
 
+    @pytest.mark.parametrize("tokens", [16, 18])
+    def test_attention_desk_shape(self, rng, tokens):
+        # 16 tokens: a 32x32 desk image in 8x8 tokens, 4 heads of C = 6;
+        # 18 tokens run the backward over several blocks ending in a ragged one
+        heads, length, c = 4, 64, 6
+        q, k, v = (self.data(rng, tokens * heads, length, c) for _ in range(3))
+        pos = self.data(rng, heads, length, length)
+        s = 1.0 / math.sqrt(c)
+        self.check(lambda *t: T.attention(*t[:3], s, t[3]),
+                   lambda *a: parent_attention(*a[:4], s, a[4]), [q, k, v, pos])
+
+    def test_attention_backward_holds_no_full_logits(self, rng):
+        # at the desk shape the kept probabilities are one 1 MB [nh, L, M]
+        # array; the backward's temporaries and gradients stay below another
+        heads, length, c = 4, 64, 6
+        nh = 16 * heads
+        q, k, v = (Tensor(self.data(rng, nh, length, c)) for _ in range(3))
+        pos = Tensor(self.data(rng, heads, length, length))
+        g = self.data(rng, nh, length, c)
+        with Tape() as tape:
+            T.attention(q, k, v, 0.5, pos)
+        tracemalloc.start()
+        try:
+            tape.nodes[-1].backward_fn(g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < nh * length * length * 4
+
     def test_attention_without_tape_holds_no_full_logits(self, rng):
         # a 64x64x8 image in 8x8 tokens, two heads: 64 tokens of L = 64
         heads, length, c = 2, 64, 4
@@ -545,6 +574,28 @@ class TestBlockedOpsMatchParentFormulas:
         b = self.data(rng, c, dtype=dtype)
         self.check(lambda xt, kt, bt: T.conv2d(xt, kt, bias=bt, groups=c),
                    lambda xa, ka, ba, g: parent_conv2d(xa, ka, ba, g, groups=c), [x, k, b])
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_depthwise_conv2d_signed_zeros_and_non_finite(self, rng, dtype):
+        # each tap's products add into dx as one run whose zero columns land
+        # inside dx for the right-most taps; with 0, -0.0, NaN and inf taps
+        # and -0.0 in g the gradients must still carry the parent's bits
+        c = 3
+        x = self.data(rng, 7, 9, c, dtype=dtype)
+        k = self.data(rng, 3, 3, 1, c, dtype=dtype)
+        k[0, 0], k[1, 0, 0, 0], k[0, 2, 0, 1], k[2, 2, 0, 2] = 0.0, -0.0, np.nan, np.inf
+        b = self.data(rng, c, dtype=dtype)
+        g = self.data(rng, 7, 9, c, dtype=dtype)
+        g[0], g[3, 4] = -0.0, -0.0
+        with np.errstate(invalid="ignore"):
+            with Tape() as tape:
+                T.conv2d(Tensor(x), Tensor(k), bias=Tensor(b), groups=c)
+            for gg in (g, np.asfortranarray(g)):
+                got = tape.nodes[-1].backward_fn(gg)
+                _, expect = parent_conv2d(x, k, b, gg, groups=c)
+                for a, e in zip(got, expect, strict=True):
+                    assert a.strides == e.strides
+                    assert np.ascontiguousarray(a).tobytes() == np.ascontiguousarray(e).tobytes()
 
     def test_conv2d_forward_holds_no_padded_image(self, rng):
         # output plus a few blocks; a padded copy of the input would add 1x
