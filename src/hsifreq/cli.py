@@ -17,7 +17,7 @@ from .cassi import SensingConfig, random_mask, simulate
 from .correlation import (correlation_maps, corpus_stats, token_correlation,
                           write_maps_csv, write_token_csv)
 from .gaptv import GapTvConfig, gap_tv
-from .hsio import SceneSpec, export_heatmap, gen_scene, read_hsic, write_hsic
+from .hsio import SceneSpec, export_heatmap, gen_scene, read_hsic, write_hsic, write_lines
 from .layers import attention_maps
 from .metrics import count_flops, count_params, evaluate, write_metrics_csv
 from .unfolding import TrainConfig, UnfoldingNet, train, write_train_log
@@ -27,18 +27,12 @@ def _load_cube(path) -> np.ndarray:
     return read_hsic(path).astype(np.float64)
 
 
-def _load_mask(path) -> np.ndarray:
+def _load_plane(path, what: str) -> np.ndarray:
+    """The one band of a C=1 HSIC file: a mask or a measurement."""
     m = read_hsic(path)
     if m.shape[2] != 1:
-        raise ValueError(f"mask file {path} must have C=1, got C={m.shape[2]}")
+        raise ValueError(f"{what} file {path} must have C=1, got C={m.shape[2]}")
     return m[:, :, 0].astype(np.float64)
-
-
-def _load_measurement(path) -> np.ndarray:
-    y = read_hsic(path)
-    if y.shape[2] != 1:
-        raise ValueError(f"measurement file {path} must have C=1, got C={y.shape[2]}")
-    return y[:, :, 0].astype(np.float64)
 
 
 def _collect_cubes(data) -> list[np.ndarray]:
@@ -69,7 +63,7 @@ def cmd_gen_mask(args) -> int:
 
 def cmd_simulate(args) -> int:
     cube = _load_cube(args.inp)
-    mask = _load_mask(args.mask)
+    mask = _load_plane(args.mask, "mask")
     cfg = SensingConfig(mask, dispersion_step=args.d, bands=cube.shape[2],
                         noise_sigma=args.sigma)
     y = simulate(cube, cfg, seed=args.seed)
@@ -105,7 +99,7 @@ def _train_config_from(args) -> TrainConfig:
 
 def _training_mask(args, cubes) -> np.ndarray:
     if args.mask:
-        return _load_mask(args.mask)
+        return _load_plane(args.mask, "mask")
     hmin = min(c.shape[0] for c in cubes)
     wmin = min(c.shape[1] for c in cubes)
     side = min(hmin, wmin, args.crop) // (2 * args.token) * (2 * args.token)
@@ -128,11 +122,11 @@ def cmd_train(args) -> int:
 
 
 def cmd_reconstruct(args) -> int:
-    y = _load_measurement(args.y)
+    y = _load_plane(args.y, "measurement")
     if args.method == "gap-tv":
         if not args.mask:
             raise ValueError("reconstruct --method gap-tv needs --mask and --bands")
-        mask = _load_mask(args.mask)
+        mask = _load_plane(args.mask, "mask")
         cfg = SensingConfig(mask, dispersion_step=args.d, bands=args.bands)
         cube = gap_tv(y, cfg, GapTvConfig(iterations=args.iters,
                                           tv_weight=args.tv_weight))
@@ -167,7 +161,7 @@ def cmd_sweep_kernel(args) -> int:
         result = train(cubes, mask, tcfg)
         rows.append(f"{k},{result.log[-1][3]:.4f},{result.log[-1][2]:.6g}")
         print(rows[-1])
-    Path(args.out).write_text("\n".join(rows) + "\n")
+    write_lines(args.out, rows)
     return 0
 
 
@@ -183,13 +177,13 @@ def cmd_sweep_sharing(args) -> int:
         rows.append(f"{share},{args.stages},{result.net.param_count()},"
                     f"{result.log[-1][3]:.4f},{result.log[-1][2]:.6g}")
         print(rows[-1])
-    Path(args.out).write_text("\n".join(rows) + "\n")
+    write_lines(args.out, rows)
     return 0
 
 
 def cmd_export_maps(args) -> int:
     net = UnfoldingNet.load(args.ckpt)
-    y = _load_measurement(args.y)
+    y = _load_plane(args.y, "measurement")
     with attention_maps() as maps:
         net.forward(y)
     out = Path(args.out_dir)

@@ -16,12 +16,12 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
 from .dct import dct2_cube
+from .hsio import write_lines
 
 
 class UndefinedCorrelationError(ValueError):
@@ -176,7 +176,7 @@ def write_corpus_csv(stats: CorpusStats, path) -> None:
     for i in range(len(stats.space_hist)):
         lines.append(f"{stats.bin_edges[i]:.4f},{stats.bin_edges[i + 1]:.4f},"
                      f"{int(stats.space_hist[i])},{int(stats.freq_hist[i])}")
-    Path(path).write_text("\n".join(lines) + "\n")
+    write_lines(path, lines)
 
 
 def write_maps_csv(report: CorrelationReport, path) -> None:
@@ -186,11 +186,11 @@ def write_maps_csv(report: CorrelationReport, path) -> None:
         lines.append(f"# {label}")
         for row in m:
             lines.append(",".join("nan" if np.isnan(v) else f"{v:.6f}" for v in row))
-    Path(path).write_text("\n".join(lines) + "\n")
+    write_lines(path, lines)
 
 
 def write_token_csv(curve: TokenCorrelationCurve, path) -> None:
     lines = ["token_index,u,v,mean_corr"]
     for t, ((u, v), m) in enumerate(zip(curve.token_coords, curve.mean_corr), start=1):
         lines.append(f"{t},{u},{v},{m:.6f}")
-    Path(path).write_text("\n".join(lines) + "\n")
+    write_lines(path, lines)

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .base import check_at_least
 from .cassi import SensingConfig, phi_adjoint, phi_forward, phi_phit_diag
 
 DIAG_FLOOR = 1e-6
@@ -30,8 +31,7 @@ class GapTvConfig:
     tv_inner_iters: int = 5
 
     def __post_init__(self):
-        if self.iterations <= 0 or self.tv_inner_iters <= 0:
-            raise ValueError("GapTvConfig iterations and tv_inner_iters must be positive")
+        check_at_least(self, 1, "iterations", "tv_inner_iters")
         _check_tv_weight(self.tv_weight)
 
 

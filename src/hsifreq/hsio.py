@@ -53,6 +53,11 @@ def write_atomic(path, chunks: Iterable) -> None:
         raise
 
 
+def write_lines(path, lines: Iterable[str]) -> None:
+    """Write text ``lines``, each ended by a newline, atomically."""
+    write_atomic(path, (("\n".join(lines) + "\n").encode(),))
+
+
 def write_hsic(cube: np.ndarray, path) -> None:
     cube = np.asarray(cube)
     if cube.ndim != 3:
@@ -189,4 +194,4 @@ def export_heatmap(matrix: np.ndarray, path, vmin: float | None = None,
     data = np.floor(norm * 255.0).astype(np.uint8)
     h, w = m.shape
     header = f"P5\n{w} {h}\n255\n".encode("ascii")
-    Path(path).write_bytes(header + data.tobytes())
+    write_atomic(path, (header, data))

@@ -80,7 +80,7 @@ class LayerNorm(Layer):
 class Conv2d(Layer):
     def __init__(self, cin: int, cout: int, ksize: int, rng: np.random.Generator,
                  groups: int = 1, padding: str = "same", stride: int = 1,
-                 bias: bool = True, zero_init: bool = False):
+                 zero_init: bool = False):
         cpg = cin // groups
         fan = ksize * ksize * cpg
         if zero_init:
@@ -88,29 +88,25 @@ class Conv2d(Layer):
         else:
             w = xavier_uniform((ksize, ksize, cpg, cout), fan, ksize * ksize * cout // groups, rng)
         self.weight = Param(w)
-        self.bias = Param(np.zeros(cout)) if bias else None
+        self.bias = Param(np.zeros(cout))
         self.groups = groups
         self.padding = padding
         self.stride = stride
 
     def __call__(self, x: Tensor) -> Tensor:
-        return T.conv2d(x, self.weight.value,
-                        bias=self.bias.value if self.bias is not None else None,
+        return T.conv2d(x, self.weight.value, bias=self.bias.value,
                         groups=self.groups, padding=self.padding, stride=self.stride)
 
 
 class ConvTranspose2d(Layer):
-    """Non-overlapping learnable upsampler (kernel == stride)."""
+    """Non-overlapping learnable 2x upsampler (2x2 kernel, stride 2)."""
 
-    def __init__(self, cin: int, cout: int, rng: np.random.Generator, stride: int = 2):
-        fan = stride * stride * cin
-        self.weight = Param(xavier_uniform((stride, stride, cin, cout), fan, cout, rng))
+    def __init__(self, cin: int, cout: int, rng: np.random.Generator):
+        self.weight = Param(xavier_uniform((2, 2, cin, cout), 4 * cin, cout, rng))
         self.bias = Param(np.zeros(cout))
-        self.stride = stride
 
     def __call__(self, x: Tensor) -> Tensor:
-        return T.conv2d_transpose(x, self.weight.value, bias=self.bias.value,
-                                  stride=self.stride)
+        return T.conv2d_transpose(x, self.weight.value, bias=self.bias.value)
 
 
 class Linear(Layer):
@@ -158,36 +154,48 @@ def _merge_heads_tokens(x: Tensor, h: int, w: int, k: int) -> Tensor:
 # Frequency branch
 # ---------------------------------------------------------------------------
 
-class FreqSpectralAttention(Layer):
-    """Channel attention across spectral bands inside each coefficient token.
+class TokenAttention(Layer):
+    """What both token-attention layers share: q/k/v channel projections of
+    each K x K x C token, the head split, a learnable per-head position bias
+    of shape [heads, side, side] on the pre-softmax logits, and a 1x1 output
+    conv.  Subclasses differ only in the attention product."""
 
-    Each K x K x C token is flattened to K^2 x C; queries/keys/values are
-    channel projections, attention is C x C per head group (so cost grows as
-    H*W*C^2), and a learnable per-head position bias of shape
-    [heads, C/h, C/h] is added to the pre-softmax logits.
-    """
-
-    def __init__(self, channels: int, token: int, heads: int, rng: np.random.Generator):
+    def __init__(self, channels: int, token: int, heads: int, side: int,
+                 rng: np.random.Generator):
         if channels % heads:
             raise ValueError(f"channels {channels} not divisible by heads {heads}")
         self.channels = channels
         self.token = token
         self.heads = heads
-        ch = channels // heads
         self.wq = Param(xavier_uniform((channels, channels), channels, channels, rng))
         self.wk = Param(xavier_uniform((channels, channels), channels, channels, rng))
         self.wv = Param(xavier_uniform((channels, channels), channels, channels, rng))
-        self.pos = Param(np.zeros((heads, ch, ch)))
+        self.pos = Param(np.zeros((heads, side, side)))
         self.out = Conv2d(channels, channels, 1, rng)
 
-    def __call__(self, f: Tensor) -> Tensor:
-        h, w, c = f.shape
-        k = self.token
-        tokens = split_tokens(f, k)
+    def _qkv(self, x: Tensor) -> tuple[Tensor, Tensor, Tensor]:
+        """q, k and v of ``x``'s tokens, each [n*heads, K*K, C/heads]; the
+        token copy is dropped on return."""
+        tokens = split_tokens(x, self.token)
         q = _split_heads(T.bmm(tokens, self.wq.value), self.heads)
         kk = _split_heads(T.bmm(tokens, self.wk.value), self.heads)
         v = _split_heads(T.bmm(tokens, self.wv.value), self.heads)
-        del tokens
+        return q, kk, v
+
+
+class FreqSpectralAttention(TokenAttention):
+    """Channel attention across spectral bands inside each coefficient token.
+
+    Each K x K x C token is flattened to K^2 x C; attention is C x C per head
+    group (so cost grows as H*W*C^2), with a position bias of side C/h.
+    """
+
+    def __init__(self, channels: int, token: int, heads: int, rng: np.random.Generator):
+        super().__init__(channels, token, heads, channels // heads, rng)
+
+    def __call__(self, f: Tensor) -> Tensor:
+        h, w, c = f.shape
+        q, kk, v = self._qkv(f)
         logits = T.bmm(T.transpose(q, (0, 2, 1)), kk)
         del q, kk
         logits = T.scale_add_heads(logits, 1.0 / math.sqrt(c), self.pos.value)
@@ -198,7 +206,7 @@ class FreqSpectralAttention(Layer):
             maps[self] = attn.data.mean(axis=0)
         mixed = T.bmm(v, attn)
         del v, attn
-        mixed = _merge_heads_tokens(mixed, h, w, k)
+        mixed = _merge_heads_tokens(mixed, h, w, self.token)
         return self.out(mixed)
 
 
@@ -224,12 +232,6 @@ class FreqLocalMixer(Layer):
 
 def gate_merge(f_attn: Tensor, f_local: Tensor, logits: Tensor) -> Tensor:
     """Per-pixel convex blend: sigmoid(logits) picks f_attn, its complement f_local."""
-    if f_attn.shape != f_local.shape:
-        raise T.ShapeError(f"gate_merge: branch shapes differ "
-                           f"{f_attn.shape} vs {f_local.shape}")
-    if logits.shape != f_attn.shape[:2]:
-        raise T.ShapeError(f"gate_merge: gate {logits.shape} does not match "
-                           f"spatial dims of {f_attn.shape}")
     return T.gate_blend(f_attn, f_local, T.sigmoid(logits))
 
 
@@ -237,30 +239,17 @@ def gate_merge(f_attn: Tensor, f_local: Tensor, logits: Tensor) -> Tensor:
 # Space branch
 # ---------------------------------------------------------------------------
 
-class SpaceAttention(Layer):
-    """Positional multi-head attention inside each K x K spatial token."""
+class SpaceAttention(TokenAttention):
+    """Positional multi-head attention inside each K x K spatial token, with
+    a position bias of side K^2."""
 
     def __init__(self, channels: int, token: int, heads: int, rng: np.random.Generator):
-        if channels % heads:
-            raise ValueError(f"channels {channels} not divisible by heads {heads}")
-        self.channels = channels
-        self.token = token
-        self.heads = heads
-        k2 = token * token
-        self.wq = Param(xavier_uniform((channels, channels), channels, channels, rng))
-        self.wk = Param(xavier_uniform((channels, channels), channels, channels, rng))
-        self.wv = Param(xavier_uniform((channels, channels), channels, channels, rng))
-        self.pos = Param(np.zeros((heads, k2, k2)))
-        self.out = Conv2d(channels, channels, 1, rng)
+        super().__init__(channels, token, heads, token * token, rng)
 
     def __call__(self, x: Tensor) -> Tensor:
         h, w, c = x.shape
         k = self.token
-        tokens = split_tokens(x, k)
-        q = _split_heads(T.bmm(tokens, self.wq.value), self.heads)
-        kk = _split_heads(T.bmm(tokens, self.wk.value), self.heads)
-        v = _split_heads(T.bmm(tokens, self.wv.value), self.heads)
-        del tokens
+        q, kk, v = self._qkv(x)
         maps = _ATTENTION_MAPS.get()
         probs = None if maps is None else np.empty((q.shape[0], k * k, k * k), q.dtype)
         mixed = T.attention(q, kk, v, 1.0 / math.sqrt(c / self.heads), self.pos.value,
@@ -276,6 +265,10 @@ class SpaceAttention(Layer):
 # The mixing-domains transformer block
 # ---------------------------------------------------------------------------
 
+# channel expansion of the block's feed-forward path
+FFN_EXPAND = 2
+
+
 class DualDomainBlock(Layer):
     """Pre-norm transformer block mixing frequency-domain and space-domain paths.
 
@@ -287,7 +280,7 @@ class DualDomainBlock(Layer):
     """
 
     def __init__(self, channels: int, token: int, heads: int, h: int, w: int,
-                 rng: np.random.Generator, ffn_expand: int = 2):
+                 rng: np.random.Generator):
         if h % token or w % token:
             raise ValueError(f"token size {token} must divide block dims {h}x{w}")
         self.ln1 = LayerNorm(channels)
@@ -297,7 +290,7 @@ class DualDomainBlock(Layer):
         self.space_attn = SpaceAttention(channels, token, heads, rng)
         self.proj = Conv2d(channels, channels, 1, rng)
         self.ln2 = LayerNorm(channels)
-        ce = channels * ffn_expand
+        ce = channels * FFN_EXPAND
         self.ffn_in = Conv2d(channels, ce, 1, rng)
         self.ffn_dw = Conv2d(ce, ce, 3, rng, groups=ce)
         self.ffn_out = Conv2d(ce, channels, 1, rng)

@@ -11,12 +11,13 @@ definition is not public; only its ordering behaviour is relied upon.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .dct import _dct_flops, dct2_cube
+from .hsio import write_lines
+from .layers import FFN_EXPAND
 from .network import NetConfig
 
 PSNR_CAP_DB = 100.0
@@ -110,7 +111,7 @@ def write_metrics_csv(rows: list[tuple[str, MetricReport]], path) -> None:
         ms = np.mean([r.ssim_mean for _, r in rows])
         mf = np.mean([r.fdg for _, r in rows])
         lines.append(f"mean,{mp:.4f},{ms:.6f},{mf:.6f}")
-    Path(path).write_text("\n".join(lines) + "\n")
+    write_lines(path, lines)
 
 
 # ---------------------------------------------------------------------------
@@ -129,7 +130,7 @@ def _conv_flops(kh, kw, cin, cout, h, w, groups=1) -> int:
     return 2 * kh * kw * (cin // groups) * cout * h * w
 
 
-def _block_flops(c: int, k: int, heads: int, h: int, w: int, expand: int = 2) -> int:
+def _block_flops(c: int, k: int, heads: int, h: int, w: int) -> int:
     n = (h * w) // (k * k)
     ch = c // heads
     f = 2 * _dct_flops(h, w, c)
@@ -147,7 +148,7 @@ def _block_flops(c: int, k: int, heads: int, h: int, w: int, expand: int = 2) ->
     f += _conv_flops(1, 1, c, c, h, w)
     # projection and feed-forward
     f += _conv_flops(1, 1, c, c, h, w)
-    ce = c * expand
+    ce = c * FFN_EXPAND
     f += _conv_flops(1, 1, c, ce, h, w)
     f += _conv_flops(3, 3, ce, ce, h, w, groups=ce)
     f += _conv_flops(1, 1, ce, c, h, w)

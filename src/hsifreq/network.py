@@ -78,7 +78,7 @@ class PriorNet(Layer):
         self.enc = DualDomainBlock(wd, cfg.token, cfg.heads, h, w, rng)
         self.down = Conv2d(wd, 2 * wd, 2, rng, padding="valid", stride=2)
         self.mid = DualDomainBlock(2 * wd, cfg.token, cfg.heads, h // 2, w // 2, rng)
-        self.up = ConvTranspose2d(2 * wd, wd, rng, stride=2)
+        self.up = ConvTranspose2d(2 * wd, wd, rng)
         self.fuse = Conv2d(2 * wd, wd, 1, rng)
         self.dec = DualDomainBlock(wd, cfg.token, cfg.heads, h, w, rng)
         self.out = Conv2d(wd, c, 3, rng, zero_init=True)

@@ -14,12 +14,13 @@ vs. tensor, a per-channel bias over the last axis (``add_bias``), and a
 per-head term over a token*heads batch axis (``scale_add_heads``).  Everything
 else must be reshaped explicitly; shape mismatches raise ``ShapeError``.
 
-The forward passes of ``gelu``, ``softmax``, ``layer_norm``, ``attention``,
-``gate_blend`` and the k x k convs run over blocks of the leading axis, so
-that their temporaries stay in cache and no full-size temporary is made.
-So does the backward of ``attention``, over blocks of whole tokens.  Every
-block repeats the un-blocked arithmetic element for element, so the results
-are bit for bit those of one pass over the whole array.  The backward passes
+The forward passes of ``gelu``, ``layer_norm``, ``attention``, ``gate_blend``
+and the k x k convs run over blocks of the leading axis, so that their
+temporaries stay in cache and no full-size temporary is made.  So does the
+backward of ``attention``, over blocks of whole tokens.  Every block repeats
+the un-blocked arithmetic element for element, so the results are bit for
+bit those of one pass over the whole array: ``attention``'s blocks run the
+in-place kernels of ``scale_add_heads`` and ``softmax``.  The backward passes
 of ``gelu`` and the k x k convs (and ``conv2d_transpose``) write into a few
 reused buffers instead of one new array per operation, again with the same
 operations in the same order, and the same GEMMs.
@@ -190,18 +191,15 @@ class Tape:
         return grads
 
 
-def _record(out: Tensor, parents: Sequence[Tensor], backward_fn: Callable) -> Tensor:
+def record(out: Tensor, parents: Sequence[Tensor], backward_fn: Callable) -> Tensor:
+    """Put ``out``'s node on the active tape, if any, and return ``out``: the
+    one hook of every differentiable op, here and in other modules."""
     tape = _ACTIVE_TAPE.get()
     if tape is not None:
         tape.nodes.append(_Node(id(out), tuple(id(p) for p in parents), backward_fn))
         tape._live.append(out)
         tape._live.extend(parents)
     return out
-
-
-def record(out: Tensor, parents: Sequence[Tensor], backward_fn: Callable) -> Tensor:
-    """Public hook for modules that define their own differentiable ops."""
-    return _record(out, parents, backward_fn)
 
 
 # ---------------------------------------------------------------------------
@@ -306,7 +304,7 @@ def add(a, b) -> Tensor:
     def bw(g):
         return _reduce_to(g, a.shape), _reduce_to(g, b.shape)
 
-    return _record(out, (a, b), bw)
+    return record(out, (a, b), bw)
 
 
 def sub(a, b) -> Tensor:
@@ -317,7 +315,7 @@ def sub(a, b) -> Tensor:
     def bw(g):
         return _reduce_to(g, a.shape), _reduce_to(-g, b.shape)
 
-    return _record(out, (a, b), bw)
+    return record(out, (a, b), bw)
 
 
 def mul(a, b) -> Tensor:
@@ -329,7 +327,7 @@ def mul(a, b) -> Tensor:
     def bw(g):
         return _reduce_to(g * bd, a.shape), _reduce_to(g * ad, b.shape)
 
-    return _record(out, (a, b), bw)
+    return record(out, (a, b), bw)
 
 
 def div(a, b) -> Tensor:
@@ -341,19 +339,19 @@ def div(a, b) -> Tensor:
     def bw(g):
         return _reduce_to(g / bd, a.shape), _reduce_to(-g * ad / (bd * bd), b.shape)
 
-    return _record(out, (a, b), bw)
+    return record(out, (a, b), bw)
 
 
 def neg(a: Tensor) -> Tensor:
     out = Tensor(-a.data)
-    return _record(out, (a,), lambda g: (-g,))
+    return record(out, (a,), lambda g: (-g,))
 
 
 def scale(a: Tensor, s: float) -> Tensor:
     """Multiply by a plain (non-learnable) python scalar."""
     s = float(s)
     out = Tensor(a.data * s)
-    return _record(out, (a,), lambda g: (g * s,))
+    return record(out, (a,), lambda g: (g * s,))
 
 
 def take_scalar(a: Tensor, index: int) -> Tensor:
@@ -368,7 +366,7 @@ def take_scalar(a: Tensor, index: int) -> Tensor:
         full.reshape(-1)[index] = np.asarray(g).reshape(())
         return (full,)
 
-    return _record(out, (a,), bw)
+    return record(out, (a,), bw)
 
 
 def add_bias(x: Tensor, b: Tensor) -> Tensor:
@@ -381,7 +379,7 @@ def add_bias(x: Tensor, b: Tensor) -> Tensor:
     def bw(g):
         return g, g.sum(axis=lead)
 
-    return _record(out, (x, b), bw)
+    return record(out, (x, b), bw)
 
 
 def channel_scale(x: Tensor, s: Tensor) -> Tensor:
@@ -396,7 +394,7 @@ def channel_scale(x: Tensor, s: Tensor) -> Tensor:
     def bw(g):
         return g * sd, (g * xd).sum(axis=lead)
 
-    return _record(out, (x, s), bw)
+    return record(out, (x, s), bw)
 
 
 def sqrt(a: Tensor) -> Tensor:
@@ -407,7 +405,7 @@ def sqrt(a: Tensor) -> Tensor:
         # guard the non-differentiable point at exactly zero
         return (g * 0.5 / np.maximum(y, np.finfo(y.dtype).tiny),)
 
-    return _record(out, (a,), bw)
+    return record(out, (a,), bw)
 
 
 def sum_all(a: Tensor) -> Tensor:
@@ -417,7 +415,7 @@ def sum_all(a: Tensor) -> Tensor:
     def bw(g):
         return (np.broadcast_to(g.reshape(()), shape).astype(g.dtype, copy=True),)
 
-    return _record(out, (a,), bw)
+    return record(out, (a,), bw)
 
 
 def spatial_mean(x: Tensor) -> Tensor:
@@ -430,7 +428,7 @@ def spatial_mean(x: Tensor) -> Tensor:
     def bw(g):
         return (np.broadcast_to(g / (h * w), x.shape).astype(g.dtype, copy=True),)
 
-    return _record(out, (x,), bw)
+    return record(out, (x,), bw)
 
 
 # ---------------------------------------------------------------------------
@@ -439,6 +437,17 @@ def spatial_mean(x: Tensor) -> Tensor:
 
 _GELU_C0 = math.sqrt(2.0 / math.pi)
 _GELU_C1 = 0.044715
+
+
+def _gelu_tanh(x: np.ndarray, x2: np.ndarray, t: np.ndarray) -> None:
+    """x2 = x*x and t = tanh(c0*(x + c1*x2*x)) into the given buffers, with
+    the formula's operations in its order."""
+    np.multiply(x, x, out=x2)
+    np.multiply(x2, _GELU_C1, out=t)
+    t *= x
+    t += x
+    t *= _GELU_C0
+    np.tanh(t, out=t)
 
 
 def gelu(x: Tensor) -> Tensor:
@@ -455,13 +464,7 @@ def gelu(x: Tensor) -> Tensor:
     for b in blocks:
         n = b.stop - b.start
         xb, hb, tb = xr[b], h[:n], t[:n]
-        # the formula's operations in its order: t = tanh(c0*(x + c1*x2*x))
-        np.multiply(xb, xb, out=hb)
-        np.multiply(hb, _GELU_C1, out=tb)
-        tb *= xb
-        tb += xb
-        tb *= _GELU_C0
-        np.tanh(tb, out=tb)
+        _gelu_tanh(xb, hb, tb)
         tb += 1.0
         np.multiply(xb, 0.5, out=hb)
         np.multiply(hb, tb, out=out_d[b])
@@ -471,12 +474,7 @@ def gelu(x: Tensor) -> Tensor:
         # g * (0.5*(1 + t) + 0.5*x*(1 - t*t)*du) with du = c0*(1 + 3*c1*x2),
         # operation by operation in the formula's order, in four temporaries
         x2, t, tt, h = (np.empty_like(xd) for _ in range(4))
-        np.multiply(xd, xd, out=x2)
-        np.multiply(x2, _GELU_C1, out=t)
-        t *= xd
-        t += xd
-        t *= _GELU_C0
-        np.tanh(t, out=t)
+        _gelu_tanh(xd, x2, t)
         du = np.multiply(x2, 3.0 * _GELU_C1, out=x2)
         du += 1.0
         du *= _GELU_C0
@@ -490,44 +488,42 @@ def gelu(x: Tensor) -> Tensor:
         np.add(t, h, out=h)
         return (g * h,)
 
-    return _record(out, (x,), bw)
+    return record(out, (x,), bw)
 
 
 def sigmoid(x: Tensor) -> Tensor:
     s = 1.0 / (1.0 + np.exp(-x.data))
     out = Tensor(s)
-    return _record(out, (x,), lambda g: (g * s * (1.0 - s),))
+    return record(out, (x,), lambda g: (g * s * (1.0 - s),))
 
 
 def softplus(x: Tensor) -> Tensor:
     out = Tensor(np.logaddexp(0.0, x.data))
     xd = x.data
-    return _record(out, (x,), lambda g: (g / (1.0 + np.exp(-xd)),))
+    return record(out, (x,), lambda g: (g / (1.0 + np.exp(-xd)),))
+
+
+def _softmax_into(x: np.ndarray, y: np.ndarray, axis: int) -> None:
+    """y = softmax(x) along ``axis``; ``y`` may be ``x`` itself."""
+    np.subtract(x, x.max(axis=axis, keepdims=True), out=y)
+    np.exp(y, out=y)
+    y /= y.sum(axis=axis, keepdims=True)
 
 
 def softmax(x: Tensor, axis: int = -1) -> Tensor:
-    """Normalized exponentials along ``axis``; max-subtraction guards overflow.
-
-    The forward runs over leading-axis blocks, or in one pass when ``axis``
-    is the leading axis.
-    """
+    """Normalized exponentials along ``axis``; max-subtraction guards overflow."""
     xd = x.data
     if not (-xd.ndim <= axis < xd.ndim):
         raise ShapeError(f"softmax: axis {axis} invalid for shape {x.shape}")
-    blocks = [...] if axis % xd.ndim == 0 else _leading_blocks(len(xd), xd.nbytes)
     y = np.empty_like(xd)
-    for b in blocks:
-        xb, yb = xd[b], y[b]
-        np.subtract(xb, xb.max(axis=axis, keepdims=True), out=yb)
-        np.exp(yb, out=yb)
-        yb /= yb.sum(axis=axis, keepdims=True)
+    _softmax_into(xd, y, axis)
     out = Tensor(y)
 
     def bw(g):
         dot = (g * y).sum(axis=axis, keepdims=True)
         return (y * (g - dot),)
 
-    return _record(out, (x,), bw)
+    return record(out, (x,), bw)
 
 
 def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Tensor:
@@ -571,7 +567,7 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Ten
                     - xhat * (dxhat * xhat).mean(axis=-1, keepdims=True))
         return dx, dgamma, dbeta
 
-    return _record(out, (x, gamma, beta), bw)
+    return record(out, (x, gamma, beta), bw)
 
 
 # ---------------------------------------------------------------------------
@@ -589,7 +585,7 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     def bw(g):
         return g @ bd.T, ad.T @ g
 
-    return _record(out, (a, b), bw)
+    return record(out, (a, b), bw)
 
 
 def bmm(a: Tensor, b: Tensor) -> Tensor:
@@ -619,7 +615,7 @@ def bmm(a: Tensor, b: Tensor) -> Tensor:
             db = ad.transpose(0, 2, 1) @ g
             return da, db
 
-    return _record(out, (a, b), bw)
+    return record(out, (a, b), bw)
 
 
 # ---------------------------------------------------------------------------
@@ -630,14 +626,14 @@ def reshape(a: Tensor, shape) -> Tensor:
     shape = tuple(shape)
     out = Tensor(a.data.reshape(shape))
     orig = a.shape
-    return _record(out, (a,), lambda g: (g.reshape(orig),))
+    return record(out, (a,), lambda g: (g.reshape(orig),))
 
 
 def transpose(a: Tensor, axes) -> Tensor:
     axes = tuple(axes)
     inv = tuple(np.argsort(axes))
     out = Tensor(np.ascontiguousarray(a.data.transpose(axes)))
-    return _record(out, (a,), lambda g: (g.transpose(inv),))
+    return record(out, (a,), lambda g: (g.transpose(inv),))
 
 
 def concat(parts: Sequence[Tensor], axis: int) -> Tensor:
@@ -652,7 +648,14 @@ def concat(parts: Sequence[Tensor], axis: int) -> Tensor:
             for i in range(len(parts))
         )
 
-    return _record(out, parts, bw)
+    return record(out, parts, bw)
+
+
+def _scale_add_into(x: np.ndarray, s: float, pos: np.ndarray, y: np.ndarray) -> None:
+    """y = x*s + pos for [n, heads, L, M] logits and a [heads, L, M] bias;
+    ``y`` may be ``x`` itself."""
+    np.multiply(x, s, out=y)
+    y += pos
 
 
 def scale_add_heads(logits: Tensor, s: float, pos: Tensor) -> Tensor:
@@ -670,15 +673,13 @@ def scale_add_heads(logits: Tensor, s: float, pos: Tensor) -> Tensor:
     split = (logits.shape[0] // pos.shape[0],) + pos.shape
     ld = logits.data.reshape(split)
     out_d = np.empty_like(ld)
-    for b in _leading_blocks(len(ld), ld.nbytes):
-        ob = np.multiply(ld[b], s, out=out_d[b])
-        ob += pos.data
+    _scale_add_into(ld, s, pos.data, out_d)
     out = Tensor(out_d.reshape(logits.shape))
 
     def bw(g):
         return g * s, g.reshape(split).sum(axis=0)
 
-    return _record(out, (logits, pos), bw)
+    return record(out, (logits, pos), bw)
 
 
 def attention(q: Tensor, k: Tensor, v: Tensor, s: float, pos: Tensor,
@@ -722,12 +723,9 @@ def attention(q: Tensor, k: Tensor, v: Tensor, s: float, pos: Tensor,
         r = slice(b.start * heads, b.stop * heads)
         pb = probs[r] if work is None else work[:r.stop - r.start]
         np.matmul(qd[r], kt[r], out=pb)
-        pb *= s
         sb = pb.reshape((b.stop - b.start,) + pd.shape)
-        sb += pd
-        np.subtract(pb, pb.max(axis=-1, keepdims=True), out=pb)
-        np.exp(pb, out=pb)
-        pb /= pb.sum(axis=-1, keepdims=True)
+        _scale_add_into(sb, s, pd, sb)
+        _softmax_into(pb, pb, -1)
         np.matmul(pb, vd[r], out=out_d[r])
     out = Tensor(out_d)
     add_flops(2 * nh * length * c * m + 2 * nh * length * m * vd.shape[2])
@@ -761,7 +759,7 @@ def attention(q: Tensor, k: Tensor, v: Tensor, s: float, pos: Tensor,
             sb.sum(axis=0, out=dpos)
         return dq, dkt.transpose(0, 2, 1), dv, dpos
 
-    return _record(out, (q, k, v, pos), bw)
+    return record(out, (q, k, v, pos), bw)
 
 
 def gate_blend(a: Tensor, b: Tensor, s: Tensor) -> Tensor:
@@ -791,7 +789,7 @@ def gate_blend(a: Tensor, b: Tensor, s: Tensor) -> Tensor:
     def bw(g):
         return g * sd, g * cd, (g * ad).sum(axis=2) - (g * bd).sum(axis=2)
 
-    return _record(out, (a, b, s), bw)
+    return record(out, (a, b, s), bw)
 
 
 # ---------------------------------------------------------------------------
@@ -829,8 +827,9 @@ def conv2d(x: Tensor, k: Tensor, bias: Optional[Tensor] = None, groups: int = 1,
         bias: optional per-output-channel bias of shape [Cout].
         groups: 1 (dense) or Cin (depth-wise).
         padding: "same" (stride 1 only) or "valid".
-        stride: spatial stride; stride > 1 requires kh == kw == stride and
-            "valid" padding (the non-overlapping downsampling case).
+        stride: spatial stride; stride > 1 requires a dense kernel with
+            kh == kw == stride and "valid" padding (the non-overlapping
+            downsampling case).
     """
     if x.ndim != 3 or k.ndim != 4:
         raise ShapeError(f"conv2d: expected image [H,W,Cin] and kernel [kh,kw,Cin/g,Cout], "
@@ -844,8 +843,8 @@ def conv2d(x: Tensor, k: Tensor, bias: Optional[Tensor] = None, groups: int = 1,
     if padding not in ("same", "valid"):
         raise ValueError(f"conv2d: unknown padding {padding!r}")
     if stride != 1:
-        if padding != "valid" or kh != stride or kw != stride:
-            raise ShapeError("conv2d: stride > 1 is only supported for the "
+        if padding != "valid" or kh != stride or kw != stride or depthwise:
+            raise ShapeError("conv2d: stride > 1 is only supported for the dense "
                              "non-overlapping case (kh == kw == stride, valid padding)")
     if bias is not None and bias.shape != (cout,):
         raise ShapeError(f"conv2d: bias {bias.shape} must be ({cout},)")
@@ -867,7 +866,7 @@ def conv2d(x: Tensor, k: Tensor, bias: Optional[Tensor] = None, groups: int = 1,
             dk = (x2d.T @ g2d).reshape(kd.shape)
             return (dx, dk) if bd is None else (dx, dk, g.sum(axis=(0, 1)))
 
-        return _record(Tensor(out_d.reshape(h, w, cout)), parents, bw_pointwise)
+        return record(Tensor(out_d.reshape(h, w, cout)), parents, bw_pointwise)
 
     pt, pb, pl, pr = _conv_pad(kh, kw) if padding == "same" else (0, 0, 0, 0)
     hp, wp = h + pt + pb, w + pl + pr
@@ -928,19 +927,17 @@ def conv2d(x: Tensor, k: Tensor, bias: Optional[Tensor] = None, groups: int = 1,
         dk = np.zeros_like(kd)
         dxp = np.zeros_like(xp)
         if depthwise:
-            # With stride 1, g and each tap's row of weights are widened to
-            # the padded width by zero columns, so that a tap's products add
-            # into dxp as one contiguous run.  The zero columns add +0.0,
-            # which changes no value: dxp starts at +0.0, so it never holds
-            # -0.0.
-            wide = wp if stride == 1 else wout
-            gp = np.zeros((hout, wide, cout), dtype=g.dtype)
+            # g and each tap's row of weights are widened to the padded width
+            # by zero columns, so that a tap's products add into dxp as one
+            # contiguous run.  The zero columns add +0.0, which changes no
+            # value: dxp starts at +0.0, so it never holds -0.0.
+            gp = np.zeros((hout, wp, cout), dtype=g.dtype)
             gp[:, :wout] = g
-            krows = np.zeros((kh, kw, wide, cout), dtype=kd.dtype)
+            krows = np.zeros((kh, kw, wp, cout), dtype=kd.dtype)
             krows[:, :, :wout] = kd
             prod = np.empty(gp.shape, dtype=np.result_type(xd, g, kd))
             tmp = prod.reshape(-1)[:g.size].reshape(g.shape)  # each tap's xs * g
-            run = ((hout - 1) * wide + wout) * cout
+            run = ((hout - 1) * wp + wout) * cout
         else:
             # the GEMMs tensordot ran: the tap window as a C-contiguous
             # [Cin, H*W] copy times g as [H*W, Cout], and g times k[u, v]^T
@@ -951,34 +948,33 @@ def conv2d(x: Tensor, k: Tensor, bias: Optional[Tensor] = None, groups: int = 1,
             xs = xp[u:u + stride * hout:stride, v:v + stride * wout:stride]
             if depthwise:
                 dk[u, v, 0] = np.multiply(xs, g, out=tmp).reshape(-1, cout).sum(axis=0)
-                dxs = np.multiply(gp, krows[u, v], out=prod)
-                if stride == 1:
-                    start = (u * wp + v) * cout
-                    dxp.reshape(-1)[start:start + run] += dxs.reshape(-1)[:run]
-                    continue
+                np.multiply(gp, krows[u, v], out=prod)
+                start = (u * wp + v) * cout
+                dxp.reshape(-1)[start:start + run] += prod.reshape(-1)[:run]
             else:
                 win.reshape(cin, hout, wout)[...] = xs.transpose(2, 0, 1)
                 dk[u, v] = np.dot(win, g2d)
                 dxs = np.dot(g2d, kd[u, v].T, out=res).reshape(hout, wout, cin)
-            dxp[u:u + stride * hout:stride, v:v + stride * wout:stride] += dxs
+                dxp[u:u + stride * hout:stride, v:v + stride * wout:stride] += dxs
         dx = dxp[pt:pt + h, pl:pl + w] if padding == "same" else dxp
         if bias is None:
             return dx, dk
         return dx, dk, g.sum(axis=(0, 1))
 
-    return _record(out, parents, bw)
+    return record(out, parents, bw)
 
 
-def conv2d_transpose(x: Tensor, k: Tensor, bias: Optional[Tensor] = None,
-                     stride: int = 2) -> Tensor:
-    """Non-overlapping transposed conv (kh == kw == stride): [H,W,Cin] -> [sH,sW,Cout]."""
+def conv2d_transpose(x: Tensor, k: Tensor, bias: Optional[Tensor] = None) -> Tensor:
+    """Non-overlapping transposed conv, whose stride is the kernel's side s
+    (kh == kw == s): [H,W,Cin] -> [sH,sW,Cout]."""
     if x.ndim != 3 or k.ndim != 4:
         raise ShapeError(f"conv2d_transpose: bad ranks {x.shape}, {k.shape}")
     h, w, cin = x.shape
     kh, kw, kcin, cout = k.shape
-    if kh != stride or kw != stride or kcin != cin:
+    stride = kh
+    if kw != kh or kcin != cin:
         raise ShapeError(f"conv2d_transpose: kernel {k.shape} must be "
-                         f"[{stride},{stride},{cin},Cout]")
+                         f"[s,s,{cin},Cout]")
     if bias is not None and bias.shape != (cout,):
         raise ShapeError(f"conv2d_transpose: bias {bias.shape} must be ({cout},)")
     xd, kd = x.data, k.data
@@ -1008,4 +1004,4 @@ def conv2d_transpose(x: Tensor, k: Tensor, bias: Optional[Tensor] = None,
         return dx, dk, g.sum(axis=(0, 1))
 
     parents = (x, k) if bias is None else (x, k, bias)
-    return _record(out, parents, bw)
+    return record(out, parents, bw)

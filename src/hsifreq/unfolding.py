@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field, replace
-from pathlib import Path
 
 import numpy as np
 
@@ -21,6 +20,7 @@ from .base import check_at_least
 from .cassi import (SensingConfig, phi_adjoint_t, phi_forward_t, phi_phit_diag,
                     shift_back, simulate)
 from .checkpoint import CheckpointError, load_weights, save_weights
+from .hsio import write_lines
 from .layers import Layer
 from .network import ArchConfig, NetConfig, PriorNet, StepEstimator
 from .optim import Adam, cosine_lr
@@ -148,13 +148,9 @@ def reconstruct(y: np.ndarray, source, cfg: SensingConfig | None = None) -> np.n
 # Training
 # ---------------------------------------------------------------------------
 
-# the published model family comes in these stage counts
-STAGE_PRESETS = (2, 3, 5, 9)
-
-
 @dataclass(frozen=True, kw_only=True)
 class TrainConfig(ArchConfig):
-    """Desk-scale training setup; stage presets mirror the 2/3/5/9 variants."""
+    """Desk-scale training setup (the published family has 2, 3, 5 and 9 stages)."""
 
     steps: int = 2000
     batch: int = 1
@@ -278,4 +274,4 @@ def write_train_log(rows, path) -> None:
     lines = ["step,lr,loss,psnr"]
     for step, lr, lo, ps in rows:
         lines.append(f"{step},{lr:.8g},{lo:.8g},{ps:.4f}")
-    Path(path).write_text("\n".join(lines) + "\n")
+    write_lines(path, lines)

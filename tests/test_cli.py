@@ -233,6 +233,17 @@ class TestPipeline:
         assert code == 0
         assert read_hsic(xhat).shape == (16, 16, 4)
 
+    def test_reconstruct_rejects_multi_band_measurement_or_mask(self, tmp_path, scene_file,
+                                                                mask_file, capsys):
+        xhat = tmp_path / "out.hsic"
+        for y, mask, what in ((scene_file, mask_file, "measurement"),
+                              (mask_file, scene_file, "mask")):
+            code = main(["reconstruct", "--y", str(y), "--method", "gap-tv",
+                         "--mask", str(mask), "--bands", "4", "--out", str(xhat)])
+            assert code == 2
+            assert f"{what} file {scene_file} must have C=1, got C=4" in capsys.readouterr().err
+            assert not xhat.exists()
+
     def test_reconstruct_gap_tv_rejects_nan_weight(self, tmp_path, scene_file, mask_file,
                                                    capsys):
         y = tmp_path / "y.hsic"

@@ -96,6 +96,12 @@ class TestGapTv:
         with pytest.raises(ValueError):
             GapTvConfig(iterations=0)
 
+    @pytest.mark.parametrize("field,bad", [("iterations", np.nan), ("iterations", np.inf),
+                                           ("tv_inner_iters", np.nan)])
+    def test_config_rejects_non_finite_counts(self, field, bad):
+        with pytest.raises(ValueError, match=f"GapTvConfig.{field} must be finite"):
+            GapTvConfig(**{field: bad})
+
 
 class TestTvWeightAndBandChecks:
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])

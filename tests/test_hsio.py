@@ -1,6 +1,7 @@
 """File formats: HSIC cubes, CMDW checkpoints, PGM heatmaps, scene generators."""
 
 import errno
+import os
 import struct
 
 import numpy as np
@@ -11,7 +12,9 @@ from hsifreq.checkpoint import CheckpointError, load_weights, save_weights
 from hsifreq.correlation import correlation_maps
 from hsifreq.hsio import (HEADER_SIZE, HsicError, SceneSpec, export_heatmap,
                           gen_scene, read_hsic, write_hsic)
+from hsifreq.metrics import MetricReport, write_metrics_csv
 from hsifreq.network import NetConfig
+from hsifreq.unfolding import write_train_log
 
 
 class TestHsic:
@@ -183,6 +186,28 @@ class TestAtomicWrites:
         monkeypatch.undo()
         write(2)
         assert p.read_bytes() != old
+        assert [f.name for f in tmp_path.iterdir()] == [p.name]
+
+    WRITERS = {
+        "train_log": lambda p: write_train_log([(0, 4e-4, 0.25, 21.5)], p),
+        "metrics_csv": lambda p: write_metrics_csv(
+            [("a", MetricReport(np.zeros(2), 30.0, np.zeros(2), 0.9, 1.5))], p),
+        "pgm": lambda p: export_heatmap(np.eye(3), p),
+        "hsic": lambda p: write_hsic(np.ones((2, 3, 2)), p),
+    }
+
+    @pytest.mark.parametrize("kind", sorted(WRITERS))
+    def test_failed_rename_keeps_old_file(self, tmp_path, monkeypatch, kind):
+        p = tmp_path / "out"
+        p.write_bytes(b"old bytes")
+
+        def fail(src, dst):
+            raise OSError(errno.EIO, "rename failed")
+
+        monkeypatch.setattr(os, "replace", fail)
+        with pytest.raises(OSError, match="rename failed"):
+            self.WRITERS[kind](p)
+        assert p.read_bytes() == b"old bytes"
         assert [f.name for f in tmp_path.iterdir()] == [p.name]
 
 

@@ -16,7 +16,7 @@ from hsifreq.layers import (DualDomainBlock, FreqLocalMixer, FreqSpectralAttenti
                             SpaceAttention, _merge_heads_tokens, _split_heads,
                             attention_maps, gate_merge, split_tokens)
 from hsifreq.network import NetConfig, PriorNet, StepEstimator
-from hsifreq.tensor import Param, Tape, Tensor
+from hsifreq.tensor import Param, Tape, Tensor, xavier_uniform
 from hsifreq.unfolding import UnfoldingNet
 
 
@@ -73,6 +73,22 @@ def space_oracle(x, wq, wk, wv, pos, token, heads):
             block = np.concatenate(cols, axis=-1).reshape(k, k, c)
             out[bi * k:(bi + 1) * k, bj * k:(bj + 1) * k, :] = block
     return out
+
+
+@pytest.mark.parametrize("cls,side", [(SpaceAttention, 16), (FreqSpectralAttention, 4)])
+def test_attention_param_layout_and_seeded_init(cls, side):
+    # param names and order fix the CMDW tensor order; the projections and
+    # the out conv are consecutive draws from the layer's rng
+    c, k, heads = 8, 4, 2
+    layer = cls(c, k, heads, np.random.default_rng(5))
+    assert [n for n, _ in layer.named_params()] == \
+        ["wq", "wk", "wv", "pos", "out.weight", "out.bias"]
+    assert layer.pos.shape == (heads, side, side)
+    rng = np.random.default_rng(5)
+    for p in (layer.wq, layer.wk, layer.wv):
+        assert np.array_equal(p.value.data, xavier_uniform((c, c), c, c, rng))
+    assert np.array_equal(layer.out.weight.value.data,
+                          xavier_uniform((1, 1, c, c), c, c, rng))
 
 
 class TestTokenLayout:

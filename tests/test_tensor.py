@@ -136,10 +136,19 @@ class TestConv2d:
             T.conv2d(Tensor(np.zeros((4, 4, 2))), Tensor(np.zeros((3, 3, 2, 2))),
                      padding="valid", stride=2)
 
+    def test_strided_depthwise_rejected(self):
+        with pytest.raises(ShapeError):
+            T.conv2d(Tensor(np.zeros((4, 4, 2))), Tensor(np.zeros((2, 2, 1, 2))),
+                     groups=2, padding="valid", stride=2)
+
+    def test_transpose_needs_square_kernel(self):
+        with pytest.raises(ShapeError):
+            T.conv2d_transpose(Tensor(np.zeros((4, 4, 2))), Tensor(np.zeros((2, 3, 2, 2))))
+
     def test_transpose_then_strided_conv_shapes(self, rng):
         x = Tensor(rng.standard_normal((4, 4, 3)))
         kt = Tensor(rng.standard_normal((2, 2, 3, 5)))
-        up = T.conv2d_transpose(x, kt, stride=2)
+        up = T.conv2d_transpose(x, kt)
         assert up.shape == (8, 8, 5)
         kd = Tensor(rng.standard_normal((2, 2, 5, 3)))
         down = T.conv2d(up, kd, padding="valid", stride=2)
@@ -276,7 +285,7 @@ class TestOpGradients:
             c1 = T.conv2d(x.value, k1.value, bias=b1.value, padding="same")
             c2 = T.conv2d(x.value, kd.value, groups=2, padding="same")
             c3 = T.conv2d(x.value, ks.value, padding="valid", stride=2)
-            c4 = T.conv2d_transpose(x.value, kt.value, stride=2)
+            c4 = T.conv2d_transpose(x.value, kt.value)
             c5 = T.conv2d(x.value, kp.value, bias=bp.value)
             return T.add(T.add(T.add(T.sum_all(T.mul(c1, c1)), T.sum_all(T.mul(c2, c2))),
                                T.add(T.sum_all(T.mul(c3, c3)), T.sum_all(T.mul(c4, c4)))),
