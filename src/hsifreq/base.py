@@ -9,7 +9,9 @@ ecosystem's tooling.
 
 from __future__ import annotations
 
+import dataclasses
 import inspect
+import numbers
 
 import numpy as np
 
@@ -50,11 +52,16 @@ def check_fitted(estimator, attribute: str) -> None:
 
 def check_at_least(cfg, low, *names: str) -> None:
     """Raise ValueError naming the first field of ``cfg`` in ``names`` that is
-    not a finite number >= ``low``."""
+    not a finite number >= ``low``, or not an integer where the dataclass
+    declares it ``int``."""
+    ints = {f.name for f in dataclasses.fields(cfg) if f.type == "int"}
     for name in names:
         value = getattr(cfg, name)
         if not (np.isfinite(value) and value >= low):
             raise ValueError(f"{type(cfg).__name__}.{name} must be finite and >= {low}, "
+                             f"got {value!r}")
+        if name in ints and not isinstance(value, numbers.Integral):
+            raise ValueError(f"{type(cfg).__name__}.{name} must be an integer, "
                              f"got {value!r}")
 
 

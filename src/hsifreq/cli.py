@@ -19,7 +19,7 @@ from .correlation import (correlation_maps, corpus_stats, token_correlation,
 from .gaptv import GapTvConfig, gap_tv
 from .hsio import SceneSpec, export_heatmap, gen_scene, read_hsic, write_hsic, write_lines
 from .layers import attention_maps
-from .metrics import count_flops, count_params, evaluate, write_metrics_csv
+from .metrics import count_flops, evaluate, write_metrics_csv
 from .unfolding import TrainConfig, UnfoldingNet, train, write_train_log
 
 
@@ -195,10 +195,9 @@ def cmd_export_maps(args) -> int:
             export_heatmap(gate, out / f"gate_p{pi}_{bname}.pgm", 0.0, 1.0)
             export_heatmap(maps[block.freq_attn], out / f"freq_attn_p{pi}_{bname}.pgm")
             export_heatmap(maps[block.space_attn], out / f"space_attn_p{pi}_{bname}.pgm")
-    n_params = count_params(net.config)
-    flops = count_flops(net.config)
     print(f"exported maps for {len(net.priors)} prior(s) to {out} "
-          f"(params={n_params:.4f}M, flops={flops:.2f}G at "
+          f"(params={net.param_count() / 1e6:.4f}M, "
+          f"flops={count_flops(net.config):.2f}G at "
           f"{net.config.height}x{net.config.width})")
     return 0
 

@@ -78,9 +78,12 @@ class LayerNorm(Layer):
 
 
 class Conv2d(Layer):
+    """A ``ksize`` x ``ksize`` conv with a bias, dense or, with ``groups`` ==
+    ``cin``, depth-wise; the kernel side fixes the padding and stride, as
+    :func:`tensor.conv2d` sets out."""
+
     def __init__(self, cin: int, cout: int, ksize: int, rng: np.random.Generator,
-                 groups: int = 1, padding: str = "same", stride: int = 1,
-                 zero_init: bool = False):
+                 groups: int = 1, zero_init: bool = False):
         cpg = cin // groups
         fan = ksize * ksize * cpg
         if zero_init:
@@ -89,13 +92,9 @@ class Conv2d(Layer):
             w = xavier_uniform((ksize, ksize, cpg, cout), fan, ksize * ksize * cout // groups, rng)
         self.weight = Param(w)
         self.bias = Param(np.zeros(cout))
-        self.groups = groups
-        self.padding = padding
-        self.stride = stride
 
     def __call__(self, x: Tensor) -> Tensor:
-        return T.conv2d(x, self.weight.value, bias=self.bias.value,
-                        groups=self.groups, padding=self.padding, stride=self.stride)
+        return T.conv2d(x, self.weight.value, self.bias.value)
 
 
 class ConvTranspose2d(Layer):
@@ -106,7 +105,7 @@ class ConvTranspose2d(Layer):
         self.bias = Param(np.zeros(cout))
 
     def __call__(self, x: Tensor) -> Tensor:
-        return T.conv2d_transpose(x, self.weight.value, bias=self.bias.value)
+        return T.conv2d_transpose(x, self.weight.value, self.bias.value)
 
 
 class Linear(Layer):

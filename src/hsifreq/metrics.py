@@ -169,15 +169,13 @@ def _prior_flops(config: NetConfig, h: int, w: int) -> int:
     return f
 
 
-def count_flops(config: NetConfig, h: int | None = None, w: int | None = None) -> float:
+def count_flops(config: NetConfig) -> float:
     """Analytic forward multiply-add count of one reconstruction, in GFLOPs.
 
     Mirrors the instrumented per-op counting of the engine (matmul/conv-class
     ops only; activations and normalizations are not charged).
     """
-    h = h or config.height
-    w = w or config.width
-    c = config.bands
+    h, w, c = config.height, config.width, config.bands
     f = _conv_flops(3, 3, c + 1, config.est_hidden, h, w)
     f += 2 * config.est_hidden * 2 * config.est_hidden
     f += 2 * 2 * config.est_hidden * 2 * config.stages

@@ -76,7 +76,7 @@ class PriorNet(Layer):
         self.cond = Linear(1, wd, rng)
         self.cond.weight.assign(np.zeros((1, wd), dtype=self.cond.weight.value.dtype))
         self.enc = DualDomainBlock(wd, cfg.token, cfg.heads, h, w, rng)
-        self.down = Conv2d(wd, 2 * wd, 2, rng, padding="valid", stride=2)
+        self.down = Conv2d(wd, 2 * wd, 2, rng)
         self.mid = DualDomainBlock(2 * wd, cfg.token, cfg.heads, h // 2, w // 2, rng)
         self.up = ConvTranspose2d(2 * wd, wd, rng)
         self.fuse = Conv2d(2 * wd, wd, 1, rng)

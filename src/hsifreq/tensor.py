@@ -15,15 +15,16 @@ per-head term over a token*heads batch axis (``scale_add_heads``).  Everything
 else must be reshaped explicitly; shape mismatches raise ``ShapeError``.
 
 The forward passes of ``gelu``, ``layer_norm``, ``attention``, ``gate_blend``
-and the k x k convs run over blocks of the leading axis, so that their
-temporaries stay in cache and no full-size temporary is made.  So does the
-backward of ``attention``, over blocks of whole tokens.  Every block repeats
-the un-blocked arithmetic element for element, so the results are bit for
-bit those of one pass over the whole array: ``attention``'s blocks run the
-in-place kernels of ``scale_add_heads`` and ``softmax``.  The backward passes
-of ``gelu`` and the k x k convs (and ``conv2d_transpose``) write into a few
-reused buffers instead of one new array per operation, again with the same
-operations in the same order, and the same GEMMs.
+and every ``conv2d`` but the dense 1 x 1 one run over blocks of the leading
+axis, so that their temporaries stay in cache and no full-size temporary is
+made.  So does the backward of ``attention``, over blocks of whole tokens.
+Every block repeats the un-blocked arithmetic element for element, so the
+results are bit for bit those of one pass over the whole array:
+``attention``'s blocks run the in-place kernels of ``scale_add_heads`` and
+``softmax``.  The backward passes of ``gelu``, those convs and
+``conv2d_transpose`` write into a few reused buffers instead of one new
+array per operation, again with the same operations in the same order, and
+the same GEMMs.
 
 The active tape, the default dtype and the FLOP counter are context
 variables: each thread (and each ``contextvars`` context) has its own, so two
@@ -340,11 +341,6 @@ def div(a, b) -> Tensor:
         return _reduce_to(g / bd, a.shape), _reduce_to(-g * ad / (bd * bd), b.shape)
 
     return record(out, (a, b), bw)
-
-
-def neg(a: Tensor) -> Tensor:
-    out = Tensor(-a.data)
-    return record(out, (a,), lambda g: (-g,))
 
 
 def scale(a: Tensor, s: float) -> Tensor:
@@ -796,98 +792,85 @@ def gate_blend(a: Tensor, b: Tensor, s: Tensor) -> Tensor:
 # Convolutions
 # ---------------------------------------------------------------------------
 
-def _conv_pad(kh: int, kw: int):
-    return (kh - 1) // 2, kh - 1 - (kh - 1) // 2, (kw - 1) // 2, kw - 1 - (kw - 1) // 2
-
-
-def _padded_rows(xd: np.ndarray, start: int, stop: int, pt: int, pl: int,
+def _padded_rows(xd: np.ndarray, start: int, stop: int, pad: int,
                  buf: Optional[np.ndarray]) -> np.ndarray:
-    """Rows start:stop of ``xd`` zero-padded by ``pt`` rows on top and ``pl``
-    columns on the left, written into ``buf``; a view of ``xd`` when ``buf``
-    is None.  ``buf`` starts zeroed and its width fixes the right padding; it
-    is filled for increasing ``start``, so its columns outside the image and
-    its rows above it are still zero."""
+    """Rows start:stop of ``xd`` zero-padded by ``pad`` rows on top and
+    ``pad`` columns on the left, written into ``buf``; a view of ``xd`` when
+    ``buf`` is None.  ``buf`` starts zeroed and its width fixes the right
+    padding; it is filled for increasing ``start``, so its columns outside
+    the image and its rows above it are still zero."""
     if buf is None:
         return xd[start:stop]
     xb = buf[:stop - start]
-    top = max(pt - start, 0)
-    lo, hi = start + top - pt, min(stop - pt, len(xd))
-    xb[top:top + hi - lo, pl:pl + xd.shape[1]] = xd[lo:hi]
+    top = max(pad - start, 0)
+    lo, hi = start + top - pad, min(stop - pad, len(xd))
+    xb[top:top + hi - lo, pad:pad + xd.shape[1]] = xd[lo:hi]
     xb[top + hi - lo:] = 0
     return xb
 
 
-def conv2d(x: Tensor, k: Tensor, bias: Optional[Tensor] = None, groups: int = 1,
-           padding: str = "same", stride: int = 1) -> Tensor:
-    """Dense or depth-wise 2D cross-correlation over an [H,W,Cin] image.
+def conv2d(x: Tensor, k: Tensor, bias: Tensor) -> Tensor:
+    """Dense or depth-wise 2D cross-correlation over an [H,W,Cin] image plus
+    a per-output-channel ``bias`` of shape [Cout].  The square kernel fixes
+    the layout:
 
-    Args:
-        x: input of shape [H, W, Cin].
-        k: kernel of shape [kh, kw, Cin/groups, Cout].
-        bias: optional per-output-channel bias of shape [Cout].
-        groups: 1 (dense) or Cin (depth-wise).
-        padding: "same" (stride 1 only) or "valid".
-        stride: spatial stride; stride > 1 requires a dense kernel with
-            kh == kw == stride and "valid" padding (the non-overlapping
-            downsampling case).
+    - ``[s,s,Cin,Cout]`` is dense and ``[s,s,1,Cin]`` depth-wise.
+    - An odd side s is "same"-padded by (s-1)//2 on every side with stride
+      1: [H,W,Cin] -> [H,W,Cout].
+    - An even side s tiles the image with stride s and no padding, the dense
+      down-sampler whose layout ``conv2d_transpose`` inverts: s must divide
+      H and W, and [H,W,Cin] -> [H/s,W/s,Cout].
+
+    Any other kernel is a ShapeError.
     """
     if x.ndim != 3 or k.ndim != 4:
-        raise ShapeError(f"conv2d: expected image [H,W,Cin] and kernel [kh,kw,Cin/g,Cout], "
+        raise ShapeError(f"conv2d: expected image [H,W,Cin] and kernel [s,s,Cin,Cout], "
                          f"got {x.shape} and {k.shape}")
     h, w, cin = x.shape
-    kh, kw, cpg, cout = k.shape
-    if groups not in (1, cin) or cpg != cin // groups or (groups != 1 and cout != cin):
-        raise ShapeError(f"conv2d: groups={groups} incompatible with Cin={cin}, "
-                         f"kernel {k.shape}; groups must be 1 or Cin")
-    depthwise = groups != 1
-    if padding not in ("same", "valid"):
-        raise ValueError(f"conv2d: unknown padding {padding!r}")
-    if stride != 1:
-        if padding != "valid" or kh != stride or kw != stride or depthwise:
-            raise ShapeError("conv2d: stride > 1 is only supported for the dense "
-                             "non-overlapping case (kh == kw == stride, valid padding)")
-    if bias is not None and bias.shape != (cout,):
+    s, kw, cpg, cout = k.shape
+    depthwise = cpg != cin
+    stride = s if s % 2 == 0 else 1
+    if s < 1 or kw != s or (depthwise and (cpg != 1 or cout != cin or stride > 1)) \
+            or h % stride or w % stride:
+        raise ShapeError(f"conv2d: kernel {k.shape} does not fit image {x.shape}: it "
+                         f"must be [s,s,{cin},Cout], or [s,s,1,{cin}] for an odd s, and "
+                         "an even s must divide H and W")
+    if bias.shape != (cout,):
         raise ShapeError(f"conv2d: bias {bias.shape} must be ({cout},)")
 
-    kd = k.data
-    bd = None if bias is None else bias.data
-    parents = (x, k) if bias is None else (x, k, bias)
-    if kh == kw == 1 and stride == 1 and not depthwise:
+    kd, bd = k.data, bias.data
+    parents = (x, k, bias)
+    if s == 1 and not depthwise:
         # point-wise: one [H*W, Cin] @ [Cin, Cout] GEMM, forward and backward
         x2d = x.data.reshape(h * w, cin)
         out_d = x2d @ kd[0, 0]
-        if bd is not None:
-            out_d += bd
+        out_d += bd
         add_flops(2 * cin * cout * h * w)
 
         def bw_pointwise(g):
             g2d = g.reshape(h * w, cout)
             dx = (g2d @ kd[0, 0].T).reshape(h, w, cin)
             dk = (x2d.T @ g2d).reshape(kd.shape)
-            return (dx, dk) if bd is None else (dx, dk, g.sum(axis=(0, 1)))
+            return dx, dk, g.sum(axis=(0, 1))
 
         return record(Tensor(out_d.reshape(h, w, cout)), parents, bw_pointwise)
 
-    pt, pb, pl, pr = _conv_pad(kh, kw) if padding == "same" else (0, 0, 0, 0)
-    hp, wp = h + pt + pb, w + pl + pr
-    hout = (hp - kh) // stride + 1
-    wout = (wp - kw) // stride + 1
-    if hout < 1 or wout < 1:
-        raise ShapeError(f"conv2d: kernel {k.shape} larger than padded input {(hp, wp, cin)}")
+    pad = 0 if stride > 1 else (s - 1) // 2
+    wp = w + 2 * pad
+    hout, wout = h // stride, w // stride
 
     # Over output-row blocks that stay in cache, tap by tap in (u, v) order.
     # A block reads its rows of the zero-padded input from a reused buffer, so
     # the padded image is never held whole.
     xd = x.data
-    taps = [(u, v) for u in range(kh) for v in range(kw)]
+    taps = [(u, v) for u in range(s) for v in range(s)]
     out_d = np.zeros((hout, wout, cout), dtype=xd.dtype)
     blocks = _leading_blocks(hout, out_d.nbytes)
     if not depthwise:
         # even blocks: a ragged last one could fall under the small-matrix cut
         blocks = _even_blocks(hout, max(blocks[0].stop, _SMALL_GEMM // (wout * cin * cout) + 1))
     step = max(b.stop - b.start for b in blocks)
-    pad_buf = None if padding == "valid" \
-        else np.zeros((stride * (step - 1) + kh, wp, cin), dtype=xd.dtype)
+    pad_buf = np.zeros((step + 2 * pad, wp, cin), dtype=xd.dtype) if pad else None
     if depthwise:
         # each tap's weights are repeated along a row, so numpy loops per row,
         # not per pixel
@@ -903,7 +886,7 @@ def conv2d(x: Tensor, k: Tensor, bias: Optional[Tensor] = None, groups: int = 1,
         res = np.empty((step * wout, cout), dtype=np.result_type(xd, kd))
     for b in blocks:
         n = b.stop - b.start
-        xb = _padded_rows(xd, stride * b.start, stride * (b.stop - 1) + kh, pt, pl, pad_buf)
+        xb = _padded_rows(xd, stride * b.start, stride * (b.stop - 1) + s, pad, pad_buf)
         ob = out_d[b]
         for i, (u, v) in enumerate(taps):
             xs = xb[u:u + stride * n:stride, v:v + stride * wout:stride]
@@ -914,16 +897,15 @@ def conv2d(x: Tensor, k: Tensor, bias: Optional[Tensor] = None, groups: int = 1,
                 wb.reshape(n, wout, cin)[...] = xs
                 tb = np.dot(wb, kd[u, v], out=res[:n * wout]).reshape(n, wout, cout)
             ob += tb
-        if bd is not None:
-            ob += bd
+        ob += bd
     out = Tensor(out_d)
-    add_flops(2 * kh * kw * cpg * cout * hout * wout)
+    add_flops(2 * s * s * cpg * cout * hout * wout)
 
     def bw(g):
         xp = xd
-        if padding == "same":
-            xp = np.zeros((hp, wp, cin), dtype=xd.dtype)
-            xp[pt:pt + h, pl:pl + w] = xd
+        if pad:
+            xp = np.zeros((h + 2 * pad, wp, cin), dtype=xd.dtype)
+            xp[pad:pad + h, pad:pad + w] = xd
         dk = np.zeros_like(kd)
         dxp = np.zeros_like(xp)
         if depthwise:
@@ -933,7 +915,7 @@ def conv2d(x: Tensor, k: Tensor, bias: Optional[Tensor] = None, groups: int = 1,
             # value: dxp starts at +0.0, so it never holds -0.0.
             gp = np.zeros((hout, wp, cout), dtype=g.dtype)
             gp[:, :wout] = g
-            krows = np.zeros((kh, kw, wp, cout), dtype=kd.dtype)
+            krows = np.zeros((s, s, wp, cout), dtype=kd.dtype)
             krows[:, :, :wout] = kd
             prod = np.empty(gp.shape, dtype=np.result_type(xd, g, kd))
             tmp = prod.reshape(-1)[:g.size].reshape(g.shape)  # each tap's xs * g
@@ -956,17 +938,14 @@ def conv2d(x: Tensor, k: Tensor, bias: Optional[Tensor] = None, groups: int = 1,
                 dk[u, v] = np.dot(win, g2d)
                 dxs = np.dot(g2d, kd[u, v].T, out=res).reshape(hout, wout, cin)
                 dxp[u:u + stride * hout:stride, v:v + stride * wout:stride] += dxs
-        dx = dxp[pt:pt + h, pl:pl + w] if padding == "same" else dxp
-        if bias is None:
-            return dx, dk
-        return dx, dk, g.sum(axis=(0, 1))
+        return dxp[pad:pad + h, pad:pad + w], dk, g.sum(axis=(0, 1))
 
     return record(out, parents, bw)
 
 
-def conv2d_transpose(x: Tensor, k: Tensor, bias: Optional[Tensor] = None) -> Tensor:
+def conv2d_transpose(x: Tensor, k: Tensor, bias: Tensor) -> Tensor:
     """Non-overlapping transposed conv, whose stride is the kernel's side s
-    (kh == kw == s): [H,W,Cin] -> [sH,sW,Cout]."""
+    (kh == kw == s), plus a [Cout] ``bias``: [H,W,Cin] -> [sH,sW,Cout]."""
     if x.ndim != 3 or k.ndim != 4:
         raise ShapeError(f"conv2d_transpose: bad ranks {x.shape}, {k.shape}")
     h, w, cin = x.shape
@@ -975,15 +954,14 @@ def conv2d_transpose(x: Tensor, k: Tensor, bias: Optional[Tensor] = None) -> Ten
     if kw != kh or kcin != cin:
         raise ShapeError(f"conv2d_transpose: kernel {k.shape} must be "
                          f"[s,s,{cin},Cout]")
-    if bias is not None and bias.shape != (cout,):
+    if bias.shape != (cout,):
         raise ShapeError(f"conv2d_transpose: bias {bias.shape} must be ({cout},)")
     xd, kd = x.data, k.data
     out_d = np.zeros((h * stride, w * stride, cout), dtype=xd.dtype)
     for u in range(kh):
         for v in range(kw):
             out_d[u::stride, v::stride] = np.tensordot(xd, kd[u, v], axes=([2], [0]))
-    if bias is not None:
-        out_d = out_d + bias.data
+    out_d = out_d + bias.data
     out = Tensor(out_d)
     add_flops(2 * kh * kw * cin * cout * h * w)
 
@@ -999,9 +977,6 @@ def conv2d_transpose(x: Tensor, k: Tensor, bias: Optional[Tensor] = None) -> Ten
                 gs.reshape(h, w, cout)[...] = g[u::stride, v::stride]
                 dx += np.dot(gs, kd[u, v].T, out=res).reshape(h, w, cin)
                 dk[u, v] = np.dot(xt, gs)
-        if bias is None:
-            return dx, dk
         return dx, dk, g.sum(axis=(0, 1))
 
-    parents = (x, k) if bias is None else (x, k, bias)
-    return record(out, parents, bw)
+    return record(out, (x, k, bias), bw)

@@ -109,7 +109,8 @@ def test_04_gradient_suite_every_layer(f64):
                    [a, b], rel_tol=tol, samples=6)
     x = wrap_input(gen.standard_normal((5, 5, 3)), "x")
     k = wrap_input(gen.standard_normal((3, 3, 3, 4)), "k")
-    gradient_check(lambda: T.sum_all(T.mul(c := T.conv2d(x.value, k.value), c)),
+    zero = Tensor(np.zeros(4))
+    gradient_check(lambda: T.sum_all(T.mul(c := T.conv2d(x.value, k.value, zero), c)),
                    [x, k], rel_tol=tol, samples=6)
     v = wrap_input(gen.standard_normal((4, 6)), "v")
     gradient_check(lambda: T.sum_all(T.mul(T.softmax(v.value, axis=-1),

@@ -8,6 +8,7 @@ from hsifreq.cli import _train_config_from, build_parser, main
 from hsifreq.estimators import GapTvReconstructor, UnfoldingReconstructor
 from hsifreq.gaptv import GapTvConfig
 from hsifreq.hsio import SceneSpec, read_hsic
+from hsifreq.metrics import count_flops, count_params
 from hsifreq.unfolding import TrainConfig, UnfoldingNet
 
 from test_hsio import parse_pgm
@@ -280,7 +281,7 @@ class TestPipeline:
         assert "estimator.fc1.bias" in capsys.readouterr().err
         assert not xhat.exists()
 
-    def test_export_maps(self, tmp_path, scene_file, mask_file):
+    def test_export_maps(self, tmp_path, scene_file, mask_file, capsys):
         ckpt = tmp_path / "model.cmdw"
         main(["train", "--data", str(scene_file), "--stages", "1", "--steps", "1",
               "--token", "4", "--heads", "2", "--mask", str(mask_file),
@@ -298,6 +299,9 @@ class TestPipeline:
         for kind in ("gate", "freq_attn", "space_attn"):
             for block in ("enc", "mid", "dec"):
                 assert (maps / f"{kind}_p0_{block}.pgm").exists()
+        cfg = UnfoldingNet.load(ckpt).config
+        assert (f"params={count_params(cfg):.4f}M, flops={count_flops(cfg):.2f}G"
+                in capsys.readouterr().out)
 
 
 class TestSweeps:

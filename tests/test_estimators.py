@@ -6,9 +6,10 @@ import pytest
 from hsifreq.base import NotFittedError
 from hsifreq.cassi import SensingConfig, random_mask, simulate
 from hsifreq.estimators import BandwiseDct, GapTvReconstructor, UnfoldingReconstructor
+from hsifreq.gaptv import GapTvConfig
 from hsifreq.hsio import SceneSpec, gen_scene
 from hsifreq.network import NetConfig
-from hsifreq.unfolding import UnfoldingNet
+from hsifreq.unfolding import TrainConfig, UnfoldingNet
 
 
 def tiny_scene(seed=5):
@@ -20,6 +21,14 @@ def fitted_estimator(steps=3):
     est = UnfoldingReconstructor(stages=1, token=4, heads=2, steps=steps,
                                  augment=False, seed=1)
     return est.fit(tiny_scene(), random_mask(16, 16, seed=2))
+
+
+@pytest.mark.parametrize("cls,field", [(GapTvConfig, "iterations"), (TrainConfig, "steps"),
+                                       (SceneSpec, "height")])
+def test_config_counts_must_be_integers(cls, field):
+    with pytest.raises(ValueError, match=f"{cls.__name__}.{field} must be an integer"):
+        cls(**{field: 2.5})
+    assert getattr(cls(**{field: np.int64(8)}), field) == 8
 
 
 class TestParamsProtocol:

@@ -12,8 +12,8 @@ from hsifreq import tensor as T
 from hsifreq.dct import dct2_cube
 from hsifreq.cassi import SensingConfig, random_mask, simulate
 from hsifreq.hsio import SceneSpec, gen_scene
-from hsifreq.layers import (DualDomainBlock, FreqLocalMixer, FreqSpectralAttention, Layer,
-                            SpaceAttention, _merge_heads_tokens, _split_heads,
+from hsifreq.layers import (Conv2d, DualDomainBlock, FreqLocalMixer, FreqSpectralAttention,
+                            Layer, SpaceAttention, _merge_heads_tokens, _split_heads,
                             attention_maps, gate_merge, split_tokens)
 from hsifreq.network import NetConfig, PriorNet, StepEstimator
 from hsifreq.tensor import Param, Tape, Tensor, xavier_uniform
@@ -453,6 +453,27 @@ class TestPriorNet:
             return T.sum_all(T.mul(prior(x.value, beta.value), weight))
 
         gradient_check(build, [x, beta] + prior.params(), rel_tol=1e-4, samples=2)
+
+    def test_conv_kernels_follow_the_layout_rule(self):
+        # the desk shape: 1x1 and 3x3 dense, 3x3 depth-wise and the 2x2 dense
+        # down-sampler are the only kernels, and the down-sampler halves H, W
+        cfg = NetConfig(height=32, width=32, bands=8, token=8, heads=4, base_width=24)
+        prior = PriorNet(cfg, np.random.default_rng(0))
+
+        def layers(layer):
+            yield layer
+            for attr in vars(layer).values():
+                if isinstance(attr, Layer):
+                    yield from layers(attr)
+
+        kinds = set()
+        for conv in (lay for lay in layers(prior) if isinstance(lay, Conv2d)):
+            s, side, cpg, cout = conv.weight.shape
+            assert side == s and conv.bias.shape == (cout,)
+            kinds.add((s, "depth-wise" if cpg == 1 else "dense"))
+        assert kinds == {(1, "dense"), (3, "dense"), (3, "depth-wise"), (2, "dense")}
+        x = Tensor(np.zeros((32, 32, 24), dtype=np.float32))
+        assert prior.down(x).shape == (16, 16, 48)
 
     def test_param_count_deterministic(self):
         a = PriorNet(self.cfg(), np.random.default_rng(0)).param_count()

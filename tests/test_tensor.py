@@ -84,23 +84,28 @@ class TestGelu:
         assert abs(T.gelu(Tensor([1.0], dtype=np.float64)).item() - expect) < 1e-12
 
 
+def zero_bias(k) -> Tensor:
+    """A zero bias for kernel ``k``'s output channels."""
+    return Tensor(np.zeros(k.shape[3], dtype=k.dtype))
+
+
 class TestConv2d:
     def test_one_by_one_identity(self, rng):
         x = Tensor(rng.standard_normal((5, 6, 3)))
         k = Tensor(np.eye(3).reshape(1, 1, 3, 3))
-        out = T.conv2d(x, k)
+        out = T.conv2d(x, k, zero_bias(k))
         assert np.allclose(out.data, x.data, atol=1e-6)
 
     def test_depthwise_ones_on_constant(self):
         x = Tensor(np.full((6, 6, 2), 2.5))
         k = Tensor(np.ones((3, 3, 1, 2)))
-        out = T.conv2d(x, k, groups=2, padding="same")
+        out = T.conv2d(x, k, zero_bias(k))
         assert np.allclose(out.data[1:-1, 1:-1, :], 9 * 2.5, atol=1e-5)
 
     def test_depthwise_matches_loop_oracle(self, rng):
         x = rng.standard_normal((4, 4, 2))
         k = rng.standard_normal((3, 3, 1, 2))
-        out = T.conv2d(Tensor(x), Tensor(k), groups=2, padding="same").data
+        out = T.conv2d(Tensor(x), Tensor(k), zero_bias(k)).data
         expect = np.zeros_like(out)
         xp = np.pad(x, ((1, 1), (1, 1), (0, 0)))
         for i in range(4):
@@ -116,42 +121,39 @@ class TestConv2d:
     def test_full_conv_matches_loop_oracle(self, rng):
         x = rng.standard_normal((4, 5, 3))
         k = rng.standard_normal((3, 3, 3, 2))
-        out = T.conv2d(Tensor(x), Tensor(k), padding="valid").data
-        expect = np.zeros((2, 3, 2))
-        for i in range(2):
-            for j in range(3):
+        out = T.conv2d(Tensor(x), Tensor(k), zero_bias(k)).data
+        expect = np.zeros((4, 5, 2))
+        xp = np.pad(x, ((1, 1), (1, 1), (0, 0)))
+        for i in range(4):
+            for j in range(5):
                 for o in range(2):
-                    expect[i, j, o] = np.sum(x[i:i + 3, j:j + 3, :] * k[:, :, :, o])
+                    expect[i, j, o] = np.sum(xp[i:i + 3, j:j + 3, :] * k[:, :, :, o])
         assert np.allclose(out, expect, atol=1e-5)
 
-    def test_group_mismatch(self):
-        # groups must be 1 or Cin, and a depth-wise conv keeps Cout == Cin
-        for cin, cpg, cout, groups in ((3, 1, 3, 2), (4, 2, 4, 2), (2, 1, 4, 2)):
-            with pytest.raises(ShapeError):
-                T.conv2d(Tensor(np.zeros((4, 4, cin))), Tensor(np.zeros((3, 3, cpg, cout))),
-                         groups=groups)
-
-    def test_strided_needs_matching_kernel(self):
-        with pytest.raises(ShapeError):
-            T.conv2d(Tensor(np.zeros((4, 4, 2))), Tensor(np.zeros((3, 3, 2, 2))),
-                     padding="valid", stride=2)
-
-    def test_strided_depthwise_rejected(self):
-        with pytest.raises(ShapeError):
-            T.conv2d(Tensor(np.zeros((4, 4, 2))), Tensor(np.zeros((2, 2, 1, 2))),
-                     groups=2, padding="valid", stride=2)
+    @pytest.mark.parametrize("image,kernel", [
+        ((4, 4, 2), (3, 3, 1, 4)),     # depth-wise keeps Cout == Cin
+        ((4, 4, 4), (3, 3, 2, 4)),     # neither dense nor depth-wise
+        ((4, 4, 2), (3, 2, 2, 2)),     # not square
+        ((4, 4, 2), (2, 2, 1, 2)),     # an even side is dense only
+        ((5, 4, 2), (2, 2, 2, 2)),     # an even side must divide H and W
+    ], ids=["depthwise-cout", "channels", "square", "even-depthwise", "even-divides"])
+    def test_kernel_must_fit(self, image, kernel):
+        k = Tensor(np.zeros(kernel))
+        with pytest.raises(ShapeError, match="does not fit"):
+            T.conv2d(Tensor(np.zeros(image)), k, zero_bias(k))
 
     def test_transpose_needs_square_kernel(self):
+        k = Tensor(np.zeros((2, 3, 2, 2)))
         with pytest.raises(ShapeError):
-            T.conv2d_transpose(Tensor(np.zeros((4, 4, 2))), Tensor(np.zeros((2, 3, 2, 2))))
+            T.conv2d_transpose(Tensor(np.zeros((4, 4, 2))), k, zero_bias(k))
 
     def test_transpose_then_strided_conv_shapes(self, rng):
         x = Tensor(rng.standard_normal((4, 4, 3)))
         kt = Tensor(rng.standard_normal((2, 2, 3, 5)))
-        up = T.conv2d_transpose(x, kt)
+        up = T.conv2d_transpose(x, kt, zero_bias(kt))
         assert up.shape == (8, 8, 5)
         kd = Tensor(rng.standard_normal((2, 2, 5, 3)))
-        down = T.conv2d(up, kd, padding="valid", stride=2)
+        down = T.conv2d(up, kd, zero_bias(kd))
         assert down.shape == (4, 4, 3)
 
 
@@ -204,7 +206,7 @@ class TestOpGradients:
 
         def build():
             z = T.div(T.mul(a.value, b.value), T.add(s.value, Tensor(np.full((3, 4), 2.0))))
-            z = T.sub(z, T.neg(a.value))
+            z = T.sub(z, a.value)
             return T.sum_all(T.sqrt(T.add(T.mul(z, z), 1.0)))
 
         gradient_check(build, [a, b, s], rel_tol=1e-5, samples=8)
@@ -276,22 +278,26 @@ class TestOpGradients:
         k1 = Param(rng.standard_normal((3, 3, 2, 3)), name="k1")
         b1 = Param(rng.standard_normal(3), name="b1")
         kd = Param(rng.standard_normal((3, 3, 1, 2)), name="kd")
+        bd = Param(rng.standard_normal(2), name="bd")
         ks = Param(rng.standard_normal((2, 2, 2, 4)), name="ks")
+        bs = Param(rng.standard_normal(4), name="bs")
         kt = Param(rng.standard_normal((2, 2, 2, 3)), name="kt")
+        bt = Param(rng.standard_normal(3), name="bt")
         kp = Param(rng.standard_normal((1, 1, 2, 5)), name="kp")
         bp = Param(rng.standard_normal(5), name="bp")
 
         def build():
-            c1 = T.conv2d(x.value, k1.value, bias=b1.value, padding="same")
-            c2 = T.conv2d(x.value, kd.value, groups=2, padding="same")
-            c3 = T.conv2d(x.value, ks.value, padding="valid", stride=2)
-            c4 = T.conv2d_transpose(x.value, kt.value)
-            c5 = T.conv2d(x.value, kp.value, bias=bp.value)
+            c1 = T.conv2d(x.value, k1.value, b1.value)
+            c2 = T.conv2d(x.value, kd.value, bd.value)
+            c3 = T.conv2d(x.value, ks.value, bs.value)
+            c4 = T.conv2d_transpose(x.value, kt.value, bt.value)
+            c5 = T.conv2d(x.value, kp.value, bp.value)
             return T.add(T.add(T.add(T.sum_all(T.mul(c1, c1)), T.sum_all(T.mul(c2, c2))),
                                T.add(T.sum_all(T.mul(c3, c3)), T.sum_all(T.mul(c4, c4)))),
                          T.sum_all(T.mul(c5, c5)))
 
-        gradient_check(build, [x, k1, b1, kd, ks, kt, kp, bp], rel_tol=1e-5, samples=6)
+        gradient_check(build, [x, k1, b1, kd, bd, ks, bs, kt, bt, kp, bp],
+                       rel_tol=1e-5, samples=6)
 
     def test_misc_ops(self, f64, rng):
         x = wrap_input(rng.standard_normal((4, 4, 3)), "x")
@@ -554,8 +560,7 @@ class TestBlockedOpsMatchParentFormulas:
         x = self.data(rng, rows, 40, cin, dtype=dtype)
         k = self.data(rng, 3, 3, cin, cout, dtype=dtype)
         b = self.data(rng, cout, dtype=dtype)
-        self.check(lambda xt, kt, bt: T.conv2d(xt, kt, bias=bt),
-                   lambda xa, ka, ba, g: parent_conv2d(xa, ka, ba, g), [x, k, b])
+        self.check(T.conv2d, parent_conv2d, [x, k, b])
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("ksize,stride", [(3, 1), (2, 2)])
@@ -569,7 +574,7 @@ class TestBlockedOpsMatchParentFormulas:
             else dict(groups=1, padding="valid", stride=stride)
         k = self.data(rng, ksize, ksize, 1 if stride == 1 else c, c, dtype=dtype)
         b = self.data(rng, c, dtype=dtype)
-        self.check(lambda xt, kt, bt: T.conv2d(xt, kt, bias=bt, **kwargs),
+        self.check(T.conv2d,
                    lambda xa, ka, ba, g: parent_conv2d(xa, ka, ba, g, **kwargs), [x, k, b])
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -581,7 +586,7 @@ class TestBlockedOpsMatchParentFormulas:
         x = self.data(rng, 7, 9, c, dtype=dtype)
         k = self.data(rng, 5, 5, 1, c, dtype=dtype)
         b = self.data(rng, c, dtype=dtype)
-        self.check(lambda xt, kt, bt: T.conv2d(xt, kt, bias=bt, groups=c),
+        self.check(T.conv2d,
                    lambda xa, ka, ba, g: parent_conv2d(xa, ka, ba, g, groups=c), [x, k, b])
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -598,7 +603,7 @@ class TestBlockedOpsMatchParentFormulas:
         g[0], g[3, 4] = -0.0, -0.0
         with np.errstate(invalid="ignore"):
             with Tape() as tape:
-                T.conv2d(Tensor(x), Tensor(k), bias=Tensor(b), groups=c)
+                T.conv2d(Tensor(x), Tensor(k), Tensor(b))
             for gg in (g, np.asfortranarray(g)):
                 got = tape.nodes[-1].backward_fn(gg)
                 _, expect = parent_conv2d(x, k, b, gg, groups=c)
@@ -610,9 +615,10 @@ class TestBlockedOpsMatchParentFormulas:
         # output plus a few blocks; a padded copy of the input would add 1x
         x = Tensor(self.data(rng, 16 * T._BLOCK_BYTES // (4 * 64 * 16), 64, 16))
         k = Tensor(self.data(rng, 3, 3, 1, 16))
+        b = Tensor(self.data(rng, 16))
         tracemalloc.start()
         try:
-            T.conv2d(x, k, groups=16)
+            T.conv2d(x, k, b)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -647,7 +653,7 @@ class TestBlockedOpsMatchParentFormulas:
         k = self.data(rng, ksize, ksize, cin // groups, cout)
         b = self.data(rng, cout)
         kwargs = dict(groups=groups, padding=padding, stride=stride)
-        self.check(lambda xt, kt, bt: T.conv2d(xt, kt, bias=bt, **kwargs),
+        self.check(T.conv2d,
                    lambda xa, ka, ba, g: parent_conv2d(xa, ka, ba, g, **kwargs), [x, k, b])
 
 
@@ -694,7 +700,7 @@ class TestTape:
             rng = np.random.default_rng(7)
             x = Tensor(rng.standard_normal((6, 6, 4)).astype(np.float32))
             k = Tensor(rng.standard_normal((3, 3, 4, 4)).astype(np.float32))
-            return T.softmax(T.conv2d(x, k), axis=-1).data
+            return T.softmax(T.conv2d(x, k, zero_bias(k)), axis=-1).data
 
         assert np.array_equal(run(), run())
 
