@@ -87,7 +87,13 @@ def load_weights(path) -> tuple[NetConfig, dict[str, np.ndarray]]:
     tensors: dict[str, np.ndarray] = {}
     for _ in range(count):
         (nlen,) = struct.unpack("<H", take(2))
-        name = take(nlen).decode("utf-8")
+        start = off
+        try:
+            name = take(nlen).decode("utf-8")
+        except UnicodeDecodeError:
+            raise CheckpointError(f"tensor name at byte {start} is not UTF-8") from None
+        if name in tensors:
+            raise CheckpointError(f"tensor {name} appears more than once")
         (ndim,) = struct.unpack("<B", take(1))
         shape = struct.unpack(f"<{ndim}I", take(4 * ndim))
         n = int(np.prod(shape, dtype=np.int64)) if ndim else 1

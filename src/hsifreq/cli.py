@@ -150,35 +150,30 @@ def cmd_metrics(args) -> int:
     return 0
 
 
-def cmd_sweep_kernel(args) -> int:
+def _sweep(args, field: str, values, columns: str, lead) -> int:
+    """Train one model per value of the train flag ``field``, print and write
+    one CSV row each: ``lead(value, result)`` under ``columns``, then the
+    last logged psnr and loss."""
     cubes = _collect_cubes(args.data)
-    rows = ["kernel,psnr,loss"]
-    for k in (int(v) for v in args.kernels.split(",")):
-        a = argparse.Namespace(**vars(args))
-        a.token = k
-        tcfg = _train_config_from(a)
-        mask = _training_mask(a, cubes)
-        result = train(cubes, mask, tcfg)
-        rows.append(f"{k},{result.log[-1][3]:.4f},{result.log[-1][2]:.6g}")
+    rows = [f"{columns},psnr,loss"]
+    for value in values:
+        a = argparse.Namespace(**vars(args) | {field: value})
+        result = train(cubes, _training_mask(a, cubes), _train_config_from(a))
+        _, _, last_loss, psnr = result.log[-1]
+        rows.append(f"{lead(value, result)},{psnr:.4f},{last_loss:.6g}")
         print(rows[-1])
     write_lines(args.out, rows)
     return 0
+
+
+def cmd_sweep_kernel(args) -> int:
+    return _sweep(args, "token", (int(v) for v in args.kernels.split(",")), "kernel",
+                  lambda k, _: k)
 
 
 def cmd_sweep_sharing(args) -> int:
-    cubes = _collect_cubes(args.data)
-    rows = ["share_params,stages,params,psnr,loss"]
-    for share in (True, False):
-        a = argparse.Namespace(**vars(args))
-        a.share_params = share
-        tcfg = _train_config_from(a)
-        mask = _training_mask(args, cubes)
-        result = train(cubes, mask, tcfg)
-        rows.append(f"{share},{args.stages},{result.net.param_count()},"
-                    f"{result.log[-1][3]:.4f},{result.log[-1][2]:.6g}")
-        print(rows[-1])
-    write_lines(args.out, rows)
-    return 0
+    return _sweep(args, "share_params", (True, False), "share_params,stages,params",
+                  lambda share, r: f"{share},{args.stages},{r.net.param_count()}")
 
 
 def cmd_export_maps(args) -> int:

@@ -1,10 +1,11 @@
 """Dense real tensors with a minimal reverse-mode autodiff engine.
 
 The engine records forward operations on an explicit tape (a Wengert list):
-every op appends one node holding the ids of its inputs and a closure that
-maps the upstream gradient to gradients for those inputs.  Running the tape
-in reverse therefore visits each node exactly once and only ever sees inputs
-that were created earlier.
+every op appends one node holding the serials of its output and inputs and a
+closure that maps the upstream gradient to gradients for those inputs.
+Running the tape in reverse therefore visits each node exactly once and only
+ever sees inputs that were created earlier.  Serials come from one counter,
+so unlike an object's id none is reused, and the tape keeps no tensor alive.
 
 Tensors are treated as immutable values once created.  Training mutability
 lives in :class:`Param`, which owns a value tensor and a gradient buffer.
@@ -33,6 +34,7 @@ reconstructions in one process do not interfere.
 
 from __future__ import annotations
 
+import itertools
 import math
 from contextlib import contextmanager
 from contextvars import ContextVar
@@ -41,6 +43,7 @@ from typing import Callable, Iterable, Optional, Sequence
 import numpy as np
 
 _DEFAULT_DTYPE: ContextVar = ContextVar("default_dtype", default=np.float32)
+_SERIALS = itertools.count()
 
 # Bytes per block of the blocked ops; a desk-scale array is a single block.
 _BLOCK_BYTES = 1 << 19
@@ -83,7 +86,7 @@ class Tensor:
     precision mid-graph); anything else is cast to the default dtype.
     """
 
-    __slots__ = ("data",)
+    __slots__ = ("data", "serial")
 
     def __init__(self, data, dtype=None):
         if dtype is None:
@@ -94,6 +97,7 @@ class Tensor:
         arr = np.asarray(data, dtype=dtype)
         # ascontiguousarray would promote 0-d scalars to 1-d
         self.data = np.ascontiguousarray(arr) if arr.ndim else arr
+        self.serial = next(_SERIALS)
 
     @property
     def shape(self) -> tuple:
@@ -135,11 +139,11 @@ def ones(shape, dtype=None) -> Tensor:
 # ---------------------------------------------------------------------------
 
 class _Node:
-    __slots__ = ("out_id", "parent_ids", "backward_fn")
+    __slots__ = ("out_serial", "parent_serials", "backward_fn")
 
-    def __init__(self, out_id, parent_ids, backward_fn):
-        self.out_id = out_id
-        self.parent_ids = parent_ids
+    def __init__(self, out_serial, parent_serials, backward_fn):
+        self.out_serial = out_serial
+        self.parent_serials = parent_serials
         self.backward_fn = backward_fn
 
 
@@ -151,7 +155,6 @@ class Tape:
 
     def __init__(self):
         self.nodes: list[_Node] = []
-        self._live: list[Tensor] = []  # keeps intermediate tensors alive for id stability
 
     def __enter__(self) -> "Tape":
         if _ACTIVE_TAPE.get() is not None:
@@ -168,25 +171,26 @@ class Tape:
         ``loss`` must be a scalar recorded on this tape.  Gradients are
         accumulated into ``param.grad`` for each param whose value tensor was
         reachable; unreachable params keep their existing (zero) grad.
-        Returns the raw ``id(tensor) -> ndarray`` gradient map.
+        Returns the ``tensor.serial -> ndarray`` map of the gradients left at
+        the end: those of the inputs and param values, which no node made.
         """
         if loss.size != 1:
             raise ShapeError(f"backward needs a scalar loss, got shape {loss.shape}")
         grads: dict[int, np.ndarray] = {
-            id(loss): np.ones(loss.shape, dtype=loss.dtype)
+            loss.serial: np.ones(loss.shape, dtype=loss.dtype)
         }
         for node in reversed(self.nodes):
-            g = grads.pop(node.out_id, None)
+            g = grads.pop(node.out_serial, None)
             if g is None:
                 continue
             parent_grads = node.backward_fn(g)
-            for pid, pg in zip(node.parent_ids, parent_grads):
+            for serial, pg in zip(node.parent_serials, parent_grads):
                 if pg is None:
                     continue
-                acc = grads.get(pid)
-                grads[pid] = pg if acc is None else acc + pg
+                acc = grads.get(serial)
+                grads[serial] = pg if acc is None else acc + pg
         for p in params:
-            g = grads.get(id(p.value))
+            g = grads.get(p.value.serial)
             if g is not None:
                 p.grad += g.reshape(p.grad.shape)
         return grads
@@ -194,12 +198,12 @@ class Tape:
 
 def record(out: Tensor, parents: Sequence[Tensor], backward_fn: Callable) -> Tensor:
     """Put ``out``'s node on the active tape, if any, and return ``out``: the
-    one hook of every differentiable op, here and in other modules."""
+    one hook of every differentiable op, here and in other modules.
+    ``backward_fn`` must read only arrays, shapes and scalars, never a Tensor,
+    so that the tape keeps alive only the data that backward reads."""
     tape = _ACTIVE_TAPE.get()
     if tape is not None:
-        tape.nodes.append(_Node(id(out), tuple(id(p) for p in parents), backward_fn))
-        tape._live.append(out)
-        tape._live.extend(parents)
+        tape.nodes.append(_Node(out.serial, tuple(p.serial for p in parents), backward_fn))
     return out
 
 
@@ -301,9 +305,10 @@ def add(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
     _check_binary_shapes(a, b, "add")
     out = Tensor(a.data + b.data)
+    sa, sb = a.shape, b.shape
 
     def bw(g):
-        return _reduce_to(g, a.shape), _reduce_to(g, b.shape)
+        return _reduce_to(g, sa), _reduce_to(g, sb)
 
     return record(out, (a, b), bw)
 
@@ -312,9 +317,10 @@ def sub(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
     _check_binary_shapes(a, b, "sub")
     out = Tensor(a.data - b.data)
+    sa, sb = a.shape, b.shape
 
     def bw(g):
-        return _reduce_to(g, a.shape), _reduce_to(-g, b.shape)
+        return _reduce_to(g, sa), _reduce_to(-g, sb)
 
     return record(out, (a, b), bw)
 
@@ -326,7 +332,7 @@ def mul(a, b) -> Tensor:
     out = Tensor(ad * bd)
 
     def bw(g):
-        return _reduce_to(g * bd, a.shape), _reduce_to(g * ad, b.shape)
+        return _reduce_to(g * bd, ad.shape), _reduce_to(g * ad, bd.shape)
 
     return record(out, (a, b), bw)
 
@@ -338,7 +344,7 @@ def div(a, b) -> Tensor:
     out = Tensor(ad / bd)
 
     def bw(g):
-        return _reduce_to(g / bd, a.shape), _reduce_to(-g * ad / (bd * bd), b.shape)
+        return _reduce_to(g / bd, ad.shape), _reduce_to(-g * ad / (bd * bd), bd.shape)
 
     return record(out, (a, b), bw)
 
@@ -356,9 +362,10 @@ def take_scalar(a: Tensor, index: int) -> Tensor:
     if not 0 <= index < flat.size:
         raise ShapeError(f"take_scalar: index {index} out of range for {a.shape}")
     out = Tensor(np.asarray(flat[index], dtype=a.dtype))
+    shape = a.shape
 
     def bw(g):
-        full = np.zeros(a.shape, dtype=g.dtype)
+        full = np.zeros(shape, dtype=g.dtype)
         full.reshape(-1)[index] = np.asarray(g).reshape(())
         return (full,)
 
@@ -418,11 +425,11 @@ def spatial_mean(x: Tensor) -> Tensor:
     """Global average over the two leading (spatial) axes: [H,W,C] -> [C]."""
     if x.ndim != 3:
         raise ShapeError(f"spatial_mean expects a rank-3 tensor, got {x.shape}")
-    h, w, _ = x.shape
+    h, w, c = x.shape
     out = Tensor(x.data.mean(axis=(0, 1)))
 
     def bw(g):
-        return (np.broadcast_to(g / (h * w), x.shape).astype(g.dtype, copy=True),)
+        return (np.broadcast_to(g / (h * w), (h, w, c)).astype(g.dtype, copy=True),)
 
     return record(out, (x,), bw)
 
@@ -532,10 +539,10 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Ten
     c = x.shape[-1]
     if gamma.shape != (c,) or beta.shape != (c,):
         raise ShapeError(f"layer_norm: scale/shift must have shape ({c},)")
-    xd = x.data
+    xd, gd = x.data, gamma.data
     xr = xd.reshape(-1, c)
     blocks = _leading_blocks(len(xr), xr.nbytes)
-    out_d = np.empty(xr.shape, dtype=np.result_type(xd, gamma.data, beta.data))
+    out_d = np.empty(xr.shape, dtype=np.result_type(xd, gd, beta.data))
     taped = _ACTIVE_TAPE.get() is not None
     xhat = np.empty_like(xd) if taped else np.empty((blocks[0].stop, c), dtype=xd.dtype)
     inv = np.empty(xd.shape[:-1] + (1,), dtype=xd.dtype)
@@ -549,7 +556,7 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Ten
         np.subtract(xb, xb.mean(axis=-1, keepdims=True), out=hb)
         var = np.multiply(hb, hb, out=sq[:n]).mean(axis=-1, keepdims=True)
         hb *= np.divide(1.0, np.sqrt(var + eps), out=inv_r[b])
-        ob = np.multiply(hb, gamma.data, out=out_d[b])
+        ob = np.multiply(hb, gd, out=out_d[b])
         ob += beta.data
     out = Tensor(out_d.reshape(xd.shape))
     lead = tuple(range(xd.ndim - 1))
@@ -557,7 +564,7 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Ten
     def bw(g):
         dgamma = (g * xhat).sum(axis=lead)
         dbeta = g.sum(axis=lead)
-        dxhat = g * gamma.data
+        dxhat = g * gd
         dx = inv * (dxhat
                     - dxhat.mean(axis=-1, keepdims=True)
                     - xhat * (dxhat * xhat).mean(axis=-1, keepdims=True))
@@ -641,7 +648,7 @@ def concat(parts: Sequence[Tensor], axis: int) -> Tensor:
     def bw(g):
         return tuple(
             np.ascontiguousarray(np.take(g, range(offsets[i], offsets[i + 1]), axis=axis))
-            for i in range(len(parts))
+            for i in range(len(sizes))
         )
 
     return record(out, parts, bw)

@@ -127,6 +127,28 @@ class TestCheckpointFormat:
         with pytest.raises(CheckpointError, match="trailing"):
             load_weights(p)
 
+    def test_repeated_name_rejected(self, tmp_path, rng):
+        p = tmp_path / "w.cmdw"
+        save_weights(p, self.cfg(), {"conv.weight": rng.random(3).astype(np.float32),
+                                     "conv.wei9ht": np.full(3, 7.0, dtype=np.float32)})
+        raw = p.read_bytes()
+        forged = raw.replace(b"\x0b\x00conv.wei9ht", b"\x0b\x00conv.weight")
+        assert forged != raw
+        p.write_bytes(forged)
+        with pytest.raises(CheckpointError, match="conv\\.weight appears more than once"):
+            load_weights(p)
+
+    def test_non_utf8_name_reports_offset(self, tmp_path, rng):
+        p = tmp_path / "w.cmdw"
+        save_weights(p, self.cfg(), {"ab": rng.random(3).astype(np.float32)})
+        # magic, version, config, tensor count, name length
+        start = 4 + 2 + struct.calcsize("<6IB3I") + 4 + 2
+        raw = p.read_bytes()
+        assert raw[start:start + 2] == b"ab"
+        p.write_bytes(raw[:start] + b"\xff\xfe" + raw[start + 2:])
+        with pytest.raises(CheckpointError, match=f"name at byte {start} is not UTF-8"):
+            load_weights(p)
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_tensor_named(self, tmp_path, rng, bad):
         fine = rng.random((2, 3)).astype(np.float32)

@@ -12,9 +12,12 @@ from hypothesis import strategies as st
 
 from conftest import gradient_check, wrap_input
 from hsifreq import tensor as T
+from hsifreq.cassi import random_mask, simulate
 from hsifreq.layers import _merge_heads_tokens
+from hsifreq.network import NetConfig
 from hsifreq.optim import Adam, cosine_lr
 from hsifreq.tensor import Param, ShapeError, Tape, Tensor
+from hsifreq.unfolding import UnfoldingNet, loss
 
 
 class TestMatmul:
@@ -450,7 +453,7 @@ class TestBlockedOpsMatchParentFormulas:
             grads = tape.backward(T.sum_all(T.mul(seen, upstream)))
         g = upstream.data.transpose(tuple(range(out.ndim))[::-1]) if transposed \
             else upstream.data
-        return out.data, [grads[id(t)] for t in tensors], g
+        return out.data, [grads[t.serial] for t in tensors], g
 
     def check(self, op, reference, inputs):
         dtype = inputs[0].dtype
@@ -665,10 +668,10 @@ class TestTape:
             T.sum_all(T.gelu(h))
         produced_at = {}
         for i, node in enumerate(tape.nodes):
-            for pid in node.parent_ids:
+            for pid in node.parent_serials:
                 if pid in produced_at:
                     assert produced_at[pid] < i
-            produced_at[node.out_id] = i
+            produced_at[node.out_serial] = i
 
     def test_backward_visits_each_node_once(self, rng):
         p = Param(rng.standard_normal(4), name="p")
@@ -688,6 +691,64 @@ class TestTape:
             tape.backward(out, [p])
         assert len(calls) == len(set(calls)) == len(tape.nodes)
         assert np.allclose(p.grad, 4 * p.value.data)
+
+    def test_no_closure_holds_a_tensor(self, rng):
+        # a desk-scale K=3 training step: 32x32x8, width 24
+        cfg = NetConfig(height=32, width=32, bands=8, token=8, heads=4, base_width=24,
+                        stages=3)
+        net = UnfoldingNet(cfg, random_mask(32, 32, seed=0), seed=1)
+        x = rng.random((32, 32, 8))
+        with Tape() as tape:
+            z = net.forward(simulate(x, net.sensing))
+            tape.backward(loss(z, x.astype(z.dtype)), net.params())
+        held = []
+        for node in tape.nodes:
+            for cell in node.backward_fn.__closure__ or ():
+                value = cell.cell_contents
+                items = value if isinstance(value, (list, tuple)) else (value,)
+                held += [node.backward_fn.__qualname__
+                         for item in items if isinstance(item, Tensor)]
+        assert not held, sorted(set(held))
+
+    def test_chain_of_layout_ops_pins_no_copies(self, rng):
+        x = Tensor(rng.standard_normal((1024, 1024)).astype(np.float32))  # 4 MB
+        tracemalloc.start()
+        try:
+            with Tape() as tape:
+                y = x
+                for _ in range(8):
+                    y = T.transpose(y, (1, 0))
+                tape.backward(T.sum_all(y))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * x.data.nbytes
+
+    def test_reused_ids_leave_gradients_unchanged(self, rng):
+        # Tensors dropped mid-forward free their ids, and the constants made
+        # after them take those ids; the gradient must not notice.
+        data = rng.standard_normal((3, 4))
+        consts = [rng.standard_normal((3, 4)) for _ in range(20)]
+
+        def grad(drop):
+            p = Param(data.copy(), name="p")
+            dropped, made_after = set(), set()
+            with Tape() as tape:
+                h = T.mul(p.value, p.value)
+                for _ in range(1000 if drop else 0):
+                    dropped.add(id(T.scale(T.reshape(h, (4, 3)), 3.0)))
+                out = h
+                for c in consts:
+                    ct = Tensor(c)
+                    made_after.add(id(ct))
+                    out = T.add(T.mul(out, ct), h)
+                tape.backward(T.sum_all(out), [p])
+            return p.grad, dropped & made_after
+
+        expect, _ = grad(drop=False)
+        got, reused = grad(drop=True)
+        assert reused  # the case under test did occur
+        assert np.array_equal(got, expect)
 
     def test_no_nesting(self):
         with Tape():
