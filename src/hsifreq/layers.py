@@ -131,21 +131,13 @@ def split_tokens(x: Tensor, k: int) -> Tensor:
     return T.reshape(t, ((h // k) * (w // k), k * k, c))
 
 
-def _split_heads(x: Tensor, heads: int) -> Tensor:
-    """[n, L, C] -> [n*heads, L, C/heads]; batch index is token*heads + head."""
-    n, l, c = x.shape
-    t = T.reshape(x, (n, l, heads, c // heads))
-    t = T.transpose(t, (0, 2, 1, 3))
-    return T.reshape(t, (n * heads, l, c // heads))
-
-
-def _merge_heads_tokens(x: Tensor, h: int, w: int, k: int) -> Tensor:
-    """[n*heads, K*K, C/heads] -> [H,W,C] in one copy: the inverse of
-    :func:`_split_heads` after :func:`split_tokens`."""
-    nh, l, ch = x.shape
-    heads = nh // ((h // k) * (w // k))
-    t = T.reshape(x, (h // k, w // k, heads, k, k, ch))
-    t = T.transpose(t, (0, 3, 1, 4, 2, 5))
+def merge_tokens(x: Tensor, h: int, w: int, k: int) -> Tensor:
+    """[n, heads, K*K, C/heads] -> [H,W,C]: the inverse of
+    :func:`tensor.head_view` after :func:`split_tokens`.  For a head view the
+    heads merge without a copy, and the one copy moves whole pixels."""
+    _, heads, _, ch = x.shape
+    t = T.reshape(T.transpose(x, (0, 2, 1, 3)), (h // k, w // k, k, k, heads * ch))
+    t = T.transpose(t, (0, 2, 1, 3, 4))
     return T.reshape(t, (h, w, heads * ch))
 
 
@@ -155,9 +147,10 @@ def _merge_heads_tokens(x: Tensor, h: int, w: int, k: int) -> Tensor:
 
 class TokenAttention(Layer):
     """What both token-attention layers share: q/k/v channel projections of
-    each K x K x C token, the head split, a learnable per-head position bias
-    of shape [heads, side, side] on the pre-softmax logits, and a 1x1 output
-    conv.  Subclasses differ only in the attention product."""
+    each K x K x C token, read per head as head views [n, heads, K*K, C/heads]
+    of the [n, K*K, C] projections (no head copy), a learnable per-head
+    position bias of shape [heads, side, side] on the pre-softmax logits, and
+    a 1x1 output conv.  Subclasses differ only in the attention product."""
 
     def __init__(self, channels: int, token: int, heads: int, side: int,
                  rng: np.random.Generator):
@@ -173,13 +166,12 @@ class TokenAttention(Layer):
         self.out = Conv2d(channels, channels, 1, rng)
 
     def _qkv(self, x: Tensor) -> tuple[Tensor, Tensor, Tensor]:
-        """q, k and v of ``x``'s tokens, each [n*heads, K*K, C/heads]; the
-        token copy is dropped on return."""
+        """q, k and v of ``x``'s tokens, each the head view
+        [n, heads, K*K, C/heads] of its projection; the token copy is
+        dropped on return."""
         tokens = split_tokens(x, self.token)
-        q = _split_heads(T.bmm(tokens, self.wq.value), self.heads)
-        kk = _split_heads(T.bmm(tokens, self.wk.value), self.heads)
-        v = _split_heads(T.bmm(tokens, self.wv.value), self.heads)
-        return q, kk, v
+        return tuple(T.head_view(T.bmm(tokens, w.value), self.heads)
+                     for w in (self.wq, self.wk, self.wv))
 
 
 class FreqSpectralAttention(TokenAttention):
@@ -195,18 +187,18 @@ class FreqSpectralAttention(TokenAttention):
     def __call__(self, f: Tensor) -> Tensor:
         h, w, c = f.shape
         q, kk, v = self._qkv(f)
-        logits = T.bmm(T.transpose(q, (0, 2, 1)), kk)
+        # q^T is a copy: a GEMM on its transposed view sums in another order
+        logits = T.bmm(T.transpose(q, (0, 1, 3, 2)), kk)
         del q, kk
         logits = T.scale_add_heads(logits, 1.0 / math.sqrt(c), self.pos.value)
         attn = T.softmax(logits, axis=-1)
         del logits
         maps = _ATTENTION_MAPS.get()
         if maps is not None:
-            maps[self] = attn.data.mean(axis=0)
+            maps[self] = attn.data.mean(axis=(0, 1))
         mixed = T.bmm(v, attn)
         del v, attn
-        mixed = _merge_heads_tokens(mixed, h, w, self.token)
-        return self.out(mixed)
+        return self.out(merge_tokens(mixed, h, w, self.token))
 
 
 class FreqLocalMixer(Layer):
@@ -247,17 +239,15 @@ class SpaceAttention(TokenAttention):
 
     def __call__(self, x: Tensor) -> Tensor:
         h, w, c = x.shape
-        k = self.token
         q, kk, v = self._qkv(x)
         maps = _ATTENTION_MAPS.get()
-        probs = None if maps is None else np.empty((q.shape[0], k * k, k * k), q.dtype)
+        probs = None if maps is None else np.empty(q.shape[:3] + kk.shape[2:3], q.dtype)
         mixed = T.attention(q, kk, v, 1.0 / math.sqrt(c / self.heads), self.pos.value,
                             probs=probs)
         del q, kk, v
         if maps is not None:
-            maps[self] = probs.mean(axis=0)
-        mixed = _merge_heads_tokens(mixed, h, w, k)
-        return self.out(mixed)
+            maps[self] = probs.mean(axis=(0, 1))
+        return self.out(merge_tokens(mixed, h, w, self.token))
 
 
 # ---------------------------------------------------------------------------

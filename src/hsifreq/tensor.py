@@ -12,8 +12,15 @@ lives in :class:`Param`, which owns a value tensor and a gradient buffer.
 
 Only three broadcasting forms are supported by the arithmetic ops: scalar
 vs. tensor, a per-channel bias over the last axis (``add_bias``), and a
-per-head term over a token*heads batch axis (``scale_add_heads``).  Everything
-else must be reshaped explicitly; shape mismatches raise ``ShapeError``.
+per-head term over the token axis of [n, heads, L, M] logits
+(``scale_add_heads``).  Everything else must be reshaped explicitly; shape
+mismatches raise ``ShapeError``.
+
+Token attention works on head views: ``head_view`` shows [n, L, C] tokens as
+[n, heads, L, C/heads] without a copy, ``attention`` and ``bmm`` take such
+views as operands, and their products with a head view of v are head views
+of new [n, L, C'] arrays, so the heads merge back into the token layout
+without a copy.
 
 The forward passes of ``gelu``, ``layer_norm``, ``attention``, ``gate_blend``
 and every ``conv2d`` but the dense 1 x 1 one run over blocks of the leading
@@ -80,7 +87,9 @@ def using_dtype(dtype):
 
 
 class Tensor:
-    """A dense multi-dimensional real value, contiguous and row-major.
+    """A dense multi-dimensional real value, contiguous and row-major; the
+    one exception is a head view (see :func:`head_view`), which the ops make
+    through :func:`_view_tensor`.
 
     Floating numpy inputs keep their dtype (ops must not silently change
     precision mid-graph); anything else is cast to the default dtype.
@@ -120,6 +129,14 @@ class Tensor:
 
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape}, dtype={self.data.dtype.name})"
+
+
+def _view_tensor(data: np.ndarray) -> Tensor:
+    """A Tensor holding an op's floating result as it is, strides included."""
+    out = Tensor.__new__(Tensor)
+    out.data = data
+    out.serial = next(_SERIALS)
+    return out
 
 
 def as_tensor(x, dtype=None) -> Tensor:
@@ -506,9 +523,24 @@ def softplus(x: Tensor) -> Tensor:
     return record(out, (x,), lambda g: (g / (1.0 + np.exp(-xd)),))
 
 
-def _softmax_into(x: np.ndarray, y: np.ndarray, axis: int) -> None:
-    """y = softmax(x) along ``axis``; ``y`` may be ``x`` itself."""
-    np.subtract(x, x.max(axis=axis, keepdims=True), out=y)
+def _softmax_into(x: np.ndarray, y: np.ndarray, axis: int,
+                  work: Optional[np.ndarray] = None) -> None:
+    """y = softmax(x) along ``axis``; ``y`` may be ``x`` itself.
+
+    Along the last axis the row max reads a copy of ``x`` with its last two
+    axes swapped, made in ``work`` when given: a max down the columns runs
+    over whole rows at once, about twice as fast as one along each short row,
+    and a max is exact, so the result is the same.
+    """
+    if x.ndim > 1 and axis % x.ndim == x.ndim - 1:
+        if work is None:
+            work = np.ascontiguousarray(x.swapaxes(-1, -2))
+        else:
+            np.copyto(work, x.swapaxes(-1, -2))
+        mx = work.max(axis=-2)[..., None]
+    else:
+        mx = x.max(axis=axis, keepdims=True)
+    np.subtract(x, mx, out=y)
     np.exp(y, out=y)
     y /= y.sum(axis=axis, keepdims=True)
 
@@ -592,11 +624,14 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 
 
 def bmm(a: Tensor, b: Tensor) -> Tensor:
-    """Batched matmul: [B,M,K] x [B,K,N] -> [B,M,N], or [B,M,K] x [K,N]."""
+    """Batched matmul: [B,M,K] x [B,K,N] -> [B,M,N], the same over two batch
+    axes [n,heads,...], or [B,M,K] x [K,N].
+
+    The product takes ``a``'s memory order, so the product of a head view
+    (see :func:`head_view`) is the head view of a new [n, M, heads*N] array.
+    """
     ad, bd = a.data, b.data
-    if ad.ndim != 3 or bd.ndim not in (2, 3):
-        raise ShapeError(f"bmm: incompatible ranks {a.shape} x {b.shape}")
-    if bd.ndim == 2:
+    if ad.ndim == 3 and bd.ndim == 2:
         if ad.shape[2] != bd.shape[0]:
             raise ShapeError(f"bmm: inner dims differ {a.shape} x {b.shape}")
         out = Tensor(ad @ bd)
@@ -607,16 +642,19 @@ def bmm(a: Tensor, b: Tensor) -> Tensor:
             db = np.tensordot(ad, g, axes=([0, 1], [0, 1]))
             return da, db
 
-    else:
-        if ad.shape[0] != bd.shape[0] or ad.shape[2] != bd.shape[1]:
-            raise ShapeError(f"bmm: incompatible shapes {a.shape} x {b.shape}")
-        out = Tensor(ad @ bd)
-        add_flops(2 * ad.shape[0] * ad.shape[1] * ad.shape[2] * bd.shape[2])
+        return record(out, (a, b), bw)
+    if ad.ndim not in (3, 4) or bd.ndim != ad.ndim:
+        raise ShapeError(f"bmm: incompatible ranks {a.shape} x {b.shape}")
+    if ad.shape[:-2] != bd.shape[:-2] or ad.shape[-1] != bd.shape[-2]:
+        raise ShapeError(f"bmm: incompatible shapes {a.shape} x {b.shape}")
+    out_d = np.empty_like(ad, dtype=np.result_type(ad, bd),
+                          shape=ad.shape[:-1] + bd.shape[-1:])
+    np.matmul(ad, bd, out=out_d)
+    out = _view_tensor(out_d)
+    add_flops(2 * math.prod(ad.shape) * bd.shape[-1])
 
-        def bw(g):
-            da = g @ bd.transpose(0, 2, 1)
-            db = ad.transpose(0, 2, 1) @ g
-            return da, db
+    def bw(g):
+        return g @ bd.swapaxes(-1, -2), ad.swapaxes(-1, -2) @ g
 
     return record(out, (a, b), bw)
 
@@ -637,6 +675,21 @@ def transpose(a: Tensor, axes) -> Tensor:
     inv = tuple(np.argsort(axes))
     out = Tensor(np.ascontiguousarray(a.data.transpose(axes)))
     return record(out, (a,), lambda g: (g.transpose(inv),))
+
+
+def head_view(x: Tensor, heads: int) -> Tensor:
+    """[n, L, C] tokens seen as [n, heads, L, C/heads] without a copy: head
+    i holds channels i*C/heads up to (i+1)*C/heads.  The gradient goes back
+    to the token layout as a reshape of its transposed view, which copies
+    once unless that view flattens as it is: a gradient then has the strides
+    it had after a head copy's backward, so later GEMMs read it alike."""
+    if x.ndim != 3 or x.shape[2] % heads:
+        raise ShapeError(f"head_view: {x.shape} is not [n, L, C] with C divisible "
+                         f"by {heads} heads")
+    n, length, c = x.shape
+    out = _view_tensor(x.data.reshape(n, length, heads, c // heads).transpose(0, 2, 1, 3))
+    return record(out, (x,),
+                  lambda g: (g.transpose(0, 2, 1, 3).reshape(n, length, c),))
 
 
 def concat(parts: Sequence[Tensor], axis: int) -> Tensor:
@@ -662,105 +715,108 @@ def _scale_add_into(x: np.ndarray, s: float, pos: np.ndarray, y: np.ndarray) -> 
 
 
 def scale_add_heads(logits: Tensor, s: float, pos: Tensor) -> Tensor:
-    """Scaled attention logits plus a per-head bias: logits*s + pos[i % heads].
+    """Scaled attention logits plus a per-head bias: logits*s + pos[head].
 
-    ``logits`` is [n*heads, L, M] with batch index token*heads + head, and
-    ``pos`` is [heads, L, M]; the bias is broadcast over the n tokens, never
-    copied n times.
+    ``logits`` is [n, heads, L, M], as a product of head views is (see
+    :func:`head_view`), and ``pos`` is [heads, L, M]; the bias is broadcast
+    over the n tokens, never copied n times.
     """
-    if logits.ndim != 3 or pos.ndim != 3 or logits.shape[1:] != pos.shape[1:] \
-            or logits.shape[0] % pos.shape[0]:
+    if logits.ndim != 4 or pos.ndim != 3 or logits.shape[1:] != pos.shape:
         raise ShapeError(f"scale_add_heads: bias {pos.shape} does not match "
                          f"logits {logits.shape}")
     s = float(s)
-    split = (logits.shape[0] // pos.shape[0],) + pos.shape
-    ld = logits.data.reshape(split)
-    out_d = np.empty_like(ld)
-    _scale_add_into(ld, s, pos.data, out_d)
-    out = Tensor(out_d.reshape(logits.shape))
+    out_d = np.empty_like(logits.data)
+    _scale_add_into(logits.data, s, pos.data, out_d)
+    out = Tensor(out_d)
 
     def bw(g):
-        return g * s, g.reshape(split).sum(axis=0)
+        return g * s, g.sum(axis=0)
 
     return record(out, (logits, pos), bw)
 
 
 def attention(q: Tensor, k: Tensor, v: Tensor, s: float, pos: Tensor,
               probs: Optional[np.ndarray] = None) -> Tensor:
-    """Positional attention softmax(q @ k^T * s + pos[i % heads]) @ v, fused.
+    """Positional attention softmax(q @ k^T * s + pos[head]) @ v, fused.
 
-    ``q`` is [n*heads, L, C], ``k`` [n*heads, M, C], ``v`` [n*heads, M, Cv]
-    and ``pos`` [heads, L, M], with batch index token*heads + head.  The
-    forward runs over blocks of whole tokens holding about _BLOCK_BYTES of
-    logits, each with the arithmetic of the unfused transpose, bmm,
-    scale_add_heads, softmax and bmm chain, so the [n*heads, L, M] logits are
-    never held whole.  The probabilities are kept whole only for a tape's
+    ``q`` is [n, heads, L, C], ``k`` [n, heads, M, C], ``v`` [n, heads, M, Cv]
+    and ``pos`` [heads, L, M]; q, k and v may be head views (see
+    :func:`head_view`), and the output is the head view of a new
+    [n, L, heads*Cv] array.  The forward runs over blocks of whole tokens
+    holding about _BLOCK_BYTES of logits, each with the arithmetic of the
+    unfused transpose, bmm, scale_add_heads, softmax and bmm chain, so the
+    [n, heads, L, M] logits are never held whole, and k^T is never copied
+    whole.  The probabilities are kept whole only for a tape's
     backward, or when the caller passes ``probs``, a C-contiguous
-    [n*heads, L, M] array of the logits' dtype that receives them.
+    [n, heads, L, M] array of the logits' dtype that receives them.
     """
     qd, kd, vd, pd = q.data, k.data, v.data, pos.data
-    if qd.ndim != 3 or kd.ndim != 3 or vd.ndim != 3 or pd.ndim != 3 \
-            or kd.shape[0] != qd.shape[0] or kd.shape[2] != qd.shape[2] \
-            or vd.shape[:2] != kd.shape[:2] or pd.shape[1:] != (qd.shape[1], kd.shape[1]) \
-            or qd.shape[0] % pd.shape[0]:
+    if qd.ndim != 4 or kd.ndim != 4 or vd.ndim != 4 or pd.ndim != 3 \
+            or kd.shape[:2] != qd.shape[:2] or kd.shape[3] != qd.shape[3] \
+            or vd.shape[:3] != kd.shape[:3] or pd.shape != qd.shape[1:3] + kd.shape[2:3]:
         raise ShapeError(f"attention: shapes q {q.shape}, k {k.shape}, v {v.shape} "
                          f"and pos {pos.shape} do not match")
-    nh, length, c = qd.shape
-    m = kd.shape[1]
-    heads = pd.shape[0]
-    split = (nh // heads,) + pd.shape
+    n, heads, length, c = qd.shape
+    m, cv = kd.shape[2], vd.shape[3]
     s = float(s)
     dtype = np.result_type(qd, kd)
-    if probs is not None and (probs.shape != (nh, length, m) or probs.dtype != dtype
+    if probs is not None and (probs.shape != (n, heads, length, m) or probs.dtype != dtype
                               or not probs.flags.c_contiguous):
         raise ShapeError(f"attention: probs must be a C-contiguous {dtype} array of "
-                         f"shape {(nh, length, m)}")
+                         f"shape {(n, heads, length, m)}")
     if probs is None and _ACTIVE_TAPE.get() is not None:
-        probs = np.empty((nh, length, m), dtype=dtype)
-    kt = np.ascontiguousarray(kd.transpose(0, 2, 1))
-    blocks = _leading_blocks(split[0], nh * length * m * dtype.itemsize)
+        probs = np.empty((n, heads, length, m), dtype=dtype)
+    # the output before the block buffers: allocated after them, it left a
+    # 256x256x28 reconstruct's peak RSS about 10 MB higher
+    out_d = np.empty((n, length, heads, cv),
+                     dtype=np.result_type(dtype, vd)).transpose(0, 2, 1, 3)
+    blocks = _leading_blocks(n, n * heads * length * m * dtype.itemsize)
     work = None if probs is not None \
-        else np.empty((blocks[0].stop * heads, length, m), dtype=dtype)
-    out_d = np.empty((nh, length, vd.shape[2]), dtype=np.result_type(dtype, vd))
+        else np.empty((blocks[0].stop, heads, length, m), dtype=dtype)
+    rows_t = np.empty((blocks[0].stop, heads, m, length), dtype=dtype)
     for b in blocks:
-        r = slice(b.start * heads, b.stop * heads)
-        pb = probs[r] if work is None else work[:r.stop - r.start]
-        np.matmul(qd[r], kt[r], out=pb)
-        sb = pb.reshape((b.stop - b.start,) + pd.shape)
-        _scale_add_into(sb, s, pd, sb)
-        _softmax_into(pb, pb, -1)
-        np.matmul(pb, vd[r], out=out_d[r])
-    out = Tensor(out_d)
-    add_flops(2 * nh * length * c * m + 2 * nh * length * m * vd.shape[2])
+        nb = b.stop - b.start
+        pb = probs[b] if work is None else work[:nb]
+        # k^T as a transposed view sums as the chain's contiguous kt did at
+        # every head width the network runs; the parent-formula tests pin it
+        np.matmul(qd[b], kd[b].swapaxes(-1, -2), out=pb)
+        _scale_add_into(pb, s, pd, pb)
+        _softmax_into(pb, pb, -1, rows_t[:nb])
+        np.matmul(pb, vd[b], out=out_d[b])
+    out = _view_tensor(out_d)
+    add_flops(2 * n * heads * length * m * (c + cv))
 
     def bw(g):
         # The unfused chain's backward, op by op in tape order, over blocks of
-        # whole tokens whose two temporaries hold about _BLOCK_BYTES.  dk is
-        # the transposed view of q^T @ dlog, as in the chain, and the bias
+        # whole tokens whose two temporaries hold about _BLOCK_BYTES.  dq
+        # reads k through a contiguous transposed copy per block, the chain's
+        # kt: a GEMM on k's plain view sums in another order.  dk is the
+        # transposed view of q^T @ dlog, as in the chain, and the bias
         # gradient sums the tokens in order: each block's first token carries
         # the total of the blocks before it.
         dt = np.result_type(g, vd, probs)
         dq = np.empty(qd.shape, dtype=dt)
-        dkt = np.empty((nh, c, m), dtype=dt)
-        dv = np.empty((nh, m, g.shape[2]), dtype=dt)
+        dkt = np.empty((n, heads, c, m), dtype=dt)
+        dv = np.empty((n, heads, m, g.shape[3]), dtype=dt)
         dpos = np.empty(pd.shape, dtype=dt)
-        bblocks = _leading_blocks(split[0], 2 * nh * length * m * dt.itemsize)
-        da, dlog = np.empty((2, bblocks[0].stop * heads, length, m), dtype=dt)
+        bblocks = _leading_blocks(n, 2 * n * heads * length * m * dt.itemsize)
+        da, dlog = np.empty((2, bblocks[0].stop, heads, length, m), dtype=dt)
+        kt = np.empty((bblocks[0].stop, heads, c, m), dtype=kd.dtype)
         for b in bblocks:
-            r = slice(b.start * heads, b.stop * heads)
-            pb, ab, lb = probs[r], da[:r.stop - r.start], dlog[:r.stop - r.start]
-            np.matmul(g[r], vd[r].transpose(0, 2, 1), out=ab)  # da
-            np.matmul(pb.transpose(0, 2, 1), g[r], out=dv[r])
+            nb = b.stop - b.start
+            pb, ab, lb, kb = probs[b], da[:nb], dlog[:nb], kt[:nb]
+            np.matmul(g[b], vd[b].swapaxes(-1, -2), out=ab)  # da
+            np.matmul(pb.swapaxes(-1, -2), g[b], out=dv[b])
             ab -= np.multiply(ab, pb, out=lb).sum(axis=-1, keepdims=True)
             ab *= pb  # dsl
             np.multiply(ab, s, out=lb)  # dlog
-            np.matmul(lb, kt[r].transpose(0, 2, 1), out=dq[r])
-            np.matmul(qd[r].transpose(0, 2, 1), lb, out=dkt[r])
-            sb = ab.reshape((b.stop - b.start,) + pd.shape)
+            np.copyto(kb, kd[b].swapaxes(-1, -2))
+            np.matmul(lb, kb.swapaxes(-1, -2), out=dq[b])
+            np.matmul(qd[b].swapaxes(-1, -2), lb, out=dkt[b])
             if b.start:
-                sb[0] += dpos
-            sb.sum(axis=0, out=dpos)
-        return dq, dkt.transpose(0, 2, 1), dv, dpos
+                ab[0] += dpos
+            ab.sum(axis=0, out=dpos)
+        return dq, dkt.swapaxes(-1, -2), dv, dpos
 
     return record(out, (q, k, v, pos), bw)
 

@@ -307,13 +307,19 @@ class TestPipeline:
 class TestSweeps:
     def test_sweep_kernel(self, tmp_path, scene_file):
         out = tmp_path / "kernels.csv"
+        # two steps: the last logged row follows an update, so its psnr and
+        # loss depend on the token size (step 0's loss precedes any update,
+        # where the prior is still the identity)
         code = main(["sweep-kernel", "--data", str(scene_file), "--kernels", "2,4",
-                     "--steps", "1", "--stages", "1", "--heads", "2",
+                     "--steps", "2", "--stages", "1", "--heads", "2",
                      "--no-augment", "--out", str(out)])
         assert code == 0
         lines = out.read_text().splitlines()
         assert lines[0] == "kernel,psnr,loss"
         assert len(lines) == 3
+        rows = [line.split(",") for line in lines[1:]]
+        assert [r[0] for r in rows] == ["2", "4"]
+        assert rows[0][1] != rows[1][1] and rows[0][2] != rows[1][2]
 
     def test_sweep_sharing(self, tmp_path, scene_file):
         out = tmp_path / "sharing.csv"

@@ -13,8 +13,8 @@ from hsifreq.dct import dct2_cube
 from hsifreq.cassi import SensingConfig, random_mask, simulate
 from hsifreq.hsio import SceneSpec, gen_scene
 from hsifreq.layers import (Conv2d, DualDomainBlock, FreqLocalMixer, FreqSpectralAttention,
-                            Layer, SpaceAttention, _merge_heads_tokens, _split_heads,
-                            attention_maps, gate_merge, split_tokens)
+                            Layer, SpaceAttention, attention_maps, gate_merge, merge_tokens,
+                            split_tokens)
 from hsifreq.network import NetConfig, PriorNet, StepEstimator
 from hsifreq.tensor import Param, Tape, Tensor, xavier_uniform
 from hsifreq.unfolding import UnfoldingNet
@@ -94,7 +94,7 @@ def test_attention_param_layout_and_seeded_init(cls, side):
 class TestTokenLayout:
     def test_split_merge_round_trip(self, rng):
         x = Tensor(rng.standard_normal((8, 12, 6)))
-        back = _merge_heads_tokens(_split_heads(split_tokens(x, 4), 2), 8, 12, 4)
+        back = merge_tokens(T.head_view(split_tokens(x, 4), 2), 8, 12, 4)
         assert np.array_equal(back.data, x.data)
 
     def test_split_needs_divisibility(self, rng):
@@ -315,17 +315,53 @@ class TestSpaceAttention:
         gradient_check(build, [x] + attn.params(), rel_tol=1e-4, samples=4)
 
 
-def composed_attention_probs(layer, x):
-    """The probabilities of an attention layer's call on ``x``, by the composed
-    transpose, bmm, scale_add_heads and softmax ops."""
-    c = x.shape[2]
+# The parent's attention layers, composed from the tape ops as they ran
+# before head views: head copies, the transpose, bmm, scale_add_heads,
+# softmax and bmm chain, and the one-copy head/token merge.
+
+def parent_split_heads(x, heads):
+    """[n, L, C] -> [n*heads, L, C/heads]; batch index is token*heads + head."""
+    n, length, c = x.shape
+    t = T.reshape(x, (n, length, heads, c // heads))
+    t = T.transpose(t, (0, 2, 1, 3))
+    return T.reshape(t, (n * heads, length, c // heads))
+
+
+def parent_merge_heads_tokens(x, h, w, k):
+    """[n*heads, K*K, C/heads] -> [H,W,C] in one copy."""
+    nh, length, ch = x.shape
+    heads = nh // ((h // k) * (w // k))
+    t = T.reshape(x, (h // k, w // k, heads, k, k, ch))
+    t = T.transpose(t, (0, 3, 1, 4, 2, 5))
+    return T.reshape(t, (h, w, heads * ch))
+
+
+def parent_scale_add_heads(logits, s, pos):
+    """logits*s + pos[i % heads] for [n*heads, L, M] logits."""
+    split = (logits.shape[0] // pos.shape[0],) + pos.shape
+    return T.reshape(T.scale_add_heads(T.reshape(logits, split), s, pos), logits.shape)
+
+
+def parent_attention_layer(layer, x):
+    """The parent's call of an attention layer on ``x``: its output and its
+    [n*heads, L, M] probabilities."""
+    h, w, c = x.shape
     tokens = split_tokens(x, layer.token)
-    q, kk = (_split_heads(T.bmm(tokens, w.value), layer.heads) for w in (layer.wq, layer.wk))
+    q, kk, v = (parent_split_heads(T.bmm(tokens, p.value), layer.heads)
+                for p in (layer.wq, layer.wk, layer.wv))
     if isinstance(layer, SpaceAttention):
         logits, s = T.bmm(q, T.transpose(kk, (0, 2, 1))), 1.0 / math.sqrt(c / layer.heads)
     else:
         logits, s = T.bmm(T.transpose(q, (0, 2, 1)), kk), 1.0 / math.sqrt(c)
-    return T.softmax(T.scale_add_heads(logits, s, layer.pos.value), axis=-1).data
+    attn = T.softmax(parent_scale_add_heads(logits, s, layer.pos.value), axis=-1)
+    mixed = T.bmm(attn, v) if isinstance(layer, SpaceAttention) else T.bmm(v, attn)
+    return layer.out(parent_merge_heads_tokens(mixed, h, w, layer.token)), attn
+
+
+def composed_attention_probs(layer, x):
+    """The probabilities of an attention layer's call on ``x``, by the composed
+    transpose, bmm, scale_add_heads and softmax ops."""
+    return parent_attention_layer(layer, x)[1].data
 
 
 def all_layers(layer):
@@ -376,6 +412,45 @@ class TestAttentionMaps:
             assert after.keys() == before[id(layer)].keys()
             assert all(after[name] is value for name, value in before[id(layer)].items())
         assert maps == {}
+
+
+class TestAttentionLayersMatchParentComposition:
+    """Both attention layers, on head views of the token layout, equal the
+    parent's composition bit for bit: the output, the attention map of a
+    taped and of an untaped call, and the gradient of the input and of every
+    param, strides included.  21 tokens of 8x8 end the fused op's blocks
+    raggedly at either dtype."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("ch", [6, 7, 12, 14])
+    @pytest.mark.parametrize("cls", [SpaceAttention, FreqSpectralAttention])
+    def test_matches_parent(self, cls, ch, dtype):
+        heads, k, h, w = 4, 8, 24, 56
+        gen = np.random.default_rng(ch)
+        with T.using_dtype(dtype):
+            layer = cls(heads * ch, k, heads, gen)
+            layer.pos.assign(gen.standard_normal(layer.pos.shape))
+            layer.out.bias.assign(gen.standard_normal(layer.out.bias.shape))
+            x = Tensor(3 * gen.standard_normal((h, w, heads * ch)), dtype=dtype)
+            upstream = Tensor(gen.standard_normal(x.shape), dtype=dtype)
+            runs = []
+            for call in (lambda t: (layer(t), None), lambda t: parent_attention_layer(layer, t)):
+                with attention_maps() as maps, Tape() as tape:
+                    out, attn = call(x)
+                    grads = tape.backward(T.sum_all(T.mul(out, upstream)))
+                mean_map = maps[layer] if attn is None else attn.data.mean(axis=0)
+                runs.append((out.data, mean_map,
+                             [grads[t.serial] for t in [x] + [p.value for p in layer.params()]]))
+            with attention_maps() as maps:
+                layer(x)
+        (out, mean_map, got), (expect_out, expect_map, expect) = runs
+        assert out.dtype == dtype and np.array_equal(out, expect_out)
+        assert mean_map.dtype == dtype and mean_map.shape == expect_map.shape
+        assert mean_map.tobytes() == expect_map.tobytes() == maps[layer].tobytes()
+        assert len(got) == len(expect) == 7
+        for a, e in zip(got, expect):
+            assert a.dtype == dtype and a.strides == e.strides
+            assert np.array_equal(a, e)
 
 
 class TestDualDomainBlock:

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from conftest import gradient_check, wrap_input
 from hsifreq import tensor as T
 from hsifreq.cassi import random_mask, simulate
-from hsifreq.layers import _merge_heads_tokens
+from hsifreq.layers import merge_tokens
 from hsifreq.network import NetConfig
 from hsifreq.optim import Adam, cosine_lr
 from hsifreq.tensor import Param, ShapeError, Tape, Tensor
@@ -253,7 +253,7 @@ class TestOpGradients:
     def test_layout_ops(self, f64, rng):
         x = wrap_input(rng.standard_normal((4, 6, 2)), "x")
         p = wrap_input(rng.standard_normal((2, 3, 3)), "p")
-        lg = wrap_input(rng.standard_normal((6, 3, 3)), "logits")
+        lg = wrap_input(rng.standard_normal((3, 2, 3, 3)), "logits")
 
         def build():
             t = T.transpose(T.reshape(x.value, (2, 2, 6, 2)), (1, 0, 2, 3))
@@ -265,16 +265,32 @@ class TestOpGradients:
         gradient_check(build, [x, p, lg], rel_tol=1e-5, samples=8)
 
     def test_attention(self, f64, rng):
-        q = wrap_input(rng.standard_normal((4, 3, 2)), "q")
-        k = wrap_input(rng.standard_normal((4, 5, 2)), "k")
-        v = wrap_input(rng.standard_normal((4, 5, 3)), "v")
+        q = wrap_input(rng.standard_normal((2, 2, 3, 2)), "q")
+        k = wrap_input(rng.standard_normal((2, 2, 5, 2)), "k")
+        v = wrap_input(rng.standard_normal((2, 2, 5, 3)), "v")
         p = wrap_input(rng.standard_normal((2, 3, 5)), "pos")
 
         def build():
             out = T.attention(q.value, k.value, v.value, 0.7, p.value)
-            return T.sum_all(T.mul(out, Tensor(np.arange(36.0).reshape(4, 3, 3))))
+            return T.sum_all(T.mul(out, Tensor(np.arange(36.0).reshape(2, 2, 3, 3))))
 
         gradient_check(build, [q, k, v, p], rel_tol=1e-5, samples=8)
+
+    def test_head_views(self, f64, rng):
+        # attention and both bmm forms on head views of token-layout arrays
+        tq, tk, tv = (wrap_input(rng.standard_normal((2, 5, 6)), n) for n in "qkv")
+        p = wrap_input(rng.standard_normal((3, 5, 5)), "pos")
+        w = Tensor(rng.standard_normal((2, 5, 6)))
+
+        def build():
+            q, k, v = (T.head_view(t.value, 3) for t in (tq, tk, tv))
+            mixed = T.bmm(v, T.softmax(T.bmm(T.transpose(q, (0, 1, 3, 2)), k), axis=-1))
+            mixed = T.transpose(mixed, (0, 2, 1, 3))
+            out = T.transpose(T.attention(q, k, v, 0.7, p.value), (0, 2, 1, 3))
+            return T.sum_all(T.mul(T.add(T.reshape(out, w.shape), T.reshape(mixed, w.shape)),
+                                   w))
+
+        gradient_check(build, [tq, tk, tv, p], rel_tol=1e-5, samples=8)
 
     def test_conv_ops(self, f64, rng):
         x = wrap_input(rng.standard_normal((4, 4, 2)), "x")
@@ -339,22 +355,25 @@ def parent_softmax(x, g, axis):
 
 
 def parent_scale_add_tiled(logits, pos, s, g):
-    n = logits.shape[0] // pos.shape[0]
-    out = logits * s + np.tile(pos, (n, 1, 1))
+    """Over [n*heads, L, M] logits, or [n, heads, L, M] ones: the same
+    arithmetic in the same memory order."""
+    n = logits.size // pos.size
+    out = logits * s + np.tile(pos, (n, 1, 1)).reshape(logits.shape)
     return out, [g * s, g.reshape((n,) + pos.shape).sum(axis=0)]
 
 
 def parent_attention(q, k, v, pos, s, g):
-    """The composed chain transpose, bmm, scale_add_heads, softmax, bmm."""
-    kt = np.ascontiguousarray(k.transpose(0, 2, 1))
+    """The composed chain transpose, bmm, scale_add_heads, softmax, bmm, over
+    one batch axis [n*heads] or two [n, heads]."""
+    kt = np.ascontiguousarray(k.swapaxes(-1, -2))
     logits = q @ kt
-    da = g @ v.transpose(0, 2, 1)
+    da = g @ v.swapaxes(-1, -2)
     sl, _ = parent_scale_add_tiled(logits, pos, s, da)
     p, [dsl] = parent_softmax(sl, da, -1)
     _, [dlog, dpos] = parent_scale_add_tiled(logits, pos, s, dsl)
-    dq = dlog @ kt.transpose(0, 2, 1)
-    dk = (q.transpose(0, 2, 1) @ dlog).transpose(0, 2, 1)
-    return p @ v, [dq, dk, p.transpose(0, 2, 1) @ g, dpos]
+    dq = dlog @ kt.swapaxes(-1, -2)
+    dk = (q.swapaxes(-1, -2) @ dlog).swapaxes(-1, -2)
+    return p @ v, [dq, dk, p.swapaxes(-1, -2) @ g, dpos]
 
 
 def parent_conv2d(x, k, bias, g, groups=1, padding="same", stride=1):
@@ -423,6 +442,49 @@ def parent_merge_heads_tokens(x, g, h, w, k, heads):
     return t.reshape(h, w, c), [gx]
 
 
+def parent_split_heads(x, heads):
+    """[n, L, C] -> [n*heads, L, C/heads], the parent's head copy."""
+    n, length, c = x.shape
+    t = np.ascontiguousarray(x.reshape(n, length, heads, c // heads).transpose(0, 2, 1, 3))
+    return t.reshape(n * heads, length, c // heads)
+
+
+def parent_split_heads_grad(g, heads):
+    """The gradient of :func:`parent_split_heads`: reshape, transposed view,
+    and a reshape that copies."""
+    nh, length, ch = g.shape
+    n = nh // heads
+    return g.reshape(n, heads, length, ch).transpose(0, 2, 1, 3).reshape(n, length, heads * ch)
+
+
+def parent_space_chain(tq, tk, tv, pos, g, s, h, w, k, heads):
+    """The parent's space attention from the q/k/v projections [n, L, C] to
+    the [H,W,C] image: head copies, the fused op, and the head/token merge."""
+    q, kk, v = (parent_split_heads(t, heads) for t in (tq, tk, tv))
+    _, [gm] = parent_merge_heads_tokens(q, g, h, w, k, heads)  # g's share only
+    mixed, [dq, dk, dv, dpos] = parent_attention(q, kk, v, pos, s, gm)
+    out, _ = parent_merge_heads_tokens(mixed, g, h, w, k, heads)
+    return out, [parent_split_heads_grad(d, heads) for d in (dq, dk, dv)] + [dpos]
+
+
+def parent_freq_chain(tq, tk, tv, pos, g, s, h, w, k, heads):
+    """The parent's spectral attention from the q/k/v projections to the
+    image: head copies, the transpose, bmm, scale_add_heads, softmax and bmm
+    ops, the head/token merge, and the tape's backward of each in turn."""
+    q, kk, v = (parent_split_heads(t, heads) for t in (tq, tk, tv))
+    qt = np.ascontiguousarray(q.transpose(0, 2, 1))
+    logits = qt @ kk
+    sl, _ = parent_scale_add_tiled(logits, pos, s, logits)
+    attn, _ = parent_softmax(sl, sl, -1)
+    out, [gm] = parent_merge_heads_tokens(v @ attn, g, h, w, k, heads)
+    dv = gm @ attn.transpose(0, 2, 1)
+    _, [dsl] = parent_softmax(sl, v.transpose(0, 2, 1) @ gm, -1)
+    _, [dlog, dpos] = parent_scale_add_tiled(logits, pos, s, dsl)
+    dq = (dlog @ kk.transpose(0, 2, 1)).transpose(0, 2, 1)
+    dk = qt.transpose(0, 2, 1) @ dlog
+    return out, [parent_split_heads_grad(d, heads) for d in (dq, dk, dv)] + [dpos]
+
+
 def _rows(row_bytes: int) -> int:
     """A leading-axis length of 2.5 blocks: several blocks and a ragged one."""
     return 5 * T._BLOCK_BYTES // (2 * row_bytes)
@@ -478,6 +540,18 @@ class TestBlockedOpsMatchParentFormulas:
         self.check(lambda t: T.softmax(t, axis=-1),
                    lambda a, g: parent_softmax(a, g, -1), [x])
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_softmax_special_values(self, rng, dtype):
+        # the row max reads a transposed copy: rows holding NaN, +-inf, 0.0
+        # and -0.0 keep the parent's bits, NaN positions included
+        x = self.data(rng, 6, 5, 9, dtype=dtype)
+        x[0, 0, 3], x[1, 2] = np.nan, -np.inf
+        x[2, 1, 4], x[3, 0], x[3, 1, ::2] = np.inf, 0.0, -0.0
+        with np.errstate(invalid="ignore"):
+            out = T.softmax(Tensor(x), axis=-1).data
+            expect, _ = parent_softmax(x, x, -1)
+        assert out.tobytes() == expect.tobytes()
+
     def test_softmax_leading_axis(self, rng):
         x = self.data(rng, 9, 40, 50)
         self.check(lambda t: T.softmax(t, axis=0),
@@ -485,7 +559,7 @@ class TestBlockedOpsMatchParentFormulas:
 
     def test_scale_add_heads(self, rng):
         heads, length = 2, 8
-        logits = self.data(rng, heads * _rows(4 * heads * length * length), length, length)
+        logits = self.data(rng, _rows(4 * heads * length * length), heads, length, length)
         pos = self.data(rng, heads, length, length)
         self.check(lambda a, b: T.scale_add_heads(a, 0.125, b),
                    lambda a, b, g: parent_scale_add_tiled(a, b, 0.125, g), [logits, pos])
@@ -493,8 +567,8 @@ class TestBlockedOpsMatchParentFormulas:
     @pytest.mark.parametrize("heads", [1, 4])
     def test_attention(self, rng, heads):
         length, c = 64, 7
-        nh = heads * _rows(4 * heads * length * length)
-        q, k, v = (self.data(rng, nh, length, c) for _ in range(3))
+        n = _rows(4 * heads * length * length)
+        q, k, v = (self.data(rng, n, heads, length, c) for _ in range(3))
         pos = self.data(rng, heads, length, length)
         s = 1.0 / math.sqrt(c)
         self.check(lambda *t: T.attention(*t[:3], s, t[3]),
@@ -505,20 +579,21 @@ class TestBlockedOpsMatchParentFormulas:
         # 16 tokens: a 32x32 desk image in 8x8 tokens, 4 heads of C = 6;
         # 18 tokens run the backward over several blocks ending in a ragged one
         heads, length, c = 4, 64, 6
-        q, k, v = (self.data(rng, tokens * heads, length, c) for _ in range(3))
+        q, k, v = (self.data(rng, tokens, heads, length, c) for _ in range(3))
         pos = self.data(rng, heads, length, length)
         s = 1.0 / math.sqrt(c)
         self.check(lambda *t: T.attention(*t[:3], s, t[3]),
                    lambda *a: parent_attention(*a[:4], s, a[4]), [q, k, v, pos])
 
     def test_attention_backward_holds_no_full_logits(self, rng):
-        # at the desk shape the kept probabilities are one 1 MB [nh, L, M]
-        # array; the backward's temporaries and gradients stay below another
+        # at the desk shape the kept probabilities are one 1 MB [n, heads,
+        # L, M] array; the backward's temporaries and gradients stay below
+        # another
         heads, length, c = 4, 64, 6
         nh = 16 * heads
-        q, k, v = (Tensor(self.data(rng, nh, length, c)) for _ in range(3))
+        q, k, v = (Tensor(self.data(rng, 16, heads, length, c)) for _ in range(3))
         pos = Tensor(self.data(rng, heads, length, length))
-        g = self.data(rng, nh, length, c)
+        g = self.data(rng, 16, heads, length, c)
         with Tape() as tape:
             T.attention(q, k, v, 0.5, pos)
         tracemalloc.start()
@@ -533,7 +608,7 @@ class TestBlockedOpsMatchParentFormulas:
         # a 64x64x8 image in 8x8 tokens, two heads: 64 tokens of L = 64
         heads, length, c = 2, 64, 4
         nh = heads * 64
-        q, k, v = (self.data(rng, nh, length, c) for _ in range(3))
+        q, k, v = (self.data(rng, 64, heads, length, c) for _ in range(3))
         pos = self.data(rng, heads, length, length)
         full = nh * length * length * 4
         tracemalloc.start()
@@ -636,10 +711,45 @@ class TestBlockedOpsMatchParentFormulas:
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_merge_heads_tokens(self, rng, dtype):
+        # the head view of [n, L, C] tokens merged into the image, against
+        # the parent's head copy and its head/token merge
         h, w, k, heads, ch = 32, 48, 8, 4, 3
-        x = self.data(rng, (h // k) * (w // k) * heads, k * k, ch, dtype=dtype)
-        self.check(lambda t: _merge_heads_tokens(t, h, w, k),
-                   lambda a, g: parent_merge_heads_tokens(a, g, h, w, k, heads), [x])
+        x = self.data(rng, (h // k) * (w // k), k * k, heads * ch, dtype=dtype)
+
+        def parent(a, g):
+            out, [gx] = parent_merge_heads_tokens(parent_split_heads(a, heads), g,
+                                                  h, w, k, heads)
+            return out, [parent_split_heads_grad(gx, heads)]
+
+        self.check(lambda t: merge_tokens(T.head_view(t, heads), h, w, k), parent, [x])
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("ch", [6, 7, 12, 14])
+    @pytest.mark.parametrize("space", [True, False], ids=["space", "freq"])
+    def test_attention_on_head_views(self, rng, dtype, ch, space):
+        # both attention products as the layers run them, from q/k/v
+        # projections through head views to the merged image, against the
+        # parent's head copies, chain and merge; 21 tokens of 8x8 end the
+        # blocks of both passes raggedly at either dtype
+        h, w, k, heads = 24, 56, 8, 4
+        c = heads * ch
+        tq, tk, tv = (self.data(rng, (h // k) * (w // k), k * k, c, dtype=dtype)
+                      for _ in range(3))
+        side = k * k if space else ch
+        pos = self.data(rng, heads, side, side, dtype=dtype)
+        s = 1.0 / math.sqrt(ch if space else c)
+
+        def op(*t):
+            q, kk, v = (T.head_view(a, heads) for a in t[:3])
+            if space:
+                mixed = T.attention(q, kk, v, s, t[3])
+            else:
+                logits = T.bmm(T.transpose(q, (0, 1, 3, 2)), kk)
+                mixed = T.bmm(v, T.softmax(T.scale_add_heads(logits, s, t[3]), axis=-1))
+            return merge_tokens(mixed, h, w, k)
+
+        chain = parent_space_chain if space else parent_freq_chain
+        self.check(op, lambda *a: chain(*a, s, h, w, k, heads), [tq, tk, tv, pos])
 
     @pytest.mark.parametrize("ksize,cin,cout,groups,padding,stride", [
         (1, 6, 7, 1, "same", 1),       # point-wise
