@@ -22,7 +22,11 @@ from .tensor import Tensor
 
 @dataclass
 class SensingConfig:
-    """Geometry and noise of one acquisition: mask, dispersion, band count."""
+    """Geometry and noise of one acquisition: mask, dispersion, band count.
+
+    The mask is kept as a read-only float64 copy, so later writes to the
+    caller's array change no measurement or reconstruction made with it.
+    """
 
     mask: np.ndarray
     dispersion_step: int = 2
@@ -30,7 +34,8 @@ class SensingConfig:
     noise_sigma: float = 0.0
 
     def __post_init__(self):
-        self.mask = np.asarray(self.mask, dtype=np.float64)
+        self.mask = np.array(self.mask, dtype=np.float64)
+        self.mask.setflags(write=False)
         if self.mask.ndim != 2:
             raise ValueError(f"mask must be 2D, got shape {self.mask.shape}")
         if not np.all(np.isfinite(self.mask)):
@@ -119,7 +124,10 @@ def phi_phit_diag(cfg: SensingConfig) -> np.ndarray:
 
 
 def simulate(x: np.ndarray, cfg: SensingConfig, seed: int = 0) -> np.ndarray:
-    """Noisy measurement: phi_forward(x) plus seeded zero-mean Gaussian noise."""
+    """Noisy measurement: phi_forward(x) plus seeded zero-mean Gaussian noise.
+    A scene holding NaN or inf is a ValueError."""
+    if not np.all(np.isfinite(x)):
+        raise ValueError("scene holds non-finite values (NaN or inf)")
     y = phi_forward(x, cfg)
     if cfg.noise_sigma > 0:
         rng = np.random.default_rng(seed)

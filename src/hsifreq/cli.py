@@ -15,7 +15,7 @@ import numpy as np
 
 from .cassi import SensingConfig, random_mask, simulate
 from .correlation import (correlation_maps, corpus_stats, token_correlation,
-                          write_maps_csv, write_token_csv)
+                          write_corpus_csv, write_maps_csv, write_token_csv)
 from .gaptv import GapTvConfig, gap_tv
 from .hsio import SceneSpec, export_heatmap, gen_scene, read_hsic, write_hsic, write_lines
 from .layers import attention_maps
@@ -85,7 +85,7 @@ def cmd_analyze_hfc(args) -> int:
     print(f"space_avg={rep.space_avg:.4f} freq_avg={rep.freq_avg:.4f} "
           f"tokens={len(curve.mean_corr)}")
     if len(args.inp) > 1:
-        corpus_stats(args.inp, out_csv=out / "corpus_hist.csv")
+        write_corpus_csv(corpus_stats(args.inp), out / "corpus_hist.csv")
         print(f"corpus histogram over {len(args.inp)} cubes -> corpus_hist.csv")
     return 0
 

@@ -123,6 +123,10 @@ def token_correlation(x: np.ndarray, token_size: int) -> TokenCorrelationCurve:
     return TokenCorrelationCurve(token_size=k, token_coords=coords, mean_corr=means)
 
 
+# histogram bins over [-1, 1] of the corpus statistics
+CORPUS_BINS = 50
+
+
 @dataclass
 class CorpusStats:
     rows: list[tuple[str, float, float]]
@@ -132,12 +136,12 @@ class CorpusStats:
     freq_hist: np.ndarray
 
 
-def corpus_stats(paths: Sequence, out_csv=None, bins: int = 50) -> CorpusStats:
-    """Per-cube correlation averages plus histograms over a corpus of cube files.
+def corpus_stats(paths: Sequence) -> CorpusStats:
+    """Per-cube correlation averages plus ``CORPUS_BINS``-bin histograms over
+    a corpus of cube files; :func:`write_corpus_csv` writes them.
 
     Unreadable files are skipped with a ``warnings`` warning and counted in the
-    summary.  If ``out_csv`` is given, writes the per-cube rows followed by a
-    histogram block.
+    summary.
     """
     from .hsio import read_hsic
 
@@ -156,14 +160,11 @@ def corpus_stats(paths: Sequence, out_csv=None, bins: int = 50) -> CorpusStats:
         raise ValueError("corpus_stats: no readable cubes")
     if not rows:
         raise ValueError("corpus_stats: need at least one cube path")
-    edges = np.linspace(-1.0, 1.0, bins + 1)
+    edges = np.linspace(-1.0, 1.0, CORPUS_BINS + 1)
     space_hist, _ = np.histogram([r[1] for r in rows], bins=edges)
     freq_hist, _ = np.histogram([r[2] for r in rows], bins=edges)
-    stats = CorpusStats(rows=rows, skipped=skipped, bin_edges=edges,
-                        space_hist=space_hist, freq_hist=freq_hist)
-    if out_csv is not None:
-        write_corpus_csv(stats, out_csv)
-    return stats
+    return CorpusStats(rows=rows, skipped=skipped, bin_edges=edges,
+                       space_hist=space_hist, freq_hist=freq_hist)
 
 
 def write_corpus_csv(stats: CorpusStats, path) -> None:

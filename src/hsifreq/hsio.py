@@ -68,7 +68,7 @@ def write_hsic(cube: np.ndarray, path) -> None:
     write_atomic(path, (header, payload))
 
 
-def read_hsic(path, normalize: bool = False) -> np.ndarray:
+def read_hsic(path) -> np.ndarray:
     buf = Path(path).read_bytes()
     if len(buf) < HEADER_SIZE:
         raise HsicError(f"{path}: file too short for a {HEADER_SIZE}-byte header "
@@ -85,12 +85,7 @@ def read_hsic(path, normalize: bool = False) -> np.ndarray:
         raise HsicError(f"{path}: payload length mismatch, expected {expected} bytes "
                         f"total but file has {len(buf)}")
     flat = np.frombuffer(buf, dtype="<f4", offset=HEADER_SIZE)
-    cube = np.moveaxis(flat.reshape(c, h, w), 0, 2).astype(np.float32)
-    if normalize:
-        peak = np.abs(cube).max()
-        if peak > 0:
-            cube = cube / peak
-    return cube
+    return np.moveaxis(flat.reshape(c, h, w), 0, 2).astype(np.float32)
 
 
 # ---------------------------------------------------------------------------

@@ -52,9 +52,7 @@ class Layer:
                 yield from attr.named_params(prefix + name + ".")
             elif isinstance(attr, (list, tuple)):
                 for i, item in enumerate(attr):
-                    if isinstance(item, Param):
-                        yield f"{prefix}{name}.{i}", item
-                    elif isinstance(item, Layer):
+                    if isinstance(item, Layer):
                         yield from item.named_params(f"{prefix}{name}.{i}.")
 
     def params(self) -> list[Param]:
@@ -109,12 +107,15 @@ class ConvTranspose2d(Layer):
 
 
 class Linear(Layer):
+    """x @ weight + bias on [1, 1, nin] rows, through ``bmm``'s
+    [n, M, K] x [K, N] form; the weight is [nin, nout]."""
+
     def __init__(self, nin: int, nout: int, rng: np.random.Generator):
         self.weight = Param(xavier_uniform((nin, nout), nin, nout, rng))
         self.bias = Param(np.zeros(nout))
 
     def __call__(self, x: Tensor) -> Tensor:
-        return T.add_bias(T.matmul(x, self.weight.value), self.bias.value)
+        return T.add_bias(T.bmm(x, self.weight.value), self.bias.value)
 
 
 # ---------------------------------------------------------------------------
@@ -191,7 +192,7 @@ class FreqSpectralAttention(TokenAttention):
         logits = T.bmm(T.transpose(q, (0, 1, 3, 2)), kk)
         del q, kk
         logits = T.scale_add_heads(logits, 1.0 / math.sqrt(c), self.pos.value)
-        attn = T.softmax(logits, axis=-1)
+        attn = T.softmax(logits)
         del logits
         maps = _ATTENTION_MAPS.get()
         if maps is not None:

@@ -1,9 +1,11 @@
 """Reconstruction quality metrics and cost accounting.
 
-PSNR and SSIM follow the usual single-scale conventions (11x11 Gaussian
-window, sigma 1.5, k1=0.01, k2=0.03).  The frequency-domain gap here is a
-documented substitute: the mean absolute band-wise DCT coefficient error,
-scaled by 100.  It shares the DCT-centric spirit of the published metric but
+PSNR and SSIM follow the usual single-scale conventions for cubes whose
+values lie in [0, 1], so the peak signal is 1.  SSIM uses an ``SSIM_WIN`` x
+``SSIM_WIN`` (11 x 11) Gaussian window of ``SSIM_SIGMA`` (1.5) and the
+constants ``SSIM_K1`` (0.01) and ``SSIM_K2`` (0.03).  The frequency-domain
+gap here is a documented substitute: the mean absolute band-wise DCT
+coefficient error, scaled by 100.  It shares the DCT-centric spirit of the published metric but
 is NOT numerically comparable to published FDG columns, whose exact
 definition is not public; only its ordering behaviour is relied upon.
 """
@@ -21,6 +23,10 @@ from .layers import FFN_EXPAND
 from .network import NetConfig
 
 PSNR_CAP_DB = 100.0
+SSIM_WIN = 11
+SSIM_SIGMA = 1.5
+SSIM_K1 = 0.01
+SSIM_K2 = 0.03
 
 
 def _check_pair(pred: np.ndarray, gt: np.ndarray) -> None:
@@ -30,20 +36,20 @@ def _check_pair(pred: np.ndarray, gt: np.ndarray) -> None:
         raise ValueError(f"metrics expect [H,W,C] cubes, got {pred.shape}")
 
 
-def psnr(pred: np.ndarray, gt: np.ndarray, peak: float = 1.0) -> tuple[np.ndarray, float]:
+def psnr(pred: np.ndarray, gt: np.ndarray) -> tuple[np.ndarray, float]:
     """Per-band PSNR in dB plus the band mean; identical bands report the cap."""
     _check_pair(pred, gt)
     diff = pred.astype(np.float64) - gt.astype(np.float64)
     mse = np.mean(diff * diff, axis=(0, 1))
     with np.errstate(divide="ignore"):
-        vals = 10.0 * np.log10(peak ** 2 / mse)
+        vals = 10.0 * np.log10(1.0 / mse)
     vals = np.minimum(np.where(mse == 0.0, PSNR_CAP_DB, vals), PSNR_CAP_DB)
     return vals, float(vals.mean())
 
 
-def _gaussian_window(size: int = 11, sigma: float = 1.5) -> np.ndarray:
-    x = np.arange(size) - (size - 1) / 2.0
-    g = np.exp(-(x * x) / (2.0 * sigma * sigma))
+def _gaussian_window() -> np.ndarray:
+    x = np.arange(SSIM_WIN) - (SSIM_WIN - 1) / 2.0
+    g = np.exp(-(x * x) / (2.0 * SSIM_SIGMA * SSIM_SIGMA))
     return g / g.sum()
 
 
@@ -52,17 +58,15 @@ def _sep_filter_valid(img: np.ndarray, g: np.ndarray) -> np.ndarray:
     return sliding_window_view(out, len(g), axis=1) @ g
 
 
-def ssim(pred: np.ndarray, gt: np.ndarray, peak: float = 1.0,
-         win: int = 11, sigma: float = 1.5,
-         k1: float = 0.01, k2: float = 0.03) -> tuple[np.ndarray, float]:
+def ssim(pred: np.ndarray, gt: np.ndarray) -> tuple[np.ndarray, float]:
     """Per-band single-scale SSIM plus the band mean."""
     _check_pair(pred, gt)
     h, w, c = pred.shape
-    if h < win or w < win:
-        raise ValueError(f"bands {h}x{w} smaller than the {win}x{win} SSIM window")
-    g = _gaussian_window(win, sigma)
-    c1 = (k1 * peak) ** 2
-    c2 = (k2 * peak) ** 2
+    if h < SSIM_WIN or w < SSIM_WIN:
+        raise ValueError(f"bands {h}x{w} smaller than the {SSIM_WIN}x{SSIM_WIN} SSIM window")
+    g = _gaussian_window()
+    c1 = SSIM_K1 ** 2
+    c2 = SSIM_K2 ** 2
     vals = np.empty(c)
     for i in range(c):
         x = pred[:, :, i].astype(np.float64)
@@ -94,9 +98,9 @@ class MetricReport:
     fdg: float
 
 
-def evaluate(pred: np.ndarray, gt: np.ndarray, peak: float = 1.0) -> MetricReport:
-    pb, pm = psnr(pred, gt, peak)
-    sb, sm = ssim(pred, gt, peak)
+def evaluate(pred: np.ndarray, gt: np.ndarray) -> MetricReport:
+    pb, pm = psnr(pred, gt)
+    sb, sm = ssim(pred, gt)
     return MetricReport(psnr_band=pb, psnr_mean=pm, ssim_band=sb, ssim_mean=sm,
                         fdg=fdg(pred, gt))
 

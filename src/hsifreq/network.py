@@ -86,13 +86,13 @@ class PriorNet(Layer):
     def __call__(self, x: Tensor, beta: Tensor) -> Tensor:
         h, w, _ = x.shape
         beta_map = T.mul(T.ones((h, w, 1)), beta)
-        e = self.embed(T.concat([beta_map, x], axis=2))
-        gains = T.add(self.cond(T.reshape(beta, (1, 1))), 1.0)
-        e = T.channel_scale(e, T.reshape(gains, (gains.shape[1],)))
+        e = self.embed(T.concat([beta_map, x]))
+        gains = T.add(self.cond(T.reshape(beta, (1, 1, 1))), 1.0)
+        e = T.channel_scale(e, T.reshape(gains, (gains.shape[2],)))
         e1 = self.enc(e)
         del e
         m = self.up(self.mid(self.down(e1)))
-        f = self.fuse(T.concat([m, e1], axis=2))
+        f = self.fuse(T.concat([m, e1]))
         del m, e1
         return T.add(x, self.out(self.dec(f)))
 
@@ -125,8 +125,8 @@ class StepEstimator(Layer):
     def __call__(self, z0: Tensor, mask: np.ndarray) -> tuple[list[Tensor], list[Tensor]]:
         """Return (alphas, betas), each a list of positive scalar tensors."""
         m = Tensor(mask[:, :, None].astype(z0.dtype))
-        feat = T.gelu(self.conv(T.concat([z0, m], axis=2)))
-        v = T.reshape(T.spatial_mean(feat), (1, feat.shape[2]))
+        feat = T.gelu(self.conv(T.concat([z0, m])))
+        v = T.reshape(T.spatial_mean(feat), (1, 1, feat.shape[2]))
         # the floor keeps positivity true in float32 (softplus underflows at
         # large negative logits) and the data-step division well-posed
         raw = T.add(T.softplus(self.fc2(T.gelu(self.fc1(v)))), 1e-6)

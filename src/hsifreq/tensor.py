@@ -16,6 +16,10 @@ per-head term over the token axis of [n, heads, L, M] logits
 (``scale_add_heads``).  Everything else must be reshaped explicitly; shape
 mismatches raise ``ShapeError``.
 
+There is one matrix product, ``bmm``: over one or two batch axes, or
+[n, M, K] x [K, N] against a shared matrix, the form ``layers.Linear`` uses
+on [1, 1, nin] rows.  ``softmax`` and ``concat`` work on the last axis.
+
 Token attention works on head views: ``head_view`` shows [n, L, C] tokens as
 [n, heads, L, C/heads] without a copy, ``attention`` and ``bmm`` take such
 views as operands, and their products with a head view of v are head views
@@ -139,16 +143,12 @@ def _view_tensor(data: np.ndarray) -> Tensor:
     return out
 
 
-def as_tensor(x, dtype=None) -> Tensor:
-    return x if isinstance(x, Tensor) else Tensor(x, dtype=dtype)
+def as_tensor(x) -> Tensor:
+    return x if isinstance(x, Tensor) else Tensor(x)
 
 
-def zeros(shape, dtype=None) -> Tensor:
-    return Tensor(np.zeros(shape, dtype=dtype or get_default_dtype()))
-
-
-def ones(shape, dtype=None) -> Tensor:
-    return Tensor(np.ones(shape, dtype=dtype or get_default_dtype()))
+def ones(shape) -> Tensor:
+    return Tensor(np.ones(shape, dtype=get_default_dtype()))
 
 
 # ---------------------------------------------------------------------------
@@ -523,45 +523,46 @@ def softplus(x: Tensor) -> Tensor:
     return record(out, (x,), lambda g: (g / (1.0 + np.exp(-xd)),))
 
 
-def _softmax_into(x: np.ndarray, y: np.ndarray, axis: int,
+def _softmax_into(x: np.ndarray, y: np.ndarray,
                   work: Optional[np.ndarray] = None) -> None:
-    """y = softmax(x) along ``axis``; ``y`` may be ``x`` itself.
+    """y = softmax(x) along the last axis of an array of rank 2 or more;
+    ``y`` may be ``x`` itself.
 
-    Along the last axis the row max reads a copy of ``x`` with its last two
-    axes swapped, made in ``work`` when given: a max down the columns runs
-    over whole rows at once, about twice as fast as one along each short row,
-    and a max is exact, so the result is the same.
+    The row max reads a copy of ``x`` with its last two axes swapped, made in
+    ``work`` when given: a max down the columns runs over whole rows at once,
+    about twice as fast as one along each short row, and a max is exact, so
+    the result is the same.
     """
-    if x.ndim > 1 and axis % x.ndim == x.ndim - 1:
-        if work is None:
-            work = np.ascontiguousarray(x.swapaxes(-1, -2))
-        else:
-            np.copyto(work, x.swapaxes(-1, -2))
-        mx = work.max(axis=-2)[..., None]
+    if work is None:
+        work = np.ascontiguousarray(x.swapaxes(-1, -2))
     else:
-        mx = x.max(axis=axis, keepdims=True)
-    np.subtract(x, mx, out=y)
+        np.copyto(work, x.swapaxes(-1, -2))
+    np.subtract(x, work.max(axis=-2)[..., None], out=y)
     np.exp(y, out=y)
-    y /= y.sum(axis=axis, keepdims=True)
+    y /= y.sum(axis=-1, keepdims=True)
 
 
-def softmax(x: Tensor, axis: int = -1) -> Tensor:
-    """Normalized exponentials along ``axis``; max-subtraction guards overflow."""
+def softmax(x: Tensor) -> Tensor:
+    """Normalized exponentials along the last axis of a tensor of rank 2 or
+    more; max-subtraction guards overflow."""
     xd = x.data
-    if not (-xd.ndim <= axis < xd.ndim):
-        raise ShapeError(f"softmax: axis {axis} invalid for shape {x.shape}")
+    if xd.ndim < 2:
+        raise ShapeError(f"softmax: needs rank 2 or more, got {x.shape}")
     y = np.empty_like(xd)
-    _softmax_into(xd, y, axis)
+    _softmax_into(xd, y)
     out = Tensor(y)
 
     def bw(g):
-        dot = (g * y).sum(axis=axis, keepdims=True)
+        dot = (g * y).sum(axis=-1, keepdims=True)
         return (y * (g - dot),)
 
     return record(out, (x,), bw)
 
 
-def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Tensor:
+_LN_EPS = 1e-5
+
+
+def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
     """Normalize over the last (channel) axis per position, then scale/shift.
 
     The forward runs over blocks of positions.  With a tape active, the
@@ -587,7 +588,7 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Ten
         # the whole-array formula's operations in its order
         np.subtract(xb, xb.mean(axis=-1, keepdims=True), out=hb)
         var = np.multiply(hb, hb, out=sq[:n]).mean(axis=-1, keepdims=True)
-        hb *= np.divide(1.0, np.sqrt(var + eps), out=inv_r[b])
+        hb *= np.divide(1.0, np.sqrt(var + _LN_EPS), out=inv_r[b])
         ob = np.multiply(hb, gd, out=out_d[b])
         ob += beta.data
     out = Tensor(out_d.reshape(xd.shape))
@@ -608,20 +609,6 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Ten
 # ---------------------------------------------------------------------------
 # Linear algebra
 # ---------------------------------------------------------------------------
-
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """Standard 2D matrix product."""
-    if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[0]:
-        raise ShapeError(f"matmul: incompatible shapes {a.shape} x {b.shape}")
-    ad, bd = a.data, b.data
-    out = Tensor(ad @ bd)
-    add_flops(2 * a.shape[0] * a.shape[1] * b.shape[1])
-
-    def bw(g):
-        return g @ bd.T, ad.T @ g
-
-    return record(out, (a, b), bw)
-
 
 def bmm(a: Tensor, b: Tensor) -> Tensor:
     """Batched matmul: [B,M,K] x [B,K,N] -> [B,M,N], the same over two batch
@@ -692,17 +679,14 @@ def head_view(x: Tensor, heads: int) -> Tensor:
                   lambda g: (g.transpose(0, 2, 1, 3).reshape(n, length, c),))
 
 
-def concat(parts: Sequence[Tensor], axis: int) -> Tensor:
+def concat(parts: Sequence[Tensor]) -> Tensor:
+    """Join tensors along the last (channel) axis."""
     parts = list(parts)
-    out = Tensor(np.concatenate([p.data for p in parts], axis=axis))
-    sizes = [p.shape[axis] for p in parts]
-    offsets = np.cumsum([0] + sizes)
+    out = Tensor(np.concatenate([p.data for p in parts], axis=-1))
+    ends = list(itertools.accumulate((p.shape[-1] for p in parts), initial=0))
 
     def bw(g):
-        return tuple(
-            np.ascontiguousarray(np.take(g, range(offsets[i], offsets[i + 1]), axis=axis))
-            for i in range(len(sizes))
-        )
+        return tuple(np.ascontiguousarray(g[..., a:b]) for a, b in zip(ends, ends[1:]))
 
     return record(out, parts, bw)
 
@@ -781,7 +765,7 @@ def attention(q: Tensor, k: Tensor, v: Tensor, s: float, pos: Tensor,
         # every head width the network runs; the parent-formula tests pin it
         np.matmul(qd[b], kd[b].swapaxes(-1, -2), out=pb)
         _scale_add_into(pb, s, pd, pb)
-        _softmax_into(pb, pb, -1, rows_t[:nb])
+        _softmax_into(pb, pb, rows_t[:nb])
         np.matmul(pb, vd[b], out=out_d[b])
     out = _view_tensor(out_d)
     add_flops(2 * n * heads * length * m * (c + cv))

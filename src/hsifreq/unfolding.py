@@ -217,7 +217,7 @@ def train(cubes: list[np.ndarray], mask: np.ndarray, tcfg: TrainConfig,
                        mask, seed=tcfg.seed)
     sensing = replace(net.sensing, noise_sigma=tcfg.noise_sigma)
     params = net.params()
-    opt = Adam(params, lr=tcfg.lr0)
+    opt = Adam(params)
     rng = np.random.default_rng(tcfg.seed)
     square = h == w
     result = TrainResult(net=net)

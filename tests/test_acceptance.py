@@ -103,9 +103,9 @@ def test_04_gradient_suite_every_layer(f64):
     tol = 1e-4
 
     # primitive ops
-    a = wrap_input(gen.standard_normal((4, 3)), "a")
+    a = wrap_input(gen.standard_normal((1, 4, 3)), "a")
     b = wrap_input(gen.standard_normal((3, 5)), "b")
-    gradient_check(lambda: T.sum_all(T.mul(m := T.matmul(a.value, b.value), m)),
+    gradient_check(lambda: T.sum_all(T.mul(m := T.bmm(a.value, b.value), m)),
                    [a, b], rel_tol=tol, samples=6)
     x = wrap_input(gen.standard_normal((5, 5, 3)), "x")
     k = wrap_input(gen.standard_normal((3, 3, 3, 4)), "k")
@@ -113,7 +113,7 @@ def test_04_gradient_suite_every_layer(f64):
     gradient_check(lambda: T.sum_all(T.mul(c := T.conv2d(x.value, k.value, zero), c)),
                    [x, k], rel_tol=tol, samples=6)
     v = wrap_input(gen.standard_normal((4, 6)), "v")
-    gradient_check(lambda: T.sum_all(T.mul(T.softmax(v.value, axis=-1),
+    gradient_check(lambda: T.sum_all(T.mul(T.softmax(v.value),
                                            Tensor(np.arange(24.0).reshape(4, 6)))),
                    [v], rel_tol=tol, samples=8)
     gradient_check(lambda: T.sum_all(T.mul(g := T.gelu(v.value), g)),

@@ -103,6 +103,13 @@ class TestSimulate:
         assert noise.size == 100_000
         assert abs(noise.std() - 0.05) / 0.05 < 0.02
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_scene_rejected(self, rng, bad):
+        x = rng.random((2, 2, 2))
+        x[1, 0, 1] = bad
+        with pytest.raises(ValueError, match="scene holds non-finite"):
+            simulate(x, small_cfg())
+
 
 class TestShift:
     def test_d_zero(self, rng):
@@ -227,6 +234,14 @@ class TestProperties:
         mask[1, 0] = bad
         with pytest.raises(ValueError, match="non-finite"):
             SensingConfig(mask, dispersion_step=1, bands=2)
+
+    def test_mask_is_a_read_only_copy(self):
+        mask = np.full((2, 2), 0.5)
+        cfg = SensingConfig(mask, dispersion_step=1, bands=2)
+        mask[0, 0] = 0.0
+        assert cfg.mask[0, 0] == 0.5
+        with pytest.raises(ValueError, match="read-only"):
+            cfg.mask[0, 0] = 0.0
 
     @pytest.mark.parametrize("h, w, density", [(0, 8, 0.5), (8, 0, 0.5), (4, 4, 2.0),
                                                (4, 4, -0.1), (4, 4, np.nan)])

@@ -7,7 +7,7 @@ from hsifreq.cassi import SensingConfig
 from hsifreq.cli import _train_config_from, build_parser, main
 from hsifreq.estimators import GapTvReconstructor, UnfoldingReconstructor
 from hsifreq.gaptv import GapTvConfig
-from hsifreq.hsio import SceneSpec, read_hsic
+from hsifreq.hsio import SceneSpec, read_hsic, write_hsic
 from hsifreq.metrics import count_flops, count_params
 from hsifreq.unfolding import TrainConfig, UnfoldingNet
 
@@ -135,6 +135,19 @@ class TestSimulate:
                      "--sigma", "nan", "--out", str(out)])
         assert code == 2
         assert "SensingConfig.noise_sigma" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_nan_scene_exits_two_and_writes_nothing(self, tmp_path, scene_file, mask_file,
+                                                   capsys):
+        cube = read_hsic(scene_file)
+        cube[3, 4, 1] = np.nan
+        nan_scene = tmp_path / "nan.hsic"
+        write_hsic(cube, nan_scene)
+        out = tmp_path / "y.hsic"
+        code = main(["simulate", "--in", str(nan_scene), "--mask", str(mask_file),
+                     "--out", str(out)])
+        assert code == 2
+        assert "scene holds non-finite" in capsys.readouterr().err
         assert not out.exists()
 
 

@@ -6,7 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hsifreq.correlation import (UndefinedCorrelationError, correlation_maps,
-                                 corpus_stats, pearson, token_correlation)
+                                 corpus_stats, pearson, token_correlation,
+                                 write_corpus_csv)
 from hsifreq.dct import dct2_cube
 from hsifreq.hsio import SceneSpec, gen_scene, write_hsic
 
@@ -181,7 +182,7 @@ class TestCorpusStats:
         p1 = self._write(tmp_path, "a.hsic", rng.random((8, 8, 3)))
         p2 = self._write(tmp_path, "b.hsic", rng.random((8, 8, 3)))
         out = tmp_path / "corpus.csv"
-        corpus_stats([p1, p2], out_csv=out)
+        write_corpus_csv(corpus_stats([p1, p2]), out)
         lines = out.read_text().strip().splitlines()
         assert lines[0] == "path,space_avg,freq_avg"
         assert len([ln for ln in lines[1:] if not ln.startswith(("#", "bin_lo"))

@@ -66,13 +66,6 @@ class TestHsic:
         assert np.array_equal(payload[:4], cube[:, :, 0].ravel())
         assert np.array_equal(payload[4:], cube[:, :, 1].ravel())
 
-    def test_normalize_on_read(self, tmp_path):
-        cube = np.full((2, 2, 1), 4.0, dtype=np.float32)
-        p = tmp_path / "cube.hsic"
-        write_hsic(cube, p)
-        assert read_hsic(p).max() == 4.0  # off by default
-        assert read_hsic(p, normalize=True).max() == 1.0
-
 
 class TestCheckpointFormat:
     def cfg(self):

@@ -22,7 +22,7 @@ class TestPsnr:
     def test_known_mse(self):
         gt = np.zeros((10, 10, 1))
         pred = np.full((10, 10, 1), 0.1)  # MSE = 0.01
-        _, mean = psnr(pred, gt, peak=1.0)
+        _, mean = psnr(pred, gt)
         assert mean == pytest.approx(20.0, abs=1e-9)
 
     def test_matches_scalar_loop(self, rng):
@@ -123,10 +123,10 @@ class TestCounts:
                    if not name.startswith("out."))
         assert core == 3 * 16 + 16  # three projections plus the position bias
 
-    def test_single_matmul_flop_formula(self, rng):
+    def test_shared_matrix_bmm_flop_formula(self, rng):
         k2, c = 9, 5
         with T.count_flops() as box:
-            T.matmul(T.Tensor(rng.random((k2, c))), T.Tensor(rng.random((c, c))))
+            T.bmm(T.Tensor(rng.random((1, k2, c))), T.Tensor(rng.random((c, c))))
         assert box[0] == 2 * k2 * c * c
 
     def test_params_deterministic_and_positive(self):

@@ -20,57 +20,61 @@ from hsifreq.tensor import Param, ShapeError, Tape, Tensor
 from hsifreq.unfolding import UnfoldingNet, loss
 
 
-class TestMatmul:
+class TestBmmSharedMatrix:
+    """bmm's [n, M, K] x [K, N] form, which Linear runs on [1, 1, nin] rows."""
+
     def test_identity(self):
-        a = Tensor(np.eye(2))
-        out = T.matmul(a, Tensor(np.eye(2)))
-        assert np.array_equal(out.data, np.eye(2, dtype=np.float32))
+        a = Tensor(np.eye(2)[None])
+        out = T.bmm(a, Tensor(np.eye(2)))
+        assert np.array_equal(out.data, np.eye(2, dtype=np.float32)[None])
 
     def test_hand_product(self):
-        out = T.matmul(Tensor([[1.0, 2.0], [3.0, 4.0]]), Tensor([[0.0], [1.0]]))
-        assert np.array_equal(out.data, np.array([[2.0], [4.0]], dtype=np.float32))
+        out = T.bmm(Tensor([[[1.0, 2.0], [3.0, 4.0]]]), Tensor([[0.0], [1.0]]))
+        assert np.array_equal(out.data, np.array([[[2.0], [4.0]]], dtype=np.float32))
 
     def test_zero_annihilates(self, rng):
-        z = Tensor(np.zeros((3, 4)))
+        z = Tensor(np.zeros((2, 3, 4)))
         b = Tensor(rng.standard_normal((4, 5)))
-        assert np.all(T.matmul(z, b).data == 0.0)
+        assert np.all(T.bmm(z, b).data == 0.0)
 
     def test_shape_mismatch_names_shapes(self):
-        with pytest.raises(ShapeError, match=r"\(2, 3\).*\(2, 3\)"):
-            T.matmul(Tensor(np.zeros((2, 3))), Tensor(np.zeros((2, 3))))
+        with pytest.raises(ShapeError, match=r"\(1, 2, 3\).*\(2, 3\)"):
+            T.bmm(Tensor(np.zeros((1, 2, 3))), Tensor(np.zeros((2, 3))))
 
     def test_identity_associativity_bitwise(self, rng):
-        a = Tensor(rng.standard_normal((4, 4)).astype(np.float32))
+        a = Tensor(rng.standard_normal((1, 4, 4)).astype(np.float32))
         b = Tensor(rng.standard_normal((4, 4)).astype(np.float32))
         i = Tensor(np.eye(4, dtype=np.float32))
-        left = T.matmul(T.matmul(a, i), b)
-        right = T.matmul(a, b)
+        left = T.bmm(T.bmm(a, i), b)
+        right = T.bmm(a, b)
         assert np.array_equal(left.data, right.data)
 
 
 class TestSoftmax:
+    """Along the last axis of a tensor of rank 2 or more."""
+
     def test_uniform(self):
-        out = T.softmax(Tensor([3.0, 3.0, 3.0, 3.0]), axis=0)
+        out = T.softmax(Tensor([[3.0, 3.0, 3.0, 3.0]]))
         assert np.allclose(out.data, 0.25)
 
     def test_closed_form_ratio(self):
-        out = T.softmax(Tensor([0.0, math.log(3.0)]), axis=0)
-        assert np.allclose(out.data, [0.25, 0.75], atol=1e-7)
+        out = T.softmax(Tensor([[0.0, math.log(3.0)]]))
+        assert np.allclose(out.data, [[0.25, 0.75]], atol=1e-7)
 
     def test_saturation_direction(self):
-        out = T.softmax(Tensor([20.0, 0.0], dtype=np.float64), axis=0)
-        assert out.data[0] > 1.0 - 1e-8
+        out = T.softmax(Tensor([[20.0, 0.0]], dtype=np.float64))
+        assert out.data[0, 0] > 1.0 - 1e-8
 
-    def test_bad_axis(self):
-        with pytest.raises(ShapeError):
-            T.softmax(Tensor(np.zeros((2, 2))), axis=5)
+    def test_vector_rejected(self):
+        with pytest.raises(ShapeError, match="rank 2"):
+            T.softmax(Tensor(np.zeros(4)))
 
-    @given(st.integers(2, 6), st.integers(1, 4), st.integers(0, 1))
+    @given(st.integers(2, 6), st.integers(1, 4))
     @settings(max_examples=30, deadline=None)
-    def test_slices_sum_to_one(self, n, m, axis):
-        vals = np.random.default_rng(n * 13 + m * 7 + axis).normal(size=(m, n)) * 30
-        out = T.softmax(Tensor(vals), axis=axis)
-        sums = out.data.sum(axis=axis)
+    def test_rows_sum_to_one(self, n, m):
+        vals = np.random.default_rng(n * 13 + m * 7).normal(size=(m, n)) * 30
+        out = T.softmax(Tensor(vals))
+        sums = out.data.sum(axis=-1)
         assert np.allclose(sums, 1.0, atol=1e-6)
 
 
@@ -189,11 +193,11 @@ class TestBackward:
 
     def test_composite_matches_finite_differences(self, f64, rng):
         w = Param(rng.standard_normal((3, 3)), name="w")
-        x = wrap_input(rng.standard_normal((4, 3)))
+        x = wrap_input(rng.standard_normal((1, 4, 3)))
 
         def build():
-            h = T.gelu(T.matmul(x.value, w.value))
-            s = T.softmax(h, axis=-1)
+            h = T.gelu(T.bmm(x.value, w.value))
+            s = T.softmax(h)
             return T.sqrt(T.sum_all(T.mul(s, h)))
 
         gradient_check(build, [w, x], rel_tol=1e-5, eps=1e-6, samples=9)
@@ -220,7 +224,7 @@ class TestOpGradients:
         def build():
             z = T.add(T.gelu(x.value), T.sigmoid(x.value))
             z = T.add(z, T.softplus(x.value))
-            return T.sum_all(T.mul(z, T.softmax(x.value, axis=-1)))
+            return T.sum_all(T.mul(z, T.softmax(x.value)))
 
         gradient_check(build, [x], rel_tol=1e-5, samples=10)
 
@@ -235,14 +239,14 @@ class TestOpGradients:
 
         gradient_check(build, [x, g, b], rel_tol=1e-5, samples=8)
 
-    def test_matmul_bmm(self, f64, rng):
-        a = wrap_input(rng.standard_normal((4, 3)), "a")
+    def test_bmm_forms(self, f64, rng):
+        a = wrap_input(rng.standard_normal((1, 1, 3)), "a")
         b = wrap_input(rng.standard_normal((3, 2)), "b")
         c = wrap_input(rng.standard_normal((2, 4, 3)), "c")
         d = wrap_input(rng.standard_normal((2, 3, 2)), "d")
 
         def build():
-            m = T.matmul(a.value, b.value)
+            m = T.bmm(a.value, b.value)
             n = T.bmm(c.value, d.value)
             n2 = T.bmm(c.value, b.value)
             return T.add(T.sum_all(T.mul(m, m)),
@@ -258,7 +262,7 @@ class TestOpGradients:
         def build():
             t = T.transpose(T.reshape(x.value, (2, 2, 6, 2)), (1, 0, 2, 3))
             t = T.reshape(t, (4, 6, 2))
-            cat = T.concat([t, x.value], axis=2)
+            cat = T.concat([t, x.value])
             biased = T.scale_add_heads(lg.value, 0.7, p.value)
             return T.add(T.sum_all(T.mul(cat, cat)), T.sum_all(T.mul(biased, biased)))
 
@@ -284,7 +288,7 @@ class TestOpGradients:
 
         def build():
             q, k, v = (T.head_view(t.value, 3) for t in (tq, tk, tv))
-            mixed = T.bmm(v, T.softmax(T.bmm(T.transpose(q, (0, 1, 3, 2)), k), axis=-1))
+            mixed = T.bmm(v, T.softmax(T.bmm(T.transpose(q, (0, 1, 3, 2)), k)))
             mixed = T.transpose(mixed, (0, 2, 1, 3))
             out = T.transpose(T.attention(q, k, v, 0.7, p.value), (0, 2, 1, 3))
             return T.sum_all(T.mul(T.add(T.reshape(out, w.shape), T.reshape(mixed, w.shape)),
@@ -537,8 +541,7 @@ class TestBlockedOpsMatchParentFormulas:
 
     def test_softmax_last_axis(self, rng):
         x = self.data(rng, _rows(4 * 5 * 16), 5, 16)
-        self.check(lambda t: T.softmax(t, axis=-1),
-                   lambda a, g: parent_softmax(a, g, -1), [x])
+        self.check(T.softmax, lambda a, g: parent_softmax(a, g, -1), [x])
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_softmax_special_values(self, rng, dtype):
@@ -548,14 +551,9 @@ class TestBlockedOpsMatchParentFormulas:
         x[0, 0, 3], x[1, 2] = np.nan, -np.inf
         x[2, 1, 4], x[3, 0], x[3, 1, ::2] = np.inf, 0.0, -0.0
         with np.errstate(invalid="ignore"):
-            out = T.softmax(Tensor(x), axis=-1).data
+            out = T.softmax(Tensor(x)).data
             expect, _ = parent_softmax(x, x, -1)
         assert out.tobytes() == expect.tobytes()
-
-    def test_softmax_leading_axis(self, rng):
-        x = self.data(rng, 9, 40, 50)
-        self.check(lambda t: T.softmax(t, axis=0),
-                   lambda a, g: parent_softmax(a, g, 0), [x])
 
     def test_scale_add_heads(self, rng):
         heads, length = 2, 8
@@ -745,7 +743,7 @@ class TestBlockedOpsMatchParentFormulas:
                 mixed = T.attention(q, kk, v, s, t[3])
             else:
                 logits = T.bmm(T.transpose(q, (0, 1, 3, 2)), kk)
-                mixed = T.bmm(v, T.softmax(T.scale_add_heads(logits, s, t[3]), axis=-1))
+                mixed = T.bmm(v, T.softmax(T.scale_add_heads(logits, s, t[3])))
             return merge_tokens(mixed, h, w, k)
 
         chain = parent_space_chain if space else parent_freq_chain
@@ -774,7 +772,7 @@ class TestTape:
     def test_topological_order(self, rng):
         p = Param(rng.standard_normal((3, 3)))
         with Tape() as tape:
-            h = T.matmul(p.value, p.value)
+            h = T.bmm(T.reshape(p.value, (1, 3, 3)), p.value)
             T.sum_all(T.gelu(h))
         produced_at = {}
         for i, node in enumerate(tape.nodes):
@@ -871,7 +869,7 @@ class TestTape:
             rng = np.random.default_rng(7)
             x = Tensor(rng.standard_normal((6, 6, 4)).astype(np.float32))
             k = Tensor(rng.standard_normal((3, 3, 4, 4)).astype(np.float32))
-            return T.softmax(T.conv2d(x, k, zero_bias(k)), axis=-1).data
+            return T.softmax(T.conv2d(x, k, zero_bias(k))).data
 
         assert np.array_equal(run(), run())
 
@@ -882,8 +880,8 @@ class TestContextState:
 
     @staticmethod
     def forward(x):
-        h = T.gelu(T.matmul(x.value, x.value))
-        return T.sum_all(T.softmax(h, axis=-1))
+        h = T.gelu(T.bmm(T.reshape(x.value, (1,) + x.shape), x.value))
+        return T.sum_all(T.softmax(h))
 
     def test_threads_keep_their_own_tape_dtype_and_flops(self, rng):
         data = rng.standard_normal((4, 4)).astype(np.float32)
@@ -935,29 +933,29 @@ class TestContextState:
 class TestAdam:
     def test_zero_grad_fixed_point(self):
         p = Param(np.array([1.0, -2.0]))
-        opt = Adam([p], lr=0.1)
+        opt = Adam([p])
         before = p.value.data.copy()
         for _ in range(5):
-            opt.step()
+            opt.step(0.1)
         assert np.array_equal(p.value.data, before)
 
     def test_one_step_closed_form(self):
         g = np.array([0.3, -0.7])
         p = Param(np.zeros(2))
-        opt = Adam([p], lr=0.01, eps=1e-8)
+        opt = Adam([p])
         p.grad[...] = g
-        opt.step()
+        opt.step(0.01)
         # with zero state and bias correction: update = lr * g / (|g| + eps)
         expect = -0.01 * g / (np.abs(g) + 1e-8)
         assert np.allclose(p.value.data, expect, atol=1e-9)
 
     def test_minimizes_quadratic(self):
         p = Param(np.array([1.0]))
-        opt = Adam([p], lr=0.1)
+        opt = Adam([p])
         for _ in range(200):
             opt.zero_grad()
             p.grad[...] = 2.0 * p.value.data
-            opt.step()
+            opt.step(0.1)
         assert abs(p.value.data[0]) < 1e-2
 
 

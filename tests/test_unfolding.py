@@ -10,8 +10,8 @@ import pytest
 from conftest import gradient_check, wrap_input
 from hsifreq import tensor as T
 from hsifreq import unfolding
-from hsifreq.cassi import (SensingConfig, dense_phi, phi_forward, random_mask,
-                           shift_back, simulate)
+from hsifreq.cassi import (SensingConfig, dense_phi, phi_forward, phi_phit_diag,
+                           random_mask, shift_back, simulate)
 from hsifreq.checkpoint import CheckpointError
 from hsifreq.network import NetConfig
 from hsifreq.tensor import Tensor
@@ -364,6 +364,16 @@ class TestReconstructAndCheckpoints:
         y[2, 3] = bad
         with pytest.raises(ValueError, match="non-finite"):
             reconstruct(y, net)
+
+    def test_caller_mask_edit_changes_no_reconstruction(self, rng):
+        mask = random_mask(16, 16, seed=1)
+        cfg = NetConfig(height=16, width=16, bands=4, token=4, heads=2, stages=1)
+        net = UnfoldingNet(cfg, mask)
+        y = rng.random((16, net.sensing.meas_width))
+        before = net.reconstruct(y).tobytes()
+        mask[4:8] = 0.5
+        assert net.reconstruct(y).tobytes() == before
+        assert np.array_equal(net._diag, phi_phit_diag(net.sensing))
 
     def test_nan_mask_rejected(self):
         mask = random_mask(16, 16, seed=1)
