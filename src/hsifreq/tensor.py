@@ -38,15 +38,39 @@ results are bit for bit those of one pass over the whole array:
 array per operation, again with the same operations in the same order, and
 the same GEMMs.
 
+Forward passes use up to two CPUs.  Where ``os.sched_getaffinity(0)`` (or,
+without it, ``os.cpu_count()``) reports two or more, the blocks of ``add``,
+``gelu``, ``layer_norm``, ``gate_blend``, ``attention`` and the k x k
+``conv2d`` are split in two: the calling thread runs the first half and one
+worker thread per process, started at its first use, the later half, and
+the op returns only after both.  The 1 x 1 ``conv2d``, ``bmm`` over its
+leading batch axis and both GEMMs of the DCT split their output rows the
+same way, each half written through ``out=`` into a C-contiguous slice, when
+each half's GEMM stays above BLAS's small-matrix cut, above which a block of
+rows sums as the whole GEMM does.  numpy and BLAS release the GIL inside
+these calls, the arithmetic is the same, and so are the bytes.  The
+scratch buffers of both halves hold what one pass's held: each half's
+blocks are half the size.  With one CPU, or one block, every block runs on
+the calling thread and no worker is started.  Backward passes stay on the
+calling thread.  A forked child starts its own worker.
+
+A block body, which may run on the worker, calls numpy only: never a
+tensor op, ``record`` or ``add_flops``, and it reads no context variable.
+The op reads the tape, the dtype and the FLOP counter before the split, and
+``record`` runs after both halves, so the tape's node order is unchanged.
+
 The active tape, the default dtype and the FLOP counter are context
 variables: each thread (and each ``contextvars`` context) has its own, so two
-reconstructions in one process do not interfere.
+reconstructions in one process do not interfere; their ops share the one
+worker.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import os
+from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from contextvars import ContextVar
 from typing import Callable, Iterable, Optional, Sequence
@@ -286,18 +310,85 @@ def add_flops(n: int) -> None:
         box[0] += int(n)
 
 
-def _leading_blocks(rows: int, nbytes: int) -> list[slice]:
+def _leading_blocks(rows: int, nbytes: int, slots: int = 1) -> list[slice]:
     """Slices of a leading axis of ``rows`` rows spanning ``nbytes`` in all,
-    about _BLOCK_BYTES and at least one row each."""
-    step = max(1, _BLOCK_BYTES * rows // max(nbytes, 1))
+    about _BLOCK_BYTES // slots and at least one row each: the scratch
+    buffers of all slots together stay those of one slot's blocks."""
+    step = max(1, _BLOCK_BYTES // slots * rows // max(nbytes, 1))
     return [slice(i, min(i + step, rows)) for i in range(0, rows, step)] or [slice(0, 0)]
 
 
-def _even_blocks(rows: int, min_rows: int) -> list[slice]:
-    """Slices of ``rows`` rows into as many near-equal blocks of at least
-    ``min_rows`` rows as fit (one block when fewer rows are given)."""
-    n = max(1, rows // min_rows)
+def _even_blocks(rows: int, n: int) -> list[slice]:
+    """Slices of ``rows`` rows into ``n`` near-equal blocks (one if n < 1)."""
+    n = max(1, n)
     return [slice(rows * i // n, rows * (i + 1) // n) for i in range(n)]
+
+
+def _slot_gemm_blocks(rows: int, row_macs: int, slots: int) -> list[slice]:
+    """The output rows of a GEMM, or of a stack of GEMMs, with ``row_macs``
+    multiply-adds per row: one near-equal block per slot when each block's
+    GEMM stays above the small-matrix cut, else one block.  Above the cut a
+    block of rows sums as the whole GEMM does."""
+    return _even_blocks(rows, slots if rows // slots * row_macs > _SMALL_GEMM else 1)
+
+
+def _cache_gemm_blocks(rows: int, nbytes: int, row_macs: int, slots: int) -> list[slice]:
+    """Near-equal blocks of the output rows of a GEMM spanning ``nbytes``,
+    each of about _BLOCK_BYTES // slots and above the small-matrix cut: even
+    blocks, since a ragged last one could fall under it."""
+    step = max(_leading_blocks(rows, nbytes, slots)[0].stop, _SMALL_GEMM // row_macs + 1)
+    return _even_blocks(rows, rows // step)
+
+
+# ---------------------------------------------------------------------------
+# Two slots: the caller's thread and one worker thread
+# ---------------------------------------------------------------------------
+
+def _slots() -> int:
+    """The threads a forward op splits its blocks over: two where this
+    process may run on two or more CPUs, else one."""
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # a platform without CPU affinity
+        cpus = os.cpu_count() or 1
+    return min(2, cpus)
+
+
+def _fresh_worker() -> None:
+    """Make the worker, whose thread starts at its first job, so only a
+    process that splits an op has one: at import, and again in a forked
+    child, which has no copy of its parent's thread."""
+    global _WORKER
+    _WORKER = ThreadPoolExecutor(1, thread_name_prefix="hsifreq-blocks")
+
+
+_fresh_worker()
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_fresh_worker)
+
+
+def _run_blocks(blocks: list[slice], body: Callable[[slice, int], None]) -> None:
+    for b in blocks:
+        body(b, 1)
+
+
+def _over_blocks(blocks: list[slice], body: Callable[[slice, int], None],
+                 slots: int) -> None:
+    """Run ``body(block, slot)`` for every block.  With two slots the worker
+    runs the later half of the blocks as slot 1 while this thread runs the
+    first half as slot 0, then waits for the worker, whose error, if any, it
+    raises.  With one slot or one block every block runs here as slot 0.
+    A body writes disjoint slices of its op's output and its slot's own
+    scratch, and keeps the rules of the module docstring.
+    """
+    half = -(-len(blocks) // slots)
+    job = _WORKER.submit(_run_blocks, blocks[half:], body) if half < len(blocks) else None
+    try:
+        for b in blocks[:half]:
+            body(b, 0)
+    finally:
+        if job is not None:
+            job.result()
 
 
 # ---------------------------------------------------------------------------
@@ -319,10 +410,18 @@ def _reduce_to(g: np.ndarray, shape: tuple) -> np.ndarray:
 
 
 def add(a, b) -> Tensor:
+    """a + b, over leading-axis blocks."""
     a, b = as_tensor(a), as_tensor(b)
     _check_binary_shapes(a, b, "add")
-    out = Tensor(a.data + b.data)
     sa, sb = a.shape, b.shape
+    shape = np.broadcast_shapes(sa, sb)
+    out_d = np.empty(shape or (1,), dtype=np.result_type(a.data, b.data))
+    # a single-element operand as a view of the output's shape
+    ad, bd = (np.broadcast_to(t.data, shape).reshape(out_d.shape) for t in (a, b))
+    slots = _slots()
+    _over_blocks(_leading_blocks(len(out_d), out_d.nbytes, slots),
+                 lambda r, slot: np.add(ad[r], bd[r], out=out_d[r]), slots)
+    out = Tensor(out_d.reshape(shape))
 
     def bw(g):
         return _reduce_to(g, sa), _reduce_to(g, sb)
@@ -478,16 +577,20 @@ def gelu(x: Tensor) -> Tensor:
     """
     xd = x.data
     xr = xd.reshape(x.shape or (1,))  # a 0-d input as one row
-    blocks = _leading_blocks(len(xr), xr.nbytes)
+    slots = _slots()
+    blocks = _leading_blocks(len(xr), xr.nbytes, slots)
     out_d = np.empty_like(xr)
-    h, t = np.empty((2, blocks[0].stop) + xr.shape[1:], dtype=xr.dtype)
-    for b in blocks:
+    scratch = np.empty((slots, 2, blocks[0].stop) + xr.shape[1:], dtype=xr.dtype)
+
+    def body(b, slot):
         n = b.stop - b.start
-        xb, hb, tb = xr[b], h[:n], t[:n]
+        xb, (hb, tb) = xr[b], scratch[slot, :, :n]
         _gelu_tanh(xb, hb, tb)
         tb += 1.0
         np.multiply(xb, 0.5, out=hb)
         np.multiply(hb, tb, out=out_d[b])
+
+    _over_blocks(blocks, body, slots)
     out = Tensor(out_d.reshape(x.shape))
 
     def bw(g):
@@ -573,24 +676,31 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
     if gamma.shape != (c,) or beta.shape != (c,):
         raise ShapeError(f"layer_norm: scale/shift must have shape ({c},)")
     xd, gd = x.data, gamma.data
+    bd = beta.data
     xr = xd.reshape(-1, c)
-    blocks = _leading_blocks(len(xr), xr.nbytes)
-    out_d = np.empty(xr.shape, dtype=np.result_type(xd, gd, beta.data))
+    slots = _slots()
+    blocks = _leading_blocks(len(xr), xr.nbytes, slots)
+    out_d = np.empty(xr.shape, dtype=np.result_type(xd, gd, bd))
     taped = _ACTIVE_TAPE.get() is not None
-    xhat = np.empty_like(xd) if taped else np.empty((blocks[0].stop, c), dtype=xd.dtype)
+    xhat = np.empty_like(xd) if taped else None
     inv = np.empty(xd.shape[:-1] + (1,), dtype=xd.dtype)
-    sq = np.empty((blocks[0].stop, c), dtype=xd.dtype)
-    xhat_r, inv_r = xhat.reshape(-1, c), inv.reshape(-1, 1)
-    for b in blocks:
+    inv_r = inv.reshape(-1, 1)
+    # per slot: the squares, and the normalized values when no tape keeps them
+    scratch = np.empty((slots, 1 if taped else 2, blocks[0].stop, c), dtype=xd.dtype)
+
+    def body(b, slot):
         xb = xr[b]
         n = len(xb)
-        hb = xhat_r[b] if taped else xhat_r[:n]
+        sq = scratch[slot, 0, :n]
+        hb = xhat.reshape(-1, c)[b] if taped else scratch[slot, 1, :n]
         # the whole-array formula's operations in its order
         np.subtract(xb, xb.mean(axis=-1, keepdims=True), out=hb)
-        var = np.multiply(hb, hb, out=sq[:n]).mean(axis=-1, keepdims=True)
+        var = np.multiply(hb, hb, out=sq).mean(axis=-1, keepdims=True)
         hb *= np.divide(1.0, np.sqrt(var + _LN_EPS), out=inv_r[b])
         ob = np.multiply(hb, gd, out=out_d[b])
-        ob += beta.data
+        ob += bd
+
+    _over_blocks(blocks, body, slots)
     out = Tensor(out_d.reshape(xd.shape))
     lead = tuple(range(xd.ndim - 1))
 
@@ -618,30 +728,32 @@ def bmm(a: Tensor, b: Tensor) -> Tensor:
     (see :func:`head_view`) is the head view of a new [n, M, heads*N] array.
     """
     ad, bd = a.data, b.data
-    if ad.ndim == 3 and bd.ndim == 2:
+    shared = ad.ndim == 3 and bd.ndim == 2
+    if shared:
         if ad.shape[2] != bd.shape[0]:
             raise ShapeError(f"bmm: inner dims differ {a.shape} x {b.shape}")
-        out = Tensor(ad @ bd)
-        add_flops(2 * ad.shape[0] * ad.shape[1] * ad.shape[2] * bd.shape[1])
-
-        def bw(g):
-            da = g @ bd.T
-            db = np.tensordot(ad, g, axes=([0, 1], [0, 1]))
-            return da, db
-
-        return record(out, (a, b), bw)
-    if ad.ndim not in (3, 4) or bd.ndim != ad.ndim:
+    elif ad.ndim not in (3, 4) or bd.ndim != ad.ndim:
         raise ShapeError(f"bmm: incompatible ranks {a.shape} x {b.shape}")
-    if ad.shape[:-2] != bd.shape[:-2] or ad.shape[-1] != bd.shape[-2]:
+    elif ad.shape[:-2] != bd.shape[:-2] or ad.shape[-1] != bd.shape[-2]:
         raise ShapeError(f"bmm: incompatible shapes {a.shape} x {b.shape}")
-    out_d = np.empty_like(ad, dtype=np.result_type(ad, bd),
+    out_d = np.empty_like(ad, dtype=np.result_type(ad, bd), order="C" if shared else "K",
                           shape=ad.shape[:-1] + bd.shape[-1:])
-    np.matmul(ad, bd, out=out_d)
+    macs = math.prod(ad.shape) * bd.shape[-1]
+    slots = _slots()
+    # numpy multiplies each matrix of the batch on its own, so any split of
+    # the leading axis sums as the whole product does
+    _over_blocks(_slot_gemm_blocks(len(ad), macs // max(len(ad), 1), slots),
+                 lambda r, slot: np.matmul(ad[r], bd if shared else bd[r], out=out_d[r]),
+                 slots)
     out = _view_tensor(out_d)
-    add_flops(2 * math.prod(ad.shape) * bd.shape[-1])
+    add_flops(2 * macs)
 
     def bw(g):
-        return g @ bd.swapaxes(-1, -2), ad.swapaxes(-1, -2) @ g
+        da = g @ bd.swapaxes(-1, -2)
+        if shared:
+            # the one GEMM over the flattened batch that tensordot ran
+            return da, np.dot(ad.reshape(-1, bd.shape[0]).T, g.reshape(-1, bd.shape[1]))
+        return da, ad.swapaxes(-1, -2) @ g
 
     return record(out, (a, b), bw)
 
@@ -754,19 +866,24 @@ def attention(q: Tensor, k: Tensor, v: Tensor, s: float, pos: Tensor,
     # 256x256x28 reconstruct's peak RSS about 10 MB higher
     out_d = np.empty((n, length, heads, cv),
                      dtype=np.result_type(dtype, vd)).transpose(0, 2, 1, 3)
-    blocks = _leading_blocks(n, n * heads * length * m * dtype.itemsize)
+    slots = _slots()
+    blocks = _leading_blocks(n, n * heads * length * m * dtype.itemsize, slots)
+    step = blocks[0].stop
     work = None if probs is not None \
-        else np.empty((blocks[0].stop, heads, length, m), dtype=dtype)
-    rows_t = np.empty((blocks[0].stop, heads, m, length), dtype=dtype)
-    for b in blocks:
+        else np.empty((slots, step, heads, length, m), dtype=dtype)
+    rows_t = np.empty((slots, step, heads, m, length), dtype=dtype)
+
+    def body(b, slot):
         nb = b.stop - b.start
-        pb = probs[b] if work is None else work[:nb]
+        pb = probs[b] if work is None else work[slot, :nb]
         # k^T as a transposed view sums as the chain's contiguous kt did at
         # every head width the network runs; the parent-formula tests pin it
         np.matmul(qd[b], kd[b].swapaxes(-1, -2), out=pb)
         _scale_add_into(pb, s, pd, pb)
-        _softmax_into(pb, pb, rows_t[:nb])
+        _softmax_into(pb, pb, rows_t[slot, :nb])
         np.matmul(pb, vd[b], out=out_d[b])
+
+    _over_blocks(blocks, body, slots)
     out = _view_tensor(out_d)
     add_flops(2 * n * heads * length * m * (c + cv))
 
@@ -821,12 +938,16 @@ def gate_blend(a: Tensor, b: Tensor, s: Tensor) -> Tensor:
     sd = s.data[:, :, None]
     cd = (1.0 - s.data)[:, :, None]
     out_d = np.empty(a.shape, dtype=np.result_type(ad, bd, sd))
-    blocks = _leading_blocks(len(out_d), out_d.nbytes)
-    tmp = np.empty((blocks[0].stop,) + a.shape[1:], dtype=np.result_type(ad, sd))
-    for r in blocks:
-        tb = np.multiply(ad[r], sd[r], out=tmp[:r.stop - r.start])
+    slots = _slots()
+    blocks = _leading_blocks(len(out_d), out_d.nbytes, slots)
+    tmp = np.empty((slots, blocks[0].stop) + a.shape[1:], dtype=np.result_type(ad, sd))
+
+    def body(r, slot):
+        tb = np.multiply(ad[r], sd[r], out=tmp[slot, :r.stop - r.start])
         ob = np.multiply(bd[r], cd[r], out=out_d[r])
         np.add(tb, ob, out=ob)
+
+    _over_blocks(blocks, body, slots)
     out = Tensor(out_d)
 
     def bw(g):
@@ -887,11 +1008,18 @@ def conv2d(x: Tensor, k: Tensor, bias: Tensor) -> Tensor:
 
     kd, bd = k.data, bias.data
     parents = (x, k, bias)
+    slots = _slots()
     if s == 1 and not depthwise:
-        # point-wise: one [H*W, Cin] @ [Cin, Cout] GEMM, forward and backward
-        x2d = x.data.reshape(h * w, cin)
-        out_d = x2d @ kd[0, 0]
-        out_d += bd
+        # point-wise: one [H*W, Cin] @ [Cin, Cout] GEMM, forward and backward;
+        # the forward's over blocks of its output rows
+        x2d, k2d = x.data.reshape(h * w, cin), kd[0, 0]
+        out_d = np.empty((h * w, cout), dtype=np.result_type(x2d, k2d))
+
+        def rows(r, slot):
+            ob = np.matmul(x2d[r], k2d, out=out_d[r])
+            ob += bd
+
+        _over_blocks(_slot_gemm_blocks(h * w, cin * cout, slots), rows, slots)
         add_flops(2 * cin * cout * h * w)
 
         def bw_pointwise(g):
@@ -912,39 +1040,42 @@ def conv2d(x: Tensor, k: Tensor, bias: Tensor) -> Tensor:
     xd = x.data
     taps = [(u, v) for u in range(s) for v in range(s)]
     out_d = np.zeros((hout, wout, cout), dtype=xd.dtype)
-    blocks = _leading_blocks(hout, out_d.nbytes)
-    if not depthwise:
-        # even blocks: a ragged last one could fall under the small-matrix cut
-        blocks = _even_blocks(hout, max(blocks[0].stop, _SMALL_GEMM // (wout * cin * cout) + 1))
+    blocks = _leading_blocks(hout, out_d.nbytes, slots) if depthwise \
+        else _cache_gemm_blocks(hout, out_d.nbytes, wout * cin * cout, slots)
     step = max(b.stop - b.start for b in blocks)
-    pad_buf = np.zeros((step + 2 * pad, wp, cin), dtype=xd.dtype) if pad else None
+    # each slot's scratch; a slot fills its padded rows for increasing starts
+    pad_buf = np.zeros((slots, step + 2 * pad, wp, cin), dtype=xd.dtype) if pad else None
     if depthwise:
         # each tap's weights are repeated along a row, so numpy loops per row,
         # not per pixel
         krows = [np.broadcast_to(kd[u, v, 0], (wout, cout)).copy() for u, v in taps]
-        tmp = np.empty((step, wout, cout), dtype=out_d.dtype)
+        tmp = np.empty((slots, step, wout, cout), dtype=out_d.dtype)
     else:
         # Each tap is one [rows*W, Cin] @ [Cin, Cout] GEMM on a contiguous copy
         # of its window: the GEMM that tensordot ran over the whole image,
         # and above the small-matrix cut, so BLAS runs the same kernel.  A
         # matmul on the strided view would run one GEMM per row, which may
         # sum in another order.
-        win = np.empty((step * wout, cin), dtype=xd.dtype)
-        res = np.empty((step * wout, cout), dtype=np.result_type(xd, kd))
-    for b in blocks:
+        win = np.empty((slots, step * wout, cin), dtype=xd.dtype)
+        res = np.empty((slots, step * wout, cout), dtype=np.result_type(xd, kd))
+
+    def body(b, slot):
         n = b.stop - b.start
-        xb = _padded_rows(xd, stride * b.start, stride * (b.stop - 1) + s, pad, pad_buf)
+        xb = _padded_rows(xd, stride * b.start, stride * (b.stop - 1) + s, pad,
+                          None if pad_buf is None else pad_buf[slot])
         ob = out_d[b]
         for i, (u, v) in enumerate(taps):
             xs = xb[u:u + stride * n:stride, v:v + stride * wout:stride]
             if depthwise:
-                tb = np.multiply(xs, krows[i], out=tmp[:n])
+                tb = np.multiply(xs, krows[i], out=tmp[slot, :n])
             else:
-                wb = win[:n * wout]
+                wb = win[slot, :n * wout]
                 wb.reshape(n, wout, cin)[...] = xs
-                tb = np.dot(wb, kd[u, v], out=res[:n * wout]).reshape(n, wout, cout)
+                tb = np.dot(wb, kd[u, v], out=res[slot, :n * wout]).reshape(n, wout, cout)
             ob += tb
         ob += bd
+
+    _over_blocks(blocks, body, slots)
     out = Tensor(out_d)
     add_flops(2 * s * s * cpg * cout * hout * wout)
 

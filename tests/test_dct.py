@@ -105,6 +105,16 @@ class TestInvariants:
         assert np.allclose(dct2(x), rows_then_cols, atol=1e-12)
 
 
+class TestBasisCache:
+    def test_cached_basis_is_read_only(self, rng):
+        # one cached array serves every transform of its size, gen_scene's too
+        x = rng.standard_normal((8, 8, 3))
+        before = dct2_cube(x).tobytes()
+        with pytest.raises(ValueError, match="read-only"):
+            dct_basis(8)[0, 0] = 5.0
+        assert dct2_cube(x).tobytes() == before
+
+
 class TestGradients:
     def test_sum_of_forward_grad_is_inverse_of_ones(self, f64, rng):
         x = wrap_input(rng.standard_normal((4, 4, 2)), "x")
@@ -139,12 +149,16 @@ class TestCubeDctMatchesEinsum:
     the strides."""
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    def test_values_and_strides(self, rng, dtype):
-        x = rng.standard_normal((16, 24, 5)).astype(dtype)
+    @pytest.mark.parametrize("shape", [(16, 24, 5), (64, 64, 28), (128, 128, 56)])
+    def test_values_and_strides(self, rng, dtype, shape):
+        # the two larger shapes are the network's, where each GEMM runs over
+        # several blocks of output rows
+        h, w, _ = shape
+        x = rng.standard_normal(shape).astype(dtype)
         for data in (x, np.ascontiguousarray(x.transpose(0, 2, 1)).transpose(0, 2, 1)):
             for inverse in (False, True):
-                bh = dct_basis(16).astype(dtype)
-                bw = dct_basis(24).astype(dtype)
+                bh = dct_basis(h).astype(dtype)
+                bw = dct_basis(w).astype(dtype)
                 if inverse:
                     bh, bw = bh.T, bw.T
                 tmp = np.einsum("uh,hwc->uwc", bh, data, optimize=True)

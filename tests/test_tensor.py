@@ -1,9 +1,13 @@
 """Engine ops: forward values, gradient rules, tape behaviour, optimizer."""
 
 import math
+import multiprocessing
+import os
+import subprocess
 import sys
 import threading
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,6 +17,7 @@ from hypothesis import strategies as st
 from conftest import gradient_check, wrap_input
 from hsifreq import tensor as T
 from hsifreq.cassi import random_mask, simulate
+from hsifreq.dct import dct2_forward, dct2_inverse
 from hsifreq.layers import merge_tokens
 from hsifreq.network import NetConfig
 from hsifreq.optim import Adam, cosine_lr
@@ -40,6 +45,22 @@ class TestBmmSharedMatrix:
     def test_shape_mismatch_names_shapes(self):
         with pytest.raises(ShapeError, match=r"\(1, 2, 3\).*\(2, 3\)"):
             T.bmm(Tensor(np.zeros((1, 2, 3))), Tensor(np.zeros((2, 3))))
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("a_shape,nout", [((1, 1, 1), 28), ((1, 1, 16), 32),
+                                              ((1, 1, 32), 6), ((1024, 64, 28), 28)])
+    def test_weight_gradient_is_tensordots(self, rng, dtype, a_shape, nout):
+        # the Linear shapes and a 256x256 token projection: the GEMM that
+        # tensordot ran, bytes and strides
+        a = rng.standard_normal(a_shape).astype(dtype)
+        b = rng.standard_normal((a_shape[2], nout)).astype(dtype)
+        g = rng.standard_normal(a_shape[:2] + (nout,)).astype(dtype)
+        with Tape() as tape:
+            T.bmm(Tensor(a), Tensor(b))
+        _, db = tape.nodes[-1].backward_fn(g)
+        expect = np.tensordot(a, g, axes=([0, 1], [0, 1]))
+        assert db.dtype == expect.dtype and db.strides == expect.strides
+        assert db.tobytes() == expect.tobytes()
 
     def test_identity_associativity_bitwise(self, rng):
         a = Tensor(rng.standard_normal((1, 4, 4)).astype(np.float32))
@@ -928,6 +949,242 @@ class TestContextState:
             assert dtype == np.float32
             assert np.array_equal(grad, expect_grad)
         assert len(results) == 4
+
+
+def _split_case(name, rng, dtype, nblocks):
+    """(op, inputs, _BLOCK_BYTES) for one op that splits its blocks: the
+    block size gives the leading-block ops ``nblocks`` blocks at two slots, a
+    ragged last one at three; None keeps the size for the GEMM ops, which
+    split their rows once per slot."""
+    isz = np.dtype(dtype).itemsize
+
+    def data(*shape):
+        return (3 * rng.standard_normal(shape)).astype(dtype)
+
+    def leading(row_bytes):
+        return 2 * row_bytes * -(-7 // nblocks)  # 7 rows in steps of 4 or 3
+
+    cases = {
+        "gelu": lambda: (T.gelu, [data(7, 6, 5)], leading(30 * isz)),
+        "add": lambda: (T.add, [data(7, 6, 5), data(7, 6, 5)], leading(30 * isz)),
+        "add_scalar": lambda: (T.add, [data(7, 6, 5), data(1)], leading(30 * isz)),
+        "layer_norm": lambda: (T.layer_norm, [data(7, 12) + 2, data(12), data(12)],
+                               leading(12 * isz)),
+        "gate_blend": lambda: (T.gate_blend, [data(7, 6, 5), data(7, 6, 5),
+                                              rng.random((7, 6)).astype(dtype)],
+                               leading(30 * isz)),
+        "attention": lambda: (lambda q, k, v, p: T.attention(q, k, v, 0.5, p),
+                              [data(7, 2, 8, 3) for _ in range(3)] + [data(2, 8, 8)],
+                              leading(2 * 8 * 8 * isz)),
+        # a 5x5 kernel: blocks of 3 or 4 rows start inside the top padding
+        "conv2d_depthwise": lambda: (T.conv2d, [data(7, 6, 5), data(5, 5, 1, 5), data(5)],
+                                     leading(30 * isz)),
+        # 31-row blocks keep each tap's GEMM above the small-matrix cut
+        "conv2d_dense": lambda: (T.conv2d, [data(31 * nblocks + 3, 40, 29),
+                                            data(3, 3, 29, 28), data(28)], 1),
+        "conv2d_pointwise": lambda: (T.conv2d, [data(64, 64, 28), data(1, 1, 28, 28),
+                                                data(28)], None),
+        "dct2_forward": lambda: (dct2_forward, [data(64, 64, 28)],
+                                 2 * (64 // nblocks) * 28 * 64 * isz),
+        "dct2_inverse": lambda: (dct2_inverse, [data(64, 64, 28)],
+                                 2 * (64 // nblocks) * 28 * 64 * isz),
+        "bmm_shared": lambda: (T.bmm, [data(64, 64, 28), data(28, 28)], None),
+        "bmm_3d": lambda: (T.bmm, [data(32, 64, 28), data(32, 28, 64)], None),
+        "bmm_4d": lambda: (T.bmm, [data(32, 4, 64, 7), data(32, 4, 7, 64)], None),
+        "bmm_head_view": lambda: (lambda v, p: T.bmm(T.head_view(v, 4), p),
+                                  [data(192, 64, 28), data(192, 4, 7, 7)], None),
+    }
+    return cases[name]()
+
+
+_SPLIT_CASES = [(case, nblocks) for nblocks in (2, 3)
+                for case in ("gelu", "add", "add_scalar", "layer_norm", "gate_blend",
+                             "attention", "conv2d_depthwise", "conv2d_dense",
+                             "dct2_forward", "dct2_inverse")] \
+    + [(case, 2) for case in ("conv2d_pointwise", "bmm_shared", "bmm_3d", "bmm_4d",
+                              "bmm_head_view")]
+
+
+def _worker_threads() -> list:
+    return [t for t in threading.enumerate() if t.name.startswith("hsifreq-blocks")]
+
+
+def _seeded_reconstruct() -> bytes:
+    """A perturbed 64x64x28 K=3 network's reconstruction: its ops split at
+    two slots (a fresh prior is the identity)."""
+    cfg = NetConfig(height=64, width=64, bands=28, token=8, heads=4, stages=3)
+    net = UnfoldingNet(cfg, random_mask(64, 64, seed=3), seed=4)
+    gen = np.random.default_rng(5)
+    for _, p in net.named_params():
+        p.assign((p.value.data + 0.01 * gen.standard_normal(p.shape)).astype(p.value.dtype))
+    y = simulate(gen.random((64, 64, 28)), net.sensing).astype(np.float32)
+    return net.reconstruct(y).tobytes()
+
+
+def _send_gelu_bytes(x, conn):
+    conn.send_bytes(T.gelu(x).data.tobytes())
+    conn.close()
+
+
+class TestTwoSlots:
+    """Forward ops split their blocks between the calling thread (slot 0) and
+    one worker thread (slot 1).  The split changes no byte: values, dtypes
+    and strides, forward and backward, equal those of one slot."""
+
+    @staticmethod
+    def run(op, inputs):
+        tensors = [Tensor(a) for a in inputs]
+        plain = op(*tensors).data  # without a tape: block-sized scratch only
+        with Tape() as tape:
+            out = op(*tensors)
+            g = np.random.default_rng(5).standard_normal(out.shape).astype(out.dtype)
+            grads = tape.backward(T.sum_all(T.mul(out, Tensor(g))))
+        return [plain, out.data] + [grads[t.serial] for t in tensors]
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("case,nblocks", _SPLIT_CASES)
+    def test_split_equals_one_slot(self, monkeypatch, rng, case, nblocks, dtype):
+        op, inputs, block_bytes = _split_case(case, rng, dtype, nblocks)
+        if block_bytes is not None:
+            monkeypatch.setattr(T, "_BLOCK_BYTES", block_bytes)
+        seen = []
+        over_blocks = T._over_blocks
+
+        def spy(blocks, body, slots):
+            seen.append((slots, len(blocks)))
+            over_blocks(blocks, body, slots)
+
+        monkeypatch.setattr(T, "_over_blocks", spy)
+        results = {}
+        for slots in (1, 2):
+            monkeypatch.setattr(T, "_slots", lambda slots=slots: slots)
+            results[slots] = self.run(op, inputs)
+        assert (2, nblocks) in seen  # the split under test did occur
+        for one, two in zip(results[1], results[2], strict=True):
+            assert two.dtype == one.dtype and two.shape == one.shape
+            assert two.strides == one.strides
+            assert two.tobytes() == one.tobytes()
+
+    def test_worker_error_reaches_the_caller(self, monkeypatch, rng):
+        ran = []
+
+        def failing(b, slot):
+            ran.append((b.start, slot))
+            if slot == 1:
+                raise ValueError("in the worker's half")
+
+        blocks = [slice(i, i + 1) for i in range(4)]
+        with pytest.raises(ValueError, match="worker's half"):
+            T._over_blocks(blocks, failing, 2)
+        assert sorted(ran) == [(0, 0), (1, 0), (2, 1)]
+
+        # the worker runs the next op's later half
+        threads = {}
+        T._over_blocks(blocks, lambda b, slot: threads.setdefault(slot, set()).add(
+            threading.current_thread()), 2)
+        assert threads[0] == {threading.current_thread()}
+        assert threads[1] == set(_worker_threads()) and len(threads[1]) == 1
+        x = Tensor(rng.standard_normal((7, 6, 5)).astype(np.float32))
+        monkeypatch.setattr(T, "_BLOCK_BYTES", 2 * 4 * 30 * 4)
+        monkeypatch.setattr(T, "_slots", lambda: 1)
+        expect = T.gelu(x).data
+        monkeypatch.setattr(T, "_slots", lambda: 2)
+        assert T.gelu(x).data.tobytes() == expect.tobytes()
+
+    def test_one_slot_runs_every_block_here(self):
+        ran = []
+        T._over_blocks([slice(i, i + 1) for i in range(3)],
+                       lambda b, slot: ran.append((b.start, slot, threading.current_thread())),
+                       1)
+        assert ran == [(i, 0, threading.current_thread()) for i in range(3)]
+
+    def test_threads_share_the_worker(self, monkeypatch, rng):
+        # more callers than CPUs, each splitting ops between itself and the
+        # one worker under a short switch interval
+        monkeypatch.setattr(T, "_BLOCK_BYTES", 4 * 8 * 8 * 4)
+        x = Tensor(rng.standard_normal((32, 8, 8)).astype(np.float32))
+        q, k, v = (Tensor(rng.standard_normal((32, 2, 8, 4)).astype(np.float32))
+                   for _ in range(3))
+        pos = Tensor(rng.standard_normal((2, 8, 8)).astype(np.float32))
+
+        def ops():
+            return [T.gelu(x).data, T.layer_norm(x, Tensor(np.ones(8, np.float32)),
+                                                 Tensor(np.zeros(8, np.float32))).data,
+                    T.attention(q, k, v, 0.5, pos).data]
+
+        monkeypatch.setattr(T, "_slots", lambda: 1)
+        expect = [a.tobytes() for a in ops()]
+        monkeypatch.setattr(T, "_slots", lambda: 2)
+        errors, done = [], []
+        start = threading.Barrier(4)
+
+        def caller():
+            try:
+                start.wait(timeout=30)
+                for _ in range(20):
+                    assert [a.tobytes() for a in ops()] == expect
+                done.append(True)
+            except Exception as exc:  # noqa: BLE001 - reported by the main thread
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=caller) for _ in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert not errors, errors
+        assert len(done) == 4
+        assert len(_worker_threads()) == 1
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
+    @pytest.mark.filterwarnings("ignore:.*fork:DeprecationWarning")  # a threaded parent
+    def test_forked_child_gets_its_own_worker(self, monkeypatch, rng):
+        monkeypatch.setattr(T, "_BLOCK_BYTES", 4 * 30 * 4)
+        monkeypatch.setattr(T, "_slots", lambda: 2)
+        x = Tensor(rng.standard_normal((9, 6, 5)).astype(np.float32))
+        expect = T.gelu(x).data.tobytes()
+        assert _worker_threads()  # started before the fork
+        ctx = multiprocessing.get_context("fork")
+        recv, send = ctx.Pipe(duplex=False)
+        child = ctx.Process(target=_send_gelu_bytes, args=(x, send))
+        child.start()
+        send.close()
+        try:
+            assert recv.poll(30), "the forked child's split gelu did not finish in 30 s"
+            assert recv.recv_bytes() == expect
+        finally:
+            child.join(timeout=30)
+            if child.is_alive():
+                child.kill()
+                child.join(timeout=30)
+        assert child.exitcode == 0
+
+    @pytest.mark.skipif(not hasattr(os, "sched_setaffinity") or T._slots() < 2,
+                        reason="needs CPU affinity and two CPUs")
+    def test_one_cpu_process_writes_the_same_bytes(self, tmp_path):
+        expect = _seeded_reconstruct()
+        assert _worker_threads()  # this process split the ops
+        out = tmp_path / "cube.bin"
+        cpu = min(os.sched_getaffinity(0))
+        code = (
+            "import os, sys\n"
+            f"os.sched_setaffinity(0, {{{cpu}}})\n"
+            "from test_tensor import _seeded_reconstruct, _worker_threads\n"
+            f"open({str(out)!r}, 'wb').write(_seeded_reconstruct())\n"
+            "sys.exit(3 if _worker_threads() else 0)\n")
+        tests = Path(__file__).resolve().parent
+        src = Path(T.__file__).resolve().parents[1]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(tests), str(src)]))
+        done = subprocess.run([sys.executable, "-c", code], env=env, timeout=120,
+                              capture_output=True, text=True)
+        assert done.returncode == 0, done.stderr  # 3: the worker started
+        assert out.read_bytes() == expect
 
 
 class TestAdam:
