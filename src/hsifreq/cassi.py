@@ -70,10 +70,16 @@ class SensingConfig:
 
 
 def random_mask(h: int, w: int, seed: int = 0, binary: bool = True,
-                density: float = 0.5) -> np.ndarray:
-    """Seeded coded aperture; binary 0/1 by default, else uniform [0,1]."""
+                density: float | None = None) -> np.ndarray:
+    """Seeded coded aperture: binary 0/1 by default, open with probability
+    ``density`` (0.5 if not given), else uniform [0,1], which takes no
+    density."""
     if h < 1 or w < 1:
         raise ValueError(f"random_mask: h and w must be >= 1, got {h}x{w}")
+    if not binary and density is not None:
+        raise ValueError("random_mask: a real-valued mask takes no density, "
+                         f"got {density!r}")
+    density = 0.5 if density is None else density
     if not 0.0 <= density <= 1.0:
         raise ValueError(f"random_mask: density must lie in [0, 1], got {density!r}")
     rng = np.random.default_rng(seed)

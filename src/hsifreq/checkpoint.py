@@ -16,6 +16,7 @@ a checkpoint is self-contained for reconstruction.
 
 from __future__ import annotations
 
+import math
 import struct
 from pathlib import Path
 
@@ -96,8 +97,7 @@ def load_weights(path) -> tuple[NetConfig, dict[str, np.ndarray]]:
             raise CheckpointError(f"tensor {name} appears more than once")
         (ndim,) = struct.unpack("<B", take(1))
         shape = struct.unpack(f"<{ndim}I", take(4 * ndim))
-        n = int(np.prod(shape, dtype=np.int64)) if ndim else 1
-        data = np.frombuffer(take(4 * n), dtype="<f4").reshape(shape)
+        data = np.frombuffer(take(4 * math.prod(shape)), dtype="<f4").reshape(shape)
         if not np.all(np.isfinite(data)):
             raise CheckpointError(f"tensor {name} holds non-finite values (NaN or inf)")
         tensors[name] = data.copy()

@@ -225,7 +225,8 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--h", dest="height", type=int, default=32)
     g.add_argument("--w", dest="width", type=int, default=32)
     g.add_argument("--seed", type=int, default=0)
-    g.add_argument("--density", type=float, default=0.5)
+    g.add_argument("--density", type=float, default=None,
+                   help="share of open pixels of a binary mask (default 0.5)")
     g.add_argument("--real", action="store_true", help="real-valued instead of binary")
     g.add_argument("--out", required=True)
     g.set_defaults(func=cmd_gen_mask)

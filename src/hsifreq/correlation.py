@@ -105,8 +105,8 @@ def token_correlation(x: np.ndarray, token_size: int) -> TokenCorrelationCurve:
     coordinate (ties by u), which follows the growth of DCT frequency.  Each
     token's score is the mean pairwise Pearson between its C spectral slices.
     """
-    if x.ndim != 3:
-        raise ValueError(f"token_correlation needs an [H,W,C] cube, got {x.shape}")
+    if x.ndim != 3 or x.shape[2] < 2:
+        raise ValueError(f"token_correlation needs an [H,W,C>=2] cube, got {x.shape}")
     h, w, c = x.shape
     k = token_size
     if k < 1 or h % k or w % k:

@@ -63,12 +63,10 @@ def _cube_dct(data: np.ndarray, inverse: bool) -> np.ndarray:
     x2d = data.reshape(h, w * c)
     uwc = np.empty((h, w, c), dtype=data.dtype)
     out = np.empty((h, c, w), dtype=data.dtype)
-    slots = T._slots()
-    T._over_blocks(T._slot_gemm_blocks(h, h * w * c, slots),
-                   lambda b, slot: np.matmul(bh[b], x2d, out=uwc[b].reshape(-1, w * c)),
-                   slots)
-    blocks = T._cache_gemm_blocks(h, out.nbytes, c * w * w, slots)
-    ucw = np.empty((slots, max(b.stop - b.start for b in blocks), c, w), dtype=data.dtype)
+    T._over_blocks(T._slot_gemm_blocks(h, h * w * c),
+                   lambda b, slot: np.matmul(bh[b], x2d, out=uwc[b].reshape(-1, w * c)))
+    blocks = T._cache_gemm_blocks(h, out.nbytes, c * w * w)
+    ucw = np.empty((T._SLOTS, max(b.stop - b.start for b in blocks), c, w), dtype=data.dtype)
 
     def band_major(b, slot):
         n = b.stop - b.start
@@ -76,7 +74,7 @@ def _cube_dct(data: np.ndarray, inverse: bool) -> np.ndarray:
         np.copyto(tb, uwc[b].transpose(0, 2, 1))
         np.matmul(tb.reshape(n * c, w), bw_.T, out=out[b].reshape(n * c, w))
 
-    T._over_blocks(blocks, band_major, slots)
+    T._over_blocks(blocks, band_major)
     return out.transpose(0, 2, 1)
 
 

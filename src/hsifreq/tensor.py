@@ -38,12 +38,11 @@ results are bit for bit those of one pass over the whole array:
 array per operation, again with the same operations in the same order, and
 the same GEMMs.
 
-Forward passes use up to two CPUs.  Where ``os.sched_getaffinity(0)`` (or,
-without it, ``os.cpu_count()``) reports two or more, the blocks of ``add``,
-``gelu``, ``layer_norm``, ``gate_blend``, ``attention`` and the k x k
-``conv2d`` are split in two: the calling thread runs the first half and one
-worker thread per process, started at its first use, the later half, and
-the op returns only after both.  The 1 x 1 ``conv2d``, ``bmm`` over its
+Forward passes use up to two CPUs.  Where the process may run on two or
+more, the blocks of ``add``, ``gelu``, ``layer_norm``, ``gate_blend``,
+``attention`` and the k x k ``conv2d`` are split in two: the calling
+thread runs the first half and one worker thread per process, started at
+its first use, the later half, and the op returns only after both.  The 1 x 1 ``conv2d``, ``bmm`` over its
 leading batch axis and both GEMMs of the DCT split their output rows the
 same way, each half written through ``out=`` into a C-contiguous slice, when
 each half's GEMM stays above BLAS's small-matrix cut, above which a block of
@@ -52,7 +51,9 @@ these calls, the arithmetic is the same, and so are the bytes.  The
 scratch buffers of both halves hold what one pass's held: each half's
 blocks are half the size.  With one CPU, or one block, every block runs on
 the calling thread and no worker is started.  Backward passes stay on the
-calling thread.  A forked child starts its own worker.
+calling thread.  The CPUs are counted once, at import; a forked child
+counts its own and starts its own worker.  A process that narrows its CPUs
+after the import keeps splitting, with the same bytes.
 
 A block body, which may run on the worker, calls numpy only: never a
 tensor op, ``record`` or ``add_flops``, and it reads no context variable.
@@ -92,26 +93,21 @@ class ShapeError(ValueError):
     """Raised when operand shapes violate an op's contract."""
 
 
-def set_default_dtype(dtype) -> None:
-    """Set the floating dtype used for newly created tensors (float32/float64)."""
-    if dtype not in (np.float32, np.float64):
-        raise ValueError(f"unsupported dtype {dtype!r}; use np.float32 or np.float64")
-    _DEFAULT_DTYPE.set(dtype)
-
-
 def get_default_dtype():
     return _DEFAULT_DTYPE.get()
 
 
 @contextmanager
 def using_dtype(dtype):
-    """Temporarily switch the default dtype (gradient checks run under float64)."""
-    prev = get_default_dtype()
-    set_default_dtype(dtype)
+    """Switch the floating dtype of newly created tensors (float32/float64)
+    inside the block (gradient checks run under float64)."""
+    if dtype not in (np.float32, np.float64):
+        raise ValueError(f"unsupported dtype {dtype!r}; use np.float32 or np.float64")
+    token = _DEFAULT_DTYPE.set(dtype)
     try:
         yield
     finally:
-        set_default_dtype(prev)
+        _DEFAULT_DTYPE.reset(token)
 
 
 class Tensor:
@@ -310,11 +306,12 @@ def add_flops(n: int) -> None:
         box[0] += int(n)
 
 
-def _leading_blocks(rows: int, nbytes: int, slots: int = 1) -> list[slice]:
+def _leading_blocks(rows: int, nbytes: int, block_bytes: Optional[int] = None) -> list[slice]:
     """Slices of a leading axis of ``rows`` rows spanning ``nbytes`` in all,
-    about _BLOCK_BYTES // slots and at least one row each: the scratch
-    buffers of all slots together stay those of one slot's blocks."""
-    step = max(1, _BLOCK_BYTES // slots * rows // max(nbytes, 1))
+    of about ``block_bytes`` and at least one row each.  The default,
+    _BLOCK_BYTES // _SLOTS, keeps the scratch buffers of all slots together
+    those of one slot's blocks."""
+    step = max(1, (block_bytes or _BLOCK_BYTES // _SLOTS) * rows // max(nbytes, 1))
     return [slice(i, min(i + step, rows)) for i in range(0, rows, step)] or [slice(0, 0)]
 
 
@@ -324,19 +321,19 @@ def _even_blocks(rows: int, n: int) -> list[slice]:
     return [slice(rows * i // n, rows * (i + 1) // n) for i in range(n)]
 
 
-def _slot_gemm_blocks(rows: int, row_macs: int, slots: int) -> list[slice]:
+def _slot_gemm_blocks(rows: int, row_macs: int) -> list[slice]:
     """The output rows of a GEMM, or of a stack of GEMMs, with ``row_macs``
     multiply-adds per row: one near-equal block per slot when each block's
     GEMM stays above the small-matrix cut, else one block.  Above the cut a
     block of rows sums as the whole GEMM does."""
-    return _even_blocks(rows, slots if rows // slots * row_macs > _SMALL_GEMM else 1)
+    return _even_blocks(rows, _SLOTS if rows // _SLOTS * row_macs > _SMALL_GEMM else 1)
 
 
-def _cache_gemm_blocks(rows: int, nbytes: int, row_macs: int, slots: int) -> list[slice]:
+def _cache_gemm_blocks(rows: int, nbytes: int, row_macs: int) -> list[slice]:
     """Near-equal blocks of the output rows of a GEMM spanning ``nbytes``,
-    each of about _BLOCK_BYTES // slots and above the small-matrix cut: even
+    each of about _BLOCK_BYTES // _SLOTS and above the small-matrix cut: even
     blocks, since a ragged last one could fall under it."""
-    step = max(_leading_blocks(rows, nbytes, slots)[0].stop, _SMALL_GEMM // row_macs + 1)
+    step = max(_leading_blocks(rows, nbytes)[0].stop, _SMALL_GEMM // row_macs + 1)
     return _even_blocks(rows, rows // step)
 
 
@@ -344,21 +341,18 @@ def _cache_gemm_blocks(rows: int, nbytes: int, row_macs: int, slots: int) -> lis
 # Two slots: the caller's thread and one worker thread
 # ---------------------------------------------------------------------------
 
-def _slots() -> int:
-    """The threads a forward op splits its blocks over: two where this
-    process may run on two or more CPUs, else one."""
+def _fresh_worker() -> None:
+    """Set ``_SLOTS``, the threads a forward op splits its blocks over: two
+    where this process may run on two or more CPUs, else one.  Make the
+    worker, whose thread starts at its first job, so only a process that
+    splits an op has one.  Runs at import, and again in a forked child,
+    which may run on other CPUs and has no copy of its parent's thread."""
+    global _SLOTS, _WORKER
     try:
         cpus = len(os.sched_getaffinity(0))
     except AttributeError:  # a platform without CPU affinity
         cpus = os.cpu_count() or 1
-    return min(2, cpus)
-
-
-def _fresh_worker() -> None:
-    """Make the worker, whose thread starts at its first job, so only a
-    process that splits an op has one: at import, and again in a forked
-    child, which has no copy of its parent's thread."""
-    global _WORKER
+    _SLOTS = min(2, cpus)
     _WORKER = ThreadPoolExecutor(1, thread_name_prefix="hsifreq-blocks")
 
 
@@ -367,13 +361,7 @@ if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=_fresh_worker)
 
 
-def _run_blocks(blocks: list[slice], body: Callable[[slice, int], None]) -> None:
-    for b in blocks:
-        body(b, 1)
-
-
-def _over_blocks(blocks: list[slice], body: Callable[[slice, int], None],
-                 slots: int) -> None:
+def _over_blocks(blocks: list[slice], body: Callable[[slice, int], None]) -> None:
     """Run ``body(block, slot)`` for every block.  With two slots the worker
     runs the later half of the blocks as slot 1 while this thread runs the
     first half as slot 0, then waits for the worker, whose error, if any, it
@@ -381,8 +369,13 @@ def _over_blocks(blocks: list[slice], body: Callable[[slice, int], None],
     A body writes disjoint slices of its op's output and its slot's own
     scratch, and keeps the rules of the module docstring.
     """
-    half = -(-len(blocks) // slots)
-    job = _WORKER.submit(_run_blocks, blocks[half:], body) if half < len(blocks) else None
+    half = -(-len(blocks) // _SLOTS)
+
+    def later_half():
+        for b in blocks[half:]:
+            body(b, 1)
+
+    job = _WORKER.submit(later_half) if half < len(blocks) else None
     try:
         for b in blocks[:half]:
             body(b, 0)
@@ -418,9 +411,8 @@ def add(a, b) -> Tensor:
     out_d = np.empty(shape or (1,), dtype=np.result_type(a.data, b.data))
     # a single-element operand as a view of the output's shape
     ad, bd = (np.broadcast_to(t.data, shape).reshape(out_d.shape) for t in (a, b))
-    slots = _slots()
-    _over_blocks(_leading_blocks(len(out_d), out_d.nbytes, slots),
-                 lambda r, slot: np.add(ad[r], bd[r], out=out_d[r]), slots)
+    _over_blocks(_leading_blocks(len(out_d), out_d.nbytes),
+                 lambda r, slot: np.add(ad[r], bd[r], out=out_d[r]))
     out = Tensor(out_d.reshape(shape))
 
     def bw(g):
@@ -577,10 +569,9 @@ def gelu(x: Tensor) -> Tensor:
     """
     xd = x.data
     xr = xd.reshape(x.shape or (1,))  # a 0-d input as one row
-    slots = _slots()
-    blocks = _leading_blocks(len(xr), xr.nbytes, slots)
+    blocks = _leading_blocks(len(xr), xr.nbytes)
     out_d = np.empty_like(xr)
-    scratch = np.empty((slots, 2, blocks[0].stop) + xr.shape[1:], dtype=xr.dtype)
+    scratch = np.empty((_SLOTS, 2, blocks[0].stop) + xr.shape[1:], dtype=xr.dtype)
 
     def body(b, slot):
         n = b.stop - b.start
@@ -590,7 +581,7 @@ def gelu(x: Tensor) -> Tensor:
         np.multiply(xb, 0.5, out=hb)
         np.multiply(hb, tb, out=out_d[b])
 
-    _over_blocks(blocks, body, slots)
+    _over_blocks(blocks, body)
     out = Tensor(out_d.reshape(x.shape))
 
     def bw(g):
@@ -678,15 +669,14 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
     xd, gd = x.data, gamma.data
     bd = beta.data
     xr = xd.reshape(-1, c)
-    slots = _slots()
-    blocks = _leading_blocks(len(xr), xr.nbytes, slots)
+    blocks = _leading_blocks(len(xr), xr.nbytes)
     out_d = np.empty(xr.shape, dtype=np.result_type(xd, gd, bd))
     taped = _ACTIVE_TAPE.get() is not None
     xhat = np.empty_like(xd) if taped else None
     inv = np.empty(xd.shape[:-1] + (1,), dtype=xd.dtype)
     inv_r = inv.reshape(-1, 1)
     # per slot: the squares, and the normalized values when no tape keeps them
-    scratch = np.empty((slots, 1 if taped else 2, blocks[0].stop, c), dtype=xd.dtype)
+    scratch = np.empty((_SLOTS, 1 if taped else 2, blocks[0].stop, c), dtype=xd.dtype)
 
     def body(b, slot):
         xb = xr[b]
@@ -700,7 +690,7 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
         ob = np.multiply(hb, gd, out=out_d[b])
         ob += bd
 
-    _over_blocks(blocks, body, slots)
+    _over_blocks(blocks, body)
     out = Tensor(out_d.reshape(xd.shape))
     lead = tuple(range(xd.ndim - 1))
 
@@ -739,12 +729,10 @@ def bmm(a: Tensor, b: Tensor) -> Tensor:
     out_d = np.empty_like(ad, dtype=np.result_type(ad, bd), order="C" if shared else "K",
                           shape=ad.shape[:-1] + bd.shape[-1:])
     macs = math.prod(ad.shape) * bd.shape[-1]
-    slots = _slots()
     # numpy multiplies each matrix of the batch on its own, so any split of
     # the leading axis sums as the whole product does
-    _over_blocks(_slot_gemm_blocks(len(ad), macs // max(len(ad), 1), slots),
-                 lambda r, slot: np.matmul(ad[r], bd if shared else bd[r], out=out_d[r]),
-                 slots)
+    _over_blocks(_slot_gemm_blocks(len(ad), macs // max(len(ad), 1)),
+                 lambda r, slot: np.matmul(ad[r], bd if shared else bd[r], out=out_d[r]))
     out = _view_tensor(out_d)
     add_flops(2 * macs)
 
@@ -866,12 +854,11 @@ def attention(q: Tensor, k: Tensor, v: Tensor, s: float, pos: Tensor,
     # 256x256x28 reconstruct's peak RSS about 10 MB higher
     out_d = np.empty((n, length, heads, cv),
                      dtype=np.result_type(dtype, vd)).transpose(0, 2, 1, 3)
-    slots = _slots()
-    blocks = _leading_blocks(n, n * heads * length * m * dtype.itemsize, slots)
+    blocks = _leading_blocks(n, n * heads * length * m * dtype.itemsize)
     step = blocks[0].stop
     work = None if probs is not None \
-        else np.empty((slots, step, heads, length, m), dtype=dtype)
-    rows_t = np.empty((slots, step, heads, m, length), dtype=dtype)
+        else np.empty((_SLOTS, step, heads, length, m), dtype=dtype)
+    rows_t = np.empty((_SLOTS, step, heads, m, length), dtype=dtype)
 
     def body(b, slot):
         nb = b.stop - b.start
@@ -883,7 +870,7 @@ def attention(q: Tensor, k: Tensor, v: Tensor, s: float, pos: Tensor,
         _softmax_into(pb, pb, rows_t[slot, :nb])
         np.matmul(pb, vd[b], out=out_d[b])
 
-    _over_blocks(blocks, body, slots)
+    _over_blocks(blocks, body)
     out = _view_tensor(out_d)
     add_flops(2 * n * heads * length * m * (c + cv))
 
@@ -900,7 +887,7 @@ def attention(q: Tensor, k: Tensor, v: Tensor, s: float, pos: Tensor,
         dkt = np.empty((n, heads, c, m), dtype=dt)
         dv = np.empty((n, heads, m, g.shape[3]), dtype=dt)
         dpos = np.empty(pd.shape, dtype=dt)
-        bblocks = _leading_blocks(n, 2 * n * heads * length * m * dt.itemsize)
+        bblocks = _leading_blocks(n, 2 * n * heads * length * m * dt.itemsize, _BLOCK_BYTES)
         da, dlog = np.empty((2, bblocks[0].stop, heads, length, m), dtype=dt)
         kt = np.empty((bblocks[0].stop, heads, c, m), dtype=kd.dtype)
         for b in bblocks:
@@ -938,16 +925,15 @@ def gate_blend(a: Tensor, b: Tensor, s: Tensor) -> Tensor:
     sd = s.data[:, :, None]
     cd = (1.0 - s.data)[:, :, None]
     out_d = np.empty(a.shape, dtype=np.result_type(ad, bd, sd))
-    slots = _slots()
-    blocks = _leading_blocks(len(out_d), out_d.nbytes, slots)
-    tmp = np.empty((slots, blocks[0].stop) + a.shape[1:], dtype=np.result_type(ad, sd))
+    blocks = _leading_blocks(len(out_d), out_d.nbytes)
+    tmp = np.empty((_SLOTS, blocks[0].stop) + a.shape[1:], dtype=np.result_type(ad, sd))
 
     def body(r, slot):
         tb = np.multiply(ad[r], sd[r], out=tmp[slot, :r.stop - r.start])
         ob = np.multiply(bd[r], cd[r], out=out_d[r])
         np.add(tb, ob, out=ob)
 
-    _over_blocks(blocks, body, slots)
+    _over_blocks(blocks, body)
     out = Tensor(out_d)
 
     def bw(g):
@@ -1008,7 +994,6 @@ def conv2d(x: Tensor, k: Tensor, bias: Tensor) -> Tensor:
 
     kd, bd = k.data, bias.data
     parents = (x, k, bias)
-    slots = _slots()
     if s == 1 and not depthwise:
         # point-wise: one [H*W, Cin] @ [Cin, Cout] GEMM, forward and backward;
         # the forward's over blocks of its output rows
@@ -1019,7 +1004,7 @@ def conv2d(x: Tensor, k: Tensor, bias: Tensor) -> Tensor:
             ob = np.matmul(x2d[r], k2d, out=out_d[r])
             ob += bd
 
-        _over_blocks(_slot_gemm_blocks(h * w, cin * cout, slots), rows, slots)
+        _over_blocks(_slot_gemm_blocks(h * w, cin * cout), rows)
         add_flops(2 * cin * cout * h * w)
 
         def bw_pointwise(g):
@@ -1040,24 +1025,24 @@ def conv2d(x: Tensor, k: Tensor, bias: Tensor) -> Tensor:
     xd = x.data
     taps = [(u, v) for u in range(s) for v in range(s)]
     out_d = np.zeros((hout, wout, cout), dtype=xd.dtype)
-    blocks = _leading_blocks(hout, out_d.nbytes, slots) if depthwise \
-        else _cache_gemm_blocks(hout, out_d.nbytes, wout * cin * cout, slots)
+    blocks = _leading_blocks(hout, out_d.nbytes) if depthwise \
+        else _cache_gemm_blocks(hout, out_d.nbytes, wout * cin * cout)
     step = max(b.stop - b.start for b in blocks)
     # each slot's scratch; a slot fills its padded rows for increasing starts
-    pad_buf = np.zeros((slots, step + 2 * pad, wp, cin), dtype=xd.dtype) if pad else None
+    pad_buf = np.zeros((_SLOTS, step + 2 * pad, wp, cin), dtype=xd.dtype) if pad else None
     if depthwise:
         # each tap's weights are repeated along a row, so numpy loops per row,
         # not per pixel
         krows = [np.broadcast_to(kd[u, v, 0], (wout, cout)).copy() for u, v in taps]
-        tmp = np.empty((slots, step, wout, cout), dtype=out_d.dtype)
+        tmp = np.empty((_SLOTS, step, wout, cout), dtype=out_d.dtype)
     else:
         # Each tap is one [rows*W, Cin] @ [Cin, Cout] GEMM on a contiguous copy
         # of its window: the GEMM that tensordot ran over the whole image,
         # and above the small-matrix cut, so BLAS runs the same kernel.  A
         # matmul on the strided view would run one GEMM per row, which may
         # sum in another order.
-        win = np.empty((slots, step * wout, cin), dtype=xd.dtype)
-        res = np.empty((slots, step * wout, cout), dtype=np.result_type(xd, kd))
+        win = np.empty((_SLOTS, step * wout, cin), dtype=xd.dtype)
+        res = np.empty((_SLOTS, step * wout, cout), dtype=np.result_type(xd, kd))
 
     def body(b, slot):
         n = b.stop - b.start
@@ -1075,7 +1060,7 @@ def conv2d(x: Tensor, k: Tensor, bias: Tensor) -> Tensor:
             ob += tb
         ob += bd
 
-    _over_blocks(blocks, body, slots)
+    _over_blocks(blocks, body)
     out = Tensor(out_d)
     add_flops(2 * s * s * cpg * cout * hout * wout)
 

@@ -248,3 +248,9 @@ class TestProperties:
     def test_random_mask_rejects_empty_shape_and_bad_density(self, h, w, density):
         with pytest.raises(ValueError, match="random_mask"):
             random_mask(h, w, density=density)
+
+    def test_real_mask_takes_no_density(self):
+        with pytest.raises(ValueError, match="real-valued mask takes no density"):
+            random_mask(4, 4, binary=False, density=0.5)
+        assert np.array_equal(random_mask(4, 4, seed=3),
+                              random_mask(4, 4, seed=3, density=0.5))

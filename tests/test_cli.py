@@ -1,5 +1,7 @@
 """CLI wiring: subcommands, exit codes, file products, determinism."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -98,7 +100,8 @@ class TestGenerators:
         assert named in capsys.readouterr().err
         assert not out.exists()
 
-    @pytest.mark.parametrize("flags", [["--h", "0", "--w", "8"], ["--density", "2"]])
+    @pytest.mark.parametrize("flags", [["--h", "0", "--w", "8"], ["--density", "2"],
+                                       ["--real", "--density", "0.2"]])
     def test_gen_mask_bad_shape_or_density_exit_two_and_write_nothing(self, tmp_path,
                                                                      capsys, flags):
         out = tmp_path / "m.hsic"
@@ -205,6 +208,20 @@ class TestAnalyzeHfc:
                      "--out-dir", str(out_dir)])
         assert code == 2
         assert "token size 3" in capsys.readouterr().err
+        assert not out_dir.exists()
+
+    def test_one_band_exits_two_without_warnings(self, tmp_path, capsys):
+        scene = tmp_path / "one.hsic"
+        assert main(["gen-scene", "--h", "16", "--w", "16", "--c", "1",
+                     "--out", str(scene)]) == 0
+        out_dir = tmp_path / "r4"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(["analyze-hfc", "--in", str(scene), "--out-dir", str(out_dir)])
+        assert code == 2
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+        err = capsys.readouterr().err
+        assert "token_correlation" in err and "RuntimeWarning" not in err
         assert not out_dir.exists()
 
 

@@ -155,6 +155,10 @@ class TestTokenCorrelation:
         with pytest.raises(ValueError):
             token_correlation(rng.random((16, 16, 3)), 5)
 
+    def test_one_band_rejected(self, rng):
+        with pytest.raises(ValueError, match=r"\(16, 16, 1\)"):
+            token_correlation(rng.random((16, 16, 1)), 8)
+
     def test_single_token_matches_freq_map(self, rng):
         cube = rng.random((8, 8, 4))
         curve = token_correlation(cube, 8)

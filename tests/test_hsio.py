@@ -113,6 +113,16 @@ class TestCheckpointFormat:
         with pytest.raises(CheckpointError, match="truncated"):
             load_weights(p)
 
+    def test_huge_declared_dims_report_truncation(self, tmp_path):
+        # 65536**4 elements, a count that wraps to 0 in int64
+        p = tmp_path / "w.cmdw"
+        save_weights(p, self.cfg(), {})
+        raw = p.read_bytes()[:-4] + struct.pack("<IH", 1, 1) + b"w" \
+            + struct.pack("<B4I", 4, *(65536,) * 4)
+        p.write_bytes(raw)
+        with pytest.raises(CheckpointError, match="truncated"):
+            load_weights(p)
+
     def test_trailing_bytes_rejected(self, tmp_path, rng):
         p = tmp_path / "w.cmdw"
         save_weights(p, self.cfg(), {"w": rng.random((2, 2)).astype(np.float32)})

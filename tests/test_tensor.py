@@ -1022,8 +1022,32 @@ def _seeded_reconstruct() -> bytes:
 
 
 def _send_gelu_bytes(x, conn):
-    conn.send_bytes(T.gelu(x).data.tobytes())
+    conn.send(T.gelu(x).data.tobytes())
     conn.close()
+
+
+def _send_slots(conn):
+    conn.send(T._SLOTS)
+    conn.close()
+
+
+def _from_forked_child(target, *args):
+    """What ``target(*args, conn)`` sends from a forked child."""
+    ctx = multiprocessing.get_context("fork")
+    recv, send = ctx.Pipe(duplex=False)
+    child = ctx.Process(target=target, args=args + (send,))
+    child.start()
+    send.close()
+    try:
+        assert recv.poll(30), "the forked child did not answer in 30 s"
+        sent = recv.recv()
+    finally:
+        child.join(timeout=30)
+        if child.is_alive():
+            child.kill()
+            child.join(timeout=30)
+    assert child.exitcode == 0
+    return sent
 
 
 class TestTwoSlots:
@@ -1050,14 +1074,14 @@ class TestTwoSlots:
         seen = []
         over_blocks = T._over_blocks
 
-        def spy(blocks, body, slots):
-            seen.append((slots, len(blocks)))
-            over_blocks(blocks, body, slots)
+        def spy(blocks, body):
+            seen.append((T._SLOTS, len(blocks)))
+            over_blocks(blocks, body)
 
         monkeypatch.setattr(T, "_over_blocks", spy)
         results = {}
         for slots in (1, 2):
-            monkeypatch.setattr(T, "_slots", lambda slots=slots: slots)
+            monkeypatch.setattr(T, "_SLOTS", slots)
             results[slots] = self.run(op, inputs)
         assert (2, nblocks) in seen  # the split under test did occur
         for one, two in zip(results[1], results[2], strict=True):
@@ -1074,28 +1098,29 @@ class TestTwoSlots:
                 raise ValueError("in the worker's half")
 
         blocks = [slice(i, i + 1) for i in range(4)]
+        monkeypatch.setattr(T, "_SLOTS", 2)
         with pytest.raises(ValueError, match="worker's half"):
-            T._over_blocks(blocks, failing, 2)
+            T._over_blocks(blocks, failing)
         assert sorted(ran) == [(0, 0), (1, 0), (2, 1)]
 
         # the worker runs the next op's later half
         threads = {}
         T._over_blocks(blocks, lambda b, slot: threads.setdefault(slot, set()).add(
-            threading.current_thread()), 2)
+            threading.current_thread()))
         assert threads[0] == {threading.current_thread()}
         assert threads[1] == set(_worker_threads()) and len(threads[1]) == 1
         x = Tensor(rng.standard_normal((7, 6, 5)).astype(np.float32))
         monkeypatch.setattr(T, "_BLOCK_BYTES", 2 * 4 * 30 * 4)
-        monkeypatch.setattr(T, "_slots", lambda: 1)
+        monkeypatch.setattr(T, "_SLOTS", 1)
         expect = T.gelu(x).data
-        monkeypatch.setattr(T, "_slots", lambda: 2)
+        monkeypatch.setattr(T, "_SLOTS", 2)
         assert T.gelu(x).data.tobytes() == expect.tobytes()
 
-    def test_one_slot_runs_every_block_here(self):
+    def test_one_slot_runs_every_block_here(self, monkeypatch):
         ran = []
+        monkeypatch.setattr(T, "_SLOTS", 1)
         T._over_blocks([slice(i, i + 1) for i in range(3)],
-                       lambda b, slot: ran.append((b.start, slot, threading.current_thread())),
-                       1)
+                       lambda b, slot: ran.append((b.start, slot, threading.current_thread())))
         assert ran == [(i, 0, threading.current_thread()) for i in range(3)]
 
     def test_threads_share_the_worker(self, monkeypatch, rng):
@@ -1112,9 +1137,9 @@ class TestTwoSlots:
                                                  Tensor(np.zeros(8, np.float32))).data,
                     T.attention(q, k, v, 0.5, pos).data]
 
-        monkeypatch.setattr(T, "_slots", lambda: 1)
+        monkeypatch.setattr(T, "_SLOTS", 1)
         expect = [a.tobytes() for a in ops()]
-        monkeypatch.setattr(T, "_slots", lambda: 2)
+        monkeypatch.setattr(T, "_SLOTS", 2)
         errors, done = [], []
         start = threading.Barrier(4)
 
@@ -1146,26 +1171,38 @@ class TestTwoSlots:
     @pytest.mark.filterwarnings("ignore:.*fork:DeprecationWarning")  # a threaded parent
     def test_forked_child_gets_its_own_worker(self, monkeypatch, rng):
         monkeypatch.setattr(T, "_BLOCK_BYTES", 4 * 30 * 4)
-        monkeypatch.setattr(T, "_slots", lambda: 2)
+        monkeypatch.setattr(T, "_SLOTS", 2)
+        # the child counts two CPUs, so it splits gelu too
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
         x = Tensor(rng.standard_normal((9, 6, 5)).astype(np.float32))
         expect = T.gelu(x).data.tobytes()
         assert _worker_threads()  # started before the fork
-        ctx = multiprocessing.get_context("fork")
-        recv, send = ctx.Pipe(duplex=False)
-        child = ctx.Process(target=_send_gelu_bytes, args=(x, send))
-        child.start()
-        send.close()
-        try:
-            assert recv.poll(30), "the forked child's split gelu did not finish in 30 s"
-            assert recv.recv_bytes() == expect
-        finally:
-            child.join(timeout=30)
-            if child.is_alive():
-                child.kill()
-                child.join(timeout=30)
-        assert child.exitcode == 0
+        assert _from_forked_child(_send_gelu_bytes, x) == expect
 
-    @pytest.mark.skipif(not hasattr(os, "sched_setaffinity") or T._slots() < 2,
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
+    @pytest.mark.filterwarnings("ignore:.*fork:DeprecationWarning")  # a threaded parent
+    def test_forked_child_counts_its_own_cpus(self, monkeypatch):
+        slots = T._SLOTS
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        assert _from_forked_child(_send_slots) == 1
+        assert T._SLOTS == slots
+
+    @pytest.mark.parametrize("case", ["gelu", "conv2d_dense", "dct2_forward", "attention"])
+    def test_ops_do_not_ask_for_the_cpu_count(self, monkeypatch, rng, case):
+        op, inputs, block_bytes = _split_case(case, rng, np.float32, 2)
+        monkeypatch.setattr(T, "_BLOCK_BYTES", block_bytes)
+        monkeypatch.setattr(T, "_SLOTS", 2)
+        expect = self.run(op, inputs)
+
+        def no_count(*args):
+            raise AssertionError("an op asked for the CPU count")
+
+        monkeypatch.setattr(os, "sched_getaffinity", no_count, raising=False)
+        monkeypatch.setattr(os, "cpu_count", no_count)
+        for one, two in zip(expect, self.run(op, inputs), strict=True):
+            assert two.strides == one.strides and two.tobytes() == one.tobytes()
+
+    @pytest.mark.skipif(not hasattr(os, "sched_setaffinity") or T._SLOTS < 2,
                         reason="needs CPU affinity and two CPUs")
     def test_one_cpu_process_writes_the_same_bytes(self, tmp_path):
         expect = _seeded_reconstruct()
@@ -1232,6 +1269,17 @@ class TestDtypeSwitch:
         assert Tensor([1.0]).dtype == np.float32
         with T.using_dtype(np.float64):
             assert Tensor([1.0]).dtype == np.float64
+        assert Tensor([1.0]).dtype == np.float32
+
+    def test_nested_contexts_unwind_on_error_and_reject_other_dtypes(self):
+        with pytest.raises(RuntimeError, match="inner"):
+            with T.using_dtype(np.float64), T.using_dtype(np.float64):
+                assert Tensor([1.0]).dtype == np.float64
+                raise RuntimeError("inner")
+        assert Tensor([1.0]).dtype == np.float32
+        with pytest.raises(ValueError, match="unsupported dtype"):
+            with T.using_dtype(np.float16):
+                pass
         assert Tensor([1.0]).dtype == np.float32
 
     def test_scalar_broadcast_only(self):
