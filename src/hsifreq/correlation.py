@@ -72,13 +72,21 @@ class CorrelationReport:
 
 
 def correlation_maps(x: np.ndarray) -> CorrelationReport:
-    """C x C Pearson maps over vectorized bands, raw and DCT-transformed."""
+    """C x C Pearson maps over vectorized bands, raw and DCT-transformed.
+    A cube with fewer than two varying bands in a domain is a ValueError
+    naming its constant bands: none of its pairs has a correlation."""
     if x.ndim != 3 or x.shape[2] < 2:
         raise ValueError(f"correlation_maps needs an [H,W,C>=2] cube, got {x.shape}")
     c = x.shape[2]
     flat = x.reshape(-1, c).T  # [C, HW]
     space = _corr_matrix(flat)
     freq = _corr_matrix(dct2_cube(x).reshape(-1, c).T)
+    for domain, corr in (("space", space), ("frequency", freq)):
+        constant = np.flatnonzero(np.isnan(np.diag(corr)))
+        if c - constant.size < 2:
+            raise ValueError(f"correlation_maps: bands {', '.join(map(str, constant))} "
+                             f"of {c} are constant in the {domain} domain, so no pair "
+                             "of bands has a defined correlation")
     return CorrelationReport(
         space_map=space,
         freq_map=freq,
@@ -103,7 +111,8 @@ def token_correlation(x: np.ndarray, token_size: int) -> TokenCorrelationCurve:
 
     Tokens are ordered by ascending (u + v) of their top-left coefficient
     coordinate (ties by u), which follows the growth of DCT frequency.  Each
-    token's score is the mean pairwise Pearson between its C spectral slices.
+    token's score is the mean pairwise Pearson between its C spectral slices,
+    NaN where no pair has one.
     """
     if x.ndim != 3 or x.shape[2] < 2:
         raise ValueError(f"token_correlation needs an [H,W,C>=2] cube, got {x.shape}")
@@ -118,8 +127,8 @@ def token_correlation(x: np.ndarray, token_size: int) -> TokenCorrelationCurve:
     means = np.empty(len(coords))
     for t, (u, v) in enumerate(coords):
         block = coeffs[u:u + k, v:v + k, :].reshape(-1, c).T
-        corr = _corr_matrix(block)
-        means[t] = np.nanmean(corr[iu, ju])
+        pairs = _corr_matrix(block)[iu, ju]
+        means[t] = np.nan if np.isnan(pairs).all() else np.nanmean(pairs)
     return TokenCorrelationCurve(token_size=k, token_coords=coords, mean_corr=means)
 
 

@@ -60,8 +60,9 @@ def write_lines(path, lines: Iterable[str]) -> None:
 
 def write_hsic(cube: np.ndarray, path) -> None:
     cube = np.asarray(cube)
-    if cube.ndim != 3:
-        raise ValueError(f"write_hsic expects an [H,W,C] cube, got shape {cube.shape}")
+    if cube.ndim != 3 or 0 in cube.shape:
+        raise ValueError(f"write_hsic expects an [H,W,C] cube of at least 1x1x1, "
+                         f"got shape {cube.shape}")
     h, w, c = cube.shape
     header = HSIC_MAGIC + struct.pack("<H3IBH", HSIC_VERSION, h, w, c, DTYPE_F32, 0)
     payload = np.ascontiguousarray(np.moveaxis(cube, 2, 0), dtype="<f4")
@@ -80,6 +81,10 @@ def read_hsic(path) -> np.ndarray:
         raise HsicError(f"{path}: unsupported version {version} at byte 4")
     if dtype != DTYPE_F32:
         raise HsicError(f"{path}: unknown dtype code {dtype} at byte 18")
+    for name, size, offset in (("H", h, 6), ("W", w, 10), ("C", c, 14)):
+        if size == 0:
+            raise HsicError(f"{path}: {name} is 0 at byte {offset}; a cube needs at least "
+                            "one row, column and band")
     expected = HEADER_SIZE + 4 * h * w * c
     if len(buf) != expected:
         raise HsicError(f"{path}: payload length mismatch, expected {expected} bytes "

@@ -9,7 +9,9 @@ head, so gradients reach every part of the network from a single scalar loss.
 
 from __future__ import annotations
 
+import os
 import time
+from contextlib import nullcontext
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -196,6 +198,65 @@ def _random_crop(cube: np.ndarray, h: int, w: int, rng: np.random.Generator) -> 
     return cube[i:i + h, j:j + w, :]
 
 
+def _draw_sample(cubes: list[np.ndarray], h: int, w: int, rng: np.random.Generator,
+                 tcfg: TrainConfig, step: int) -> tuple[np.ndarray, int]:
+    """One training sample: a seeded crop, augmented if asked, and the seed of
+    its measurement noise."""
+    cube = cubes[int(rng.integers(0, len(cubes)))]
+    crop = _random_crop(cube, h, w, rng)
+    if not np.all(np.isfinite(crop)):
+        raise FloatingPointError(f"train: step {step}: the training crop "
+                                 "holds non-finite values")
+    if tcfg.augment:
+        crop = _augment_cube(crop, rng, h == w)
+    return crop, int(rng.integers(0, 2 ** 31))
+
+
+def _run_sample(net: UnfoldingNet, sensing: SensingConfig, sample, batch: int,
+                params=()) -> tuple[float, float, dict]:
+    """Simulate a drawn sample's measurement, run the net on it under a tape
+    and add its gradients into ``params``.  Return its loss and PSNR, both
+    divided by ``batch``, and the tape's gradient map."""
+    crop, seed = sample
+    y = simulate(crop, sensing, seed=seed)
+    with Tape() as tape:
+        z = net.forward(y)
+        sample_loss = T.scale(loss(z, crop.astype(z.dtype)), 1.0 / batch)
+        grads = tape.backward(sample_loss, params)
+    return sample_loss.item(), metrics.psnr(z.data, crop)[1] / batch, grads
+
+
+def _replica(net: UnfoldingNet, sensing: SensingConfig, batch: int):
+    """A forked child holding a copy of ``net`` that runs the samples it is
+    sent, where this process may use two CPUs and a batch has two samples;
+    else a context that gives None.
+
+    A request is the new parameter values (None while they are unchanged)
+    and a list of samples.  The reply holds, per sample in order, its loss,
+    its PSNR, the tape's gradient of each parameter (None where the tape
+    reached none) and the FLOPs its forward pass counted.
+    """
+    if T._SLOTS < 2 or batch < 2 or not hasattr(os, "fork"):
+        return nullcontext()
+    from .forked import Forked
+
+    params = net.params()
+
+    def serve(request):
+        values, samples = request
+        if values is not None:
+            for p, value in zip(params, values):
+                p.assign(value)
+        out = []
+        for sample in samples:
+            with T.count_flops() as flops:
+                lo, ps, grads = _run_sample(net, sensing, sample, batch)
+            out.append((lo, ps, [grads.get(p.value.serial) for p in params], flops[0]))
+        return out
+
+    return Forked(serve)
+
+
 def train(cubes: list[np.ndarray], mask: np.ndarray, tcfg: TrainConfig,
           log_path=None, ckpt_path=None) -> TrainResult:
     """Fit an unfolding network on a set of scene cubes.
@@ -205,6 +266,15 @@ def train(cubes: list[np.ndarray], mask: np.ndarray, tcfg: TrainConfig,
     the mean Euclidean-norm loss under a cosine learning-rate schedule.
     A keyboard interrupt flushes the checkpoint and log before returning.
     Non-finite weights raise FloatingPointError before anything is written.
+
+    Where the process may use two CPUs (see :mod:`hsifreq.tensor`) and
+    ``batch`` is at least 2, a forked child holding a copy of the network
+    runs the later half of each step's samples while this process runs the
+    first half.  It sends back each sample's gradients, which are added in
+    sample order as one process adds them, so the log and the weights are
+    the same bytes; started under ``taskset -c 0``, training stays in one
+    process.  The child is reaped before ``train`` returns or raises, and an
+    error in one of its samples is raised here.
     """
     if not cubes:
         raise ValueError("train: need at least one training cube")
@@ -219,42 +289,49 @@ def train(cubes: list[np.ndarray], mask: np.ndarray, tcfg: TrainConfig,
     params = net.params()
     opt = Adam(params)
     rng = np.random.default_rng(tcfg.seed)
-    square = h == w
     result = TrainResult(net=net)
     t0 = time.time()
     try:
-        for step in range(tcfg.steps):
-            lr = cosine_lr(step, tcfg.steps, tcfg.lr0)
-            opt.zero_grad()
-            step_loss = 0.0
-            psnr = 0.0
-            for _ in range(tcfg.batch):
-                cube = cubes[int(rng.integers(0, len(cubes)))]
-                crop = _random_crop(cube, h, w, rng)
-                if not np.all(np.isfinite(crop)):
-                    raise FloatingPointError(f"train: step {step}: the training crop "
-                                             "holds non-finite values")
-                if tcfg.augment:
-                    crop = _augment_cube(crop, rng, square)
-                y = simulate(crop, sensing, seed=int(rng.integers(0, 2 ** 31)))
-                with Tape() as tape:
-                    z = net.forward(y)
-                    sample_loss = T.scale(loss(z, crop.astype(z.dtype)), 1.0 / tcfg.batch)
-                    tape.backward(sample_loss, params)
-                step_loss += sample_loss.item()
-                psnr += metrics.psnr(z.data, crop)[1] / tcfg.batch
-            total = np.sqrt(sum(float((p.grad ** 2).sum()) for p in params))
-            # stop before clipping and Adam, so NaN never reaches the weights
-            if not (np.isfinite(step_loss) and np.isfinite(total)):
-                raise FloatingPointError(f"train: step {step}: non-finite loss {step_loss} "
-                                         f"or gradient norm {total}")
-            if 0 < tcfg.clip_norm < total:
-                scale = tcfg.clip_norm / total
-                for p in params:
-                    p.grad *= scale
-            opt.step(lr)
-            if step % tcfg.log_every == 0 or step == tcfg.steps - 1:
-                result.log.append((step, lr, step_loss, psnr))
+        with _replica(net, sensing, tcfg.batch) as replica:
+            # the parent runs the first half of each batch, the child the rest
+            half = (tcfg.batch + 1) // 2 if replica else tcfg.batch
+            values = None
+            for step in range(tcfg.steps):
+                lr = cosine_lr(step, tcfg.steps, tcfg.lr0)
+                opt.zero_grad()
+                step_loss = 0.0
+                psnr = 0.0
+                samples = [_draw_sample(cubes, h, w, rng, tcfg, step)
+                           for _ in range(tcfg.batch)]
+                if replica:
+                    replica.send((values, samples[half:]))
+                for sample in samples[:half]:
+                    lo, ps = _run_sample(net, sensing, sample, tcfg.batch, params)[:2]
+                    step_loss += lo
+                    psnr += ps
+                if replica:
+                    # the same sums in the same order as one process makes
+                    for lo, ps, grads, flops in replica.recv():
+                        for p, g in zip(params, grads):
+                            if g is not None:
+                                p.grad += g.reshape(p.grad.shape)
+                        step_loss += lo
+                        psnr += ps
+                        T.add_flops(flops)
+                total = np.sqrt(sum(float((p.grad ** 2).sum()) for p in params))
+                # stop before clipping and Adam, so NaN never reaches the weights
+                if not (np.isfinite(step_loss) and np.isfinite(total)):
+                    raise FloatingPointError(f"train: step {step}: non-finite loss "
+                                             f"{step_loss} or gradient norm {total}")
+                if 0 < tcfg.clip_norm < total:
+                    scale = tcfg.clip_norm / total
+                    for p in params:
+                        p.grad *= scale
+                opt.step(lr)
+                if replica:
+                    values = [p.value.data for p in params]
+                if step % tcfg.log_every == 0 or step == tcfg.steps - 1:
+                    result.log.append((step, lr, step_loss, psnr))
     except KeyboardInterrupt:
         result.interrupted = True
     # the loop's guard runs before each update, so the last one is checked here

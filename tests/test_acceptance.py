@@ -6,6 +6,7 @@ the runtime; everything else is seconds.
 """
 
 import math
+import os
 import time
 
 import numpy as np
@@ -21,6 +22,7 @@ from hsifreq.cassi import (SensingConfig, dense_phi, phi_adjoint, phi_forward,
 from hsifreq.checkpoint import load_weights, save_weights
 from hsifreq.correlation import correlation_maps, token_correlation
 from hsifreq.dct import dct2, dct2_cube, dct2_forward, dct2_inverse, idct2_cube
+from hsifreq.forked import Forked
 from hsifreq.gaptv import gap_tv
 from hsifreq.hsio import SceneSpec, export_heatmap, gen_scene, read_hsic, write_hsic
 from hsifreq.layers import (DualDomainBlock, FreqLocalMixer, FreqSpectralAttention,
@@ -28,7 +30,7 @@ from hsifreq.layers import (DualDomainBlock, FreqLocalMixer, FreqSpectralAttenti
 from hsifreq.metrics import count_flops, count_params, fdg, psnr
 from hsifreq.network import NetConfig, PriorNet
 from hsifreq.tensor import Tensor
-from hsifreq.unfolding import TrainConfig, UnfoldingNet, data_module, train
+from hsifreq.unfolding import TrainConfig, TrainResult, UnfoldingNet, data_module, train
 
 # overfit-criterion setup (32x32x8 scene, d=2, sigma=0, lr 4e-4 cosine, <=2000 steps)
 OVERFIT_SCENE = SceneSpec(kind="rank1-smooth", height=32, width=32, bands=8,
@@ -207,15 +209,30 @@ def test_06_gating_contract(f64, rng):
 
 
 @pytest.fixture(scope="module")
-def overfit_models():
-    """Train the K=3 and K=1 models once for criteria 07 and 09."""
+def overfit_models(tmp_path_factory):
+    """Train the K=3 and K=1 models once for criteria 07 and 09.  Where the
+    platform forks, a forked child trains K=1 while this process trains K=3,
+    and hands back its weights as CMDW bytes and its log."""
     scene = gen_scene(OVERFIT_SCENE)
     mask = random_mask(32, 32, seed=11)
+    tcfg = {k: TrainConfig(stages=k, share_params=True, **OVERFIT_TRAIN) for k in (3, 1)}
+    tmp = tmp_path_factory.mktemp("overfit")
+    ckpt = tmp / "k1.cmdw"
+
+    def train_k1(_):
+        log = train([scene], mask, tcfg[1], ckpt_path=tmp / "k1-child.cmdw").log
+        return (tmp / "k1-child.cmdw").read_bytes(), log
+
     t0 = time.perf_counter()
-    runs = {}
-    for stages in (3, 1):
-        tcfg = TrainConfig(stages=stages, share_params=True, **OVERFIT_TRAIN)
-        runs[stages] = train([scene], mask, tcfg)
+    if hasattr(os, "fork"):
+        with Forked(train_k1) as child:
+            child.send(None)
+            runs = {3: train([scene], mask, tcfg[3])}
+            weights, log = child.recv()
+        ckpt.write_bytes(weights)
+        runs[1] = TrainResult(net=UnfoldingNet.load(ckpt), log=log)
+    else:
+        runs = {k: train([scene], mask, tcfg[k]) for k in (3, 1)}
     elapsed = time.perf_counter() - t0
     y = simulate(scene, runs[3].net.sensing, seed=0)
     return dict(scene=scene, mask=mask, runs=runs, y=y, elapsed=elapsed)

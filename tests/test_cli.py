@@ -225,6 +225,41 @@ class TestAnalyzeHfc:
         assert not out_dir.exists()
 
 
+    @pytest.mark.parametrize("value", [0.5, 0.0])
+    def test_constant_cube_exits_two_naming_the_bands(self, tmp_path, capsys, value):
+        scene = tmp_path / "flat.hsic"
+        write_hsic(np.full((16, 16, 8), value), scene)
+        out_dir = tmp_path / "r5"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(["analyze-hfc", "--in", str(scene), "--out-dir", str(out_dir)])
+        assert code == 2
+        assert not caught
+        err = capsys.readouterr().err
+        assert "bands 0, 1, 2, 3, 4, 5, 6, 7 of 8 are constant" in err
+        assert "Warning" not in err
+        assert not out_dir.exists()
+
+
+class TestMetricsCommand:
+    def test_zero_height_cube_exits_two_without_warnings(self, tmp_path, scene_file,
+                                                          capsys):
+        empty = tmp_path / "empty.hsic"
+        raw = bytearray(scene_file.read_bytes()[:21])
+        raw[6:10] = bytes(4)  # H = 0, so the header alone is the whole file
+        empty.write_bytes(bytes(raw))
+        out = tmp_path / "metrics.csv"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(["metrics", "--gt", str(empty), "--pred", str(empty),
+                         "--out", str(out)])
+        assert code == 2
+        assert not caught
+        err = capsys.readouterr().err
+        assert "H is 0 at byte 6" in err and "Warning" not in err
+        assert not out.exists()
+
+
 class TestPipeline:
     def test_train_reconstruct_metrics(self, tmp_path, scene_file, mask_file, capsys):
         ckpt = tmp_path / "model.cmdw"

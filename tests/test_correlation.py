@@ -100,6 +100,12 @@ class TestCorrelationMaps:
         assert np.isnan(rep.space_map[1, 1])
         assert not np.isnan(rep.space_avg)
 
+    def test_fewer_than_two_varying_bands_rejected_by_name(self, rng):
+        cube = np.full((6, 6, 3), 0.25)
+        cube[:, :, 1] = rng.random((6, 6))
+        with pytest.raises(ValueError, match="bands 0, 2 of 3 are constant in the space"):
+            correlation_maps(cube)
+
     def test_space_map_per_band_affine_invariance(self, rng):
         cube = rng.random((8, 8, 3))
         scaled = cube * np.array([2.0, 0.3, 5.0]) + np.array([1.0, -4.0, 0.2])
@@ -118,6 +124,11 @@ class TestCorrelationMaps:
 
 
 class TestTokenCorrelation:
+    def test_token_without_a_defined_pair_is_nan(self):
+        # every coefficient of a zero cube is 0, so every slice is constant
+        curve = token_correlation(np.zeros((8, 8, 3)), 4)
+        assert np.isnan(curve.mean_corr).all()
+
     def test_rank_one_all_tokens_one(self, rng):
         base = rng.random((16, 16))
         cube = base[:, :, None] * np.array([1.0, 2.0, 3.0])

@@ -57,6 +57,19 @@ class TestHsic:
         with pytest.raises(HsicError, match="version"):
             read_hsic(p)
 
+    @pytest.mark.parametrize("field, offset", [("H", 6), ("W", 10), ("C", 14)])
+    def test_zero_dim_names_field_and_offset(self, tmp_path, field, offset):
+        p = tmp_path / "empty.hsic"
+        dims = {"H": 3, "W": 4, "C": 2} | {field: 0}
+        p.write_bytes(hsio.HSIC_MAGIC + struct.pack("<H3IBH", hsio.HSIC_VERSION,
+                                                    dims["H"], dims["W"], dims["C"],
+                                                    hsio.DTYPE_F32, 0))
+        with pytest.raises(HsicError, match=f"{field} is 0 at byte {offset}"):
+            read_hsic(p)
+        with pytest.raises(ValueError, match="at least 1x1x1"):
+            write_hsic(np.zeros((dims["H"], dims["W"], dims["C"])), tmp_path / "w.hsic")
+        assert not (tmp_path / "w.hsic").exists()
+
     def test_band_major_layout(self, tmp_path):
         cube = np.arange(8, dtype=np.float32).reshape(2, 2, 2)
         p = tmp_path / "cube.hsic"

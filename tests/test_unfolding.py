@@ -1,18 +1,23 @@
 """Unfolding: data step against the dense solve oracle, end-to-end gradients,
 loss contract, training loop mechanics, checkpoint round trips."""
 
+import os
 import re
+import signal
 import tracemalloc
 
 import numpy as np
 import pytest
 
 from conftest import gradient_check, wrap_input
+from hsifreq import metrics
 from hsifreq import tensor as T
 from hsifreq import unfolding
 from hsifreq.cassi import (SensingConfig, dense_phi, phi_forward, phi_phit_diag,
                            random_mask, shift_back, simulate)
 from hsifreq.checkpoint import CheckpointError
+from hsifreq.forked import ChildTraceback, Forked
+from hsifreq.hsio import SCENE_KINDS, SceneSpec, gen_scene
 from hsifreq.network import NetConfig
 from hsifreq.tensor import Tensor
 from hsifreq.unfolding import (TrainConfig, UnfoldingNet, data_module, loss,
@@ -279,6 +284,143 @@ class TestTrain:
         assert ckpt.exists() and log.exists()
         monkeypatch.setattr(UnfoldingNet, "forward", orig)
         UnfoldingNet.load(ckpt)  # flushed checkpoint is readable
+
+
+def no_child_left() -> bool:
+    try:
+        os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        return True
+    return False
+
+
+def desk_train(tmp_path, name, **kw):
+    """A 3-step train at the desk shape (32x32x8, width 24, K=3 shared) from
+    48x48 scenes: its log and CMDW bytes."""
+    cubes = [gen_scene(SceneSpec(kind=kind, height=48, width=48, bands=8, seed=i))
+             for i, kind in enumerate(SCENE_KINDS)]
+    tcfg = TrainConfig(**dict(stages=3, share_params=True, steps=3, lr0=4e-4, seed=7,
+                              token=8, heads=4, base_width=24, log_every=1) | kw)
+    log, ckpt = tmp_path / f"{name}.csv", tmp_path / f"{name}.cmdw"
+    result = train(cubes, random_mask(32, 32, seed=20240602), tcfg, log_path=log,
+                   ckpt_path=ckpt)
+    return result, log.read_bytes() + ckpt.read_bytes()
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
+class TestTwoProcessTraining:
+    """With two CPUs and batch >= 2, a forked child runs the later half of each
+    batch; the log, the weights and the FLOP count are those of one process."""
+
+    @pytest.mark.parametrize("batch, augment", [(3, True), (4, False)])
+    def test_two_cpus_write_the_bytes_of_one(self, tmp_path, monkeypatch, batch, augment):
+        forks = []
+        replica = unfolding._replica
+        monkeypatch.setattr(unfolding, "_replica",
+                            lambda *a: forks.append(replica(*a)) or forks[-1])
+        per_step = int(round(metrics.count_flops(NetConfig(
+            height=32, width=32, bands=8, token=8, heads=4, stages=3, base_width=24,
+            share_params=True)) * 1e9))
+        out = {}
+        for slots in (1, 2):
+            monkeypatch.setattr(T, "_SLOTS", slots)
+            with T.count_flops() as flops:
+                _, out[slots] = desk_train(tmp_path, f"slots{slots}", batch=batch,
+                                           augment=augment)
+            assert flops[0] == 3 * batch * per_step
+        assert [isinstance(f, Forked) for f in forks] == [False, True]
+        assert out[2] == out[1]
+        assert no_child_left()
+
+    @pytest.mark.parametrize("batch", [1, 2])
+    def test_one_sample_or_no_fork_stays_in_one_process(self, rng, monkeypatch, batch):
+        monkeypatch.setattr(T, "_SLOTS", 2)
+        if batch == 1:
+            monkeypatch.setattr(os, "fork", None)  # calling it would raise
+        else:
+            monkeypatch.delattr(os, "fork")
+        result = train([TestTrain().scene(rng)], random_mask(16, 16, seed=2),
+                       TestTrain().tcfg(batch=batch))
+        assert len(result.log) == 3
+
+    def test_error_in_a_child_sample_is_raised(self, rng, monkeypatch):
+        monkeypatch.setattr(T, "_SLOTS", 2)
+        parent = os.getpid()
+
+        def fails_in_child(pred, target):
+            if os.getpid() != parent:
+                raise ZeroDivisionError("raised in the child")
+            return loss(pred, target)
+
+        monkeypatch.setattr(unfolding, "loss", fails_in_child)
+        with pytest.raises(ZeroDivisionError, match="in the child") as info:
+            train([TestTrain().scene(rng)], random_mask(16, 16, seed=2),
+                  TestTrain().tcfg(batch=2))
+        assert isinstance(info.value.__cause__, ChildTraceback)
+        assert "fails_in_child" in str(info.value.__cause__)
+        assert no_child_left()
+
+    @pytest.mark.parametrize("where", ["between steps", "in a sample"])
+    def test_interrupt_reaps_the_child(self, rng, monkeypatch, tmp_path, where):
+        monkeypatch.setattr(T, "_SLOTS", 2)
+        parent, calls = os.getpid(), []
+        if where == "between steps":
+            def interrupt(step, total, lr0):
+                if step == 2:
+                    raise KeyboardInterrupt
+                return lr0
+            monkeypatch.setattr(unfolding, "cosine_lr", interrupt)
+        else:
+            forward = UnfoldingNet.forward
+
+            def interrupt(net, y):
+                if os.getpid() == parent:
+                    calls.append(1)
+                    if len(calls) == 3:
+                        raise KeyboardInterrupt
+                return forward(net, y)
+            monkeypatch.setattr(UnfoldingNet, "forward", interrupt)
+        ckpt = tmp_path / "partial.cmdw"
+        result = train([TestTrain().scene(rng)], random_mask(16, 16, seed=2),
+                       TestTrain().tcfg(steps=5, batch=3), ckpt_path=ckpt)
+        assert result.interrupted
+        assert len(result.log) == {"between steps": 2, "in a sample": 1}[where]
+        assert ckpt.exists()
+        assert no_child_left()
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
+class TestForked:
+    def test_replies_in_order_and_exits_at_eof(self):
+        with Forked(lambda x: (os.getpid(), x * 2)) as child:
+            for x in range(3):
+                child.send(x)
+            replies = [child.recv() for _ in range(3)]
+        assert [r[1] for r in replies] == [0, 2, 4]
+        assert {r[0] for r in replies} == {child.pid} != {os.getpid()}
+        assert no_child_left()
+
+    def test_child_ignores_sigint(self):
+        with Forked(lambda x: x) as child:
+            child.send(1)
+            assert child.recv() == 1
+            os.kill(child.pid, signal.SIGINT)
+            child.send(2)
+            assert child.recv() == 2
+        assert no_child_left()
+
+    def test_an_error_that_does_not_pickle_arrives_by_name(self):
+        class Local(Exception):
+            pass
+
+        def serve(x):
+            raise Local("no pickle")
+
+        with pytest.raises(RuntimeError, match="Local: no pickle"):
+            with Forked(serve) as child:
+                child.send(0)
+                child.recv()
+        assert no_child_left()
 
 
 class TestConfigChecks:
