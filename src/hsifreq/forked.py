@@ -1,18 +1,29 @@
 """One forked child process that answers requests sent over a pipe.
 
 ``unfolding.train`` runs half of each batch in such a child.  The module is
-imported only where a child is forked, so a process that never forks does
-not load ``multiprocessing``.
+imported only by a training that may fork one, so a process that never
+trains at batch 2 or more on two CPUs does not load ``multiprocessing``.
 """
 
 from __future__ import annotations
 
 import os
-import pickle
 import signal
 import traceback
 import warnings
 from multiprocessing.connection import Pipe
+
+
+def blas_on_one_thread() -> bool:
+    """Whether BLAS started on one thread: the first of the variables that
+    OpenBLAS reads, in its order, is set to 1.  Two processes pay only then;
+    with BLAS on its default of a thread per CPU, the threads of the two
+    contend, and a desk-shaped training ran over twice as slow as in one.
+    """
+    for var in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"):
+        if os.environ.get(var):
+            return os.environ[var].strip() == "1"
+    return False
 
 
 class ChildTraceback(Exception):
@@ -84,16 +95,8 @@ def _serve_forever(conn, parent_end, serve) -> None:
             try:
                 reply = (True, serve(request), None)
             except BaseException as exc:  # noqa: BLE001 - raised in the parent
-                reply = (False, _picklable(exc), traceback.format_exc())
+                reply = (False, exc, traceback.format_exc())
             conn.send(reply)
     finally:
         os._exit(code)
 
-
-def _picklable(exc: BaseException) -> BaseException:
-    """``exc``, or a RuntimeError naming it where it would not survive the pipe."""
-    try:
-        pickle.loads(pickle.dumps(exc))
-        return exc
-    except Exception:  # noqa: BLE001 - any failure to round-trip
-        return RuntimeError(f"{type(exc).__name__}: {exc}")

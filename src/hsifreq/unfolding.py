@@ -228,17 +228,25 @@ def _run_sample(net: UnfoldingNet, sensing: SensingConfig, sample, batch: int,
 
 def _replica(net: UnfoldingNet, sensing: SensingConfig, batch: int):
     """A forked child holding a copy of ``net`` that runs the samples it is
-    sent, where this process may use two CPUs and a batch has two samples;
-    else a context that gives None.
+    sent, where this process may use two CPUs, BLAS runs on one thread and
+    a batch has two samples; else a context that gives None.  Also None
+    while this thread counts FLOPs or tracemalloc traces: both see this
+    process only, so a measured training stays in one process, where they
+    see every sample.
 
     A request is the new parameter values (None while they are unchanged)
     and a list of samples.  The reply holds, per sample in order, its loss,
-    its PSNR, the tape's gradient of each parameter (None where the tape
-    reached none) and the FLOPs its forward pass counted.
+    its PSNR and the tape's gradient of each parameter (None where the tape
+    reached none).
     """
-    if T._SLOTS < 2 or batch < 2 or not hasattr(os, "fork"):
+    if (T._SLOTS < 2 or batch < 2 or not hasattr(os, "fork")
+            or T._FLOP_COUNTER.get() is not None):
         return nullcontext()
-    from .forked import Forked
+    import tracemalloc
+
+    from .forked import Forked, blas_on_one_thread
+    if tracemalloc.is_tracing() or not blas_on_one_thread():
+        return nullcontext()
 
     params = net.params()
 
@@ -249,9 +257,8 @@ def _replica(net: UnfoldingNet, sensing: SensingConfig, batch: int):
                 p.assign(value)
         out = []
         for sample in samples:
-            with T.count_flops() as flops:
-                lo, ps, grads = _run_sample(net, sensing, sample, batch)
-            out.append((lo, ps, [grads.get(p.value.serial) for p in params], flops[0]))
+            lo, ps, grads = _run_sample(net, sensing, sample, batch)
+            out.append((lo, ps, [grads.get(p.value.serial) for p in params]))
         return out
 
     return Forked(serve)
@@ -267,14 +274,16 @@ def train(cubes: list[np.ndarray], mask: np.ndarray, tcfg: TrainConfig,
     A keyboard interrupt flushes the checkpoint and log before returning.
     Non-finite weights raise FloatingPointError before anything is written.
 
-    Where the process may use two CPUs (see :mod:`hsifreq.tensor`) and
-    ``batch`` is at least 2, a forked child holding a copy of the network
-    runs the later half of each step's samples while this process runs the
-    first half.  It sends back each sample's gradients, which are added in
-    sample order as one process adds them, so the log and the weights are
-    the same bytes; started under ``taskset -c 0``, training stays in one
-    process.  The child is reaped before ``train`` returns or raises, and an
-    error in one of its samples is raised here.
+    Where the process may use two CPUs (see :mod:`hsifreq.tensor`), BLAS
+    was started on one thread (``OPENBLAS_NUM_THREADS=1``) and ``batch`` is
+    at least 2, a forked child holding a copy of the network runs the later
+    half of each step's samples while this process runs the first half.  It
+    sends back each sample's gradients, which are added in sample order as
+    one process adds them, so the log and the weights are the same bytes.
+    Training stays in one process when started under ``taskset -c 0``, with
+    BLAS on its default threads, and while ``tensor.count_flops`` or
+    tracemalloc measures it.  The child is reaped before ``train`` returns
+    or raises, and an error in one of its samples is raised here.
     """
     if not cubes:
         raise ValueError("train: need at least one training cube")
@@ -311,13 +320,12 @@ def train(cubes: list[np.ndarray], mask: np.ndarray, tcfg: TrainConfig,
                     psnr += ps
                 if replica:
                     # the same sums in the same order as one process makes
-                    for lo, ps, grads, flops in replica.recv():
+                    for lo, ps, grads in replica.recv():
                         for p, g in zip(params, grads):
                             if g is not None:
                                 p.grad += g.reshape(p.grad.shape)
                         step_loss += lo
                         psnr += ps
-                        T.add_flops(flops)
                 total = np.sqrt(sum(float((p.grad ** 2).sum()) for p in params))
                 # stop before clipping and Adam, so NaN never reaches the weights
                 if not (np.isfinite(step_loss) and np.isfinite(total)):

@@ -22,7 +22,7 @@ from hsifreq.cassi import (SensingConfig, dense_phi, phi_adjoint, phi_forward,
 from hsifreq.checkpoint import load_weights, save_weights
 from hsifreq.correlation import correlation_maps, token_correlation
 from hsifreq.dct import dct2, dct2_cube, dct2_forward, dct2_inverse, idct2_cube
-from hsifreq.forked import Forked
+from hsifreq.forked import Forked, blas_on_one_thread
 from hsifreq.gaptv import gap_tv
 from hsifreq.hsio import SceneSpec, export_heatmap, gen_scene, read_hsic, write_hsic
 from hsifreq.layers import (DualDomainBlock, FreqLocalMixer, FreqSpectralAttention,
@@ -211,25 +211,19 @@ def test_06_gating_contract(f64, rng):
 @pytest.fixture(scope="module")
 def overfit_models(tmp_path_factory):
     """Train the K=3 and K=1 models once for criteria 07 and 09.  Where the
-    platform forks, a forked child trains K=1 while this process trains K=3,
-    and hands back its weights as CMDW bytes and its log."""
+    platform forks and BLAS runs on one thread, a forked child trains K=1
+    while this process trains K=3, writes its weights as a checkpoint and
+    hands back its log."""
     scene = gen_scene(OVERFIT_SCENE)
     mask = random_mask(32, 32, seed=11)
     tcfg = {k: TrainConfig(stages=k, share_params=True, **OVERFIT_TRAIN) for k in (3, 1)}
-    tmp = tmp_path_factory.mktemp("overfit")
-    ckpt = tmp / "k1.cmdw"
-
-    def train_k1(_):
-        log = train([scene], mask, tcfg[1], ckpt_path=tmp / "k1-child.cmdw").log
-        return (tmp / "k1-child.cmdw").read_bytes(), log
-
+    ckpt = tmp_path_factory.mktemp("overfit") / "k1.cmdw"
     t0 = time.perf_counter()
-    if hasattr(os, "fork"):
-        with Forked(train_k1) as child:
+    if hasattr(os, "fork") and blas_on_one_thread():
+        with Forked(lambda _: train([scene], mask, tcfg[1], ckpt_path=ckpt).log) as child:
             child.send(None)
             runs = {3: train([scene], mask, tcfg[3])}
-            weights, log = child.recv()
-        ckpt.write_bytes(weights)
+            log = child.recv()
         runs[1] = TrainResult(net=UnfoldingNet.load(ckpt), log=log)
     else:
         runs = {k: train([scene], mask, tcfg[k]) for k in (3, 1)}

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from conftest import gradient_check, wrap_input
-from hsifreq import metrics
+from hsifreq import forked, metrics
 from hsifreq import tensor as T
 from hsifreq import unfolding
 from hsifreq.cassi import (SensingConfig, dense_phi, phi_forward, phi_phit_diag,
@@ -294,6 +294,10 @@ def no_child_left() -> bool:
     return False
 
 
+def fork_refused(serve):
+    raise AssertionError("train forked a child")
+
+
 def desk_train(tmp_path, name, **kw):
     """A 3-step train at the desk shape (32x32x8, width 24, K=3 shared) from
     48x48 scenes: its log and CMDW bytes."""
@@ -309,8 +313,13 @@ def desk_train(tmp_path, name, **kw):
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
 class TestTwoProcessTraining:
-    """With two CPUs and batch >= 2, a forked child runs the later half of each
-    batch; the log, the weights and the FLOP count are those of one process."""
+    """With two CPUs, BLAS on one thread and batch >= 2, a forked child runs
+    the later half of each batch; the log and the weights are those of one
+    process."""
+
+    @pytest.fixture(autouse=True)
+    def blas_on_one_thread(self, monkeypatch):
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
 
     @pytest.mark.parametrize("batch, augment", [(3, True), (4, False)])
     def test_two_cpus_write_the_bytes_of_one(self, tmp_path, monkeypatch, batch, augment):
@@ -318,19 +327,46 @@ class TestTwoProcessTraining:
         replica = unfolding._replica
         monkeypatch.setattr(unfolding, "_replica",
                             lambda *a: forks.append(replica(*a)) or forks[-1])
-        per_step = int(round(metrics.count_flops(NetConfig(
-            height=32, width=32, bands=8, token=8, heads=4, stages=3, base_width=24,
-            share_params=True)) * 1e9))
         out = {}
         for slots in (1, 2):
             monkeypatch.setattr(T, "_SLOTS", slots)
-            with T.count_flops() as flops:
-                _, out[slots] = desk_train(tmp_path, f"slots{slots}", batch=batch,
-                                           augment=augment)
-            assert flops[0] == 3 * batch * per_step
+            _, out[slots] = desk_train(tmp_path, f"slots{slots}", batch=batch,
+                                       augment=augment)
         assert [isinstance(f, Forked) for f in forks] == [False, True]
         assert out[2] == out[1]
         assert no_child_left()
+
+    def test_counted_training_stays_in_one_process(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(T, "_SLOTS", 2)
+        monkeypatch.setattr(forked, "Forked", fork_refused)
+        per_step = int(round(metrics.count_flops(NetConfig(
+            height=32, width=32, bands=8, token=8, heads=4, stages=3, base_width=24,
+            share_params=True)) * 1e9))
+        with T.count_flops() as flops:
+            desk_train(tmp_path, "counted", batch=4)
+        assert flops[0] == 3 * 4 * per_step
+
+    @pytest.mark.parametrize("env, traced", [
+        ({"OPENBLAS_NUM_THREADS": "1"}, True), ({}, False),
+        ({"OPENBLAS_NUM_THREADS": "2"}, False),
+        ({"OMP_NUM_THREADS": "1", "GOTO_NUM_THREADS": "2"}, False)])
+    def test_threaded_blas_or_tracemalloc_stays_in_one_process(self, rng, monkeypatch,
+                                                              env, traced):
+        monkeypatch.setattr(T, "_SLOTS", 2)
+        monkeypatch.setattr(forked, "Forked", fork_refused)
+        for var in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"):
+            monkeypatch.delenv(var, raising=False)
+        for var, value in env.items():
+            monkeypatch.setenv(var, value)
+        if traced:
+            tracemalloc.start()
+        try:
+            result = train([TestTrain().scene(rng)], random_mask(16, 16, seed=2),
+                           TestTrain().tcfg(batch=2))
+        finally:
+            if traced:
+                tracemalloc.stop()
+        assert len(result.log) == 3
 
     @pytest.mark.parametrize("batch", [1, 2])
     def test_one_sample_or_no_fork_stays_in_one_process(self, rng, monkeypatch, batch):
@@ -407,19 +443,6 @@ class TestForked:
             os.kill(child.pid, signal.SIGINT)
             child.send(2)
             assert child.recv() == 2
-        assert no_child_left()
-
-    def test_an_error_that_does_not_pickle_arrives_by_name(self):
-        class Local(Exception):
-            pass
-
-        def serve(x):
-            raise Local("no pickle")
-
-        with pytest.raises(RuntimeError, match="Local: no pickle"):
-            with Forked(serve) as child:
-                child.send(0)
-                child.recv()
         assert no_child_left()
 
 
