@@ -13,6 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import tensor as T
 from .cassi import SensingConfig, random_mask, simulate
 from .correlation import (correlation_maps, corpus_stats, token_correlation,
                           write_corpus_csv, write_maps_csv, write_token_csv)
@@ -108,11 +109,19 @@ def _training_mask(args, cubes) -> np.ndarray:
     return random_mask(side, side, seed=args.seed)
 
 
+def _check_out_dirs(*paths) -> None:
+    """Fail before any work when the directory of an output does not exist."""
+    for path in paths:
+        if not Path(path).parent.is_dir():
+            raise FileNotFoundError(f"output {path}: no directory {Path(path).parent}")
+
+
 def cmd_train(args) -> int:
+    log_path = args.log or str(Path(args.out).with_suffix(".log.csv"))
+    _check_out_dirs(args.out, log_path)
     cubes = _collect_cubes(args.data)
     tcfg = _train_config_from(args)
     mask = _training_mask(args, cubes)
-    log_path = args.log or str(Path(args.out).with_suffix(".log.csv"))
     result = train(cubes, mask, tcfg, log_path=log_path, ckpt_path=args.out)
     last = result.log[-1] if result.log else (0, 0.0, float("nan"), float("nan"))
     tag = " (interrupted)" if result.interrupted else ""
@@ -154,6 +163,7 @@ def _sweep(args, field: str, values, columns: str, lead) -> int:
     """Train one model per value of the train flag ``field``, print and write
     one CSV row each: ``lead(value, result)`` under ``columns``, then the
     last logged psnr and loss."""
+    _check_out_dirs(args.out)
     cubes = _collect_cubes(args.data)
     rows = [f"{columns},psnr,loss"]
     for value in values:
@@ -186,7 +196,7 @@ def cmd_export_maps(args) -> int:
     for pi, prior in enumerate(net.priors):
         for bname in ("enc", "mid", "dec"):
             block = getattr(prior, bname)
-            gate = 1.0 / (1.0 + np.exp(-block.gate_logits.value.data))
+            gate = T.sigmoid(block.gate_logits.value).data
             export_heatmap(gate, out / f"gate_p{pi}_{bname}.pgm", 0.0, 1.0)
             export_heatmap(maps[block.freq_attn], out / f"freq_attn_p{pi}_{bname}.pgm")
             export_heatmap(maps[block.space_attn], out / f"space_attn_p{pi}_{bname}.pgm")

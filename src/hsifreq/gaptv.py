@@ -35,7 +35,8 @@ class GapTvConfig:
         _check_tv_weight(self.tv_weight)
 
 
-def tv_denoise(band: np.ndarray, lam: float, iters: int = 5) -> np.ndarray:
+def tv_denoise(band: np.ndarray, lam: float,
+               iters: int = GapTvConfig.tv_inner_iters) -> np.ndarray:
     """Approximate prox of lam * anisotropic TV at a 2-D ``band`` (dual projection).
 
     Runs ``iters`` steps of p <- clip(p - (tau/lam) * grad u, -1, 1) with

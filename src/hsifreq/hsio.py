@@ -40,7 +40,7 @@ def write_atomic(path, chunks: Iterable) -> None:
     """Write the bytes-like ``chunks`` to ``path`` through a temporary file in
     the same directory and ``os.replace``: ``path`` ends up with the old bytes
     or the new ones, never a partial write, and a failed write leaves no
-    temporary file."""
+    temporary file.  An ``OSError`` names ``path``, not the temporary file."""
     path = Path(path)
     tmp = path.with_name(f".{path.name}.{os.urandom(6).hex()}.tmp")
     try:
@@ -48,8 +48,10 @@ def write_atomic(path, chunks: Iterable) -> None:
             for chunk in chunks:
                 fh.write(chunk)
         os.replace(tmp, path)
-    except BaseException:
+    except BaseException as exc:
         tmp.unlink(missing_ok=True)
+        if isinstance(exc, OSError) and exc.errno is not None:
+            raise type(exc)(exc.errno, exc.strerror, str(path)) from exc
         raise
 
 

@@ -115,7 +115,7 @@ class Linear(Layer):
         self.bias = Param(np.zeros(nout))
 
     def __call__(self, x: Tensor) -> Tensor:
-        return T.add_bias(T.bmm(x, self.weight.value), self.bias.value)
+        return T.add(T.bmm(x, self.weight.value), self.bias.value)
 
 
 # ---------------------------------------------------------------------------

@@ -88,7 +88,7 @@ class PriorNet(Layer):
         beta_map = T.mul(T.ones((h, w, 1)), beta)
         e = self.embed(T.concat([beta_map, x]))
         gains = T.add(self.cond(T.reshape(beta, (1, 1, 1))), 1.0)
-        e = T.channel_scale(e, T.reshape(gains, (gains.shape[2],)))
+        e = T.mul(e, T.reshape(gains, (gains.shape[2],)))
         e1 = self.enc(e)
         del e
         m = self.up(self.mid(self.down(e1)))

@@ -10,11 +10,11 @@ so unlike an object's id none is reused, and the tape keeps no tensor alive.
 Tensors are treated as immutable values once created.  Training mutability
 lives in :class:`Param`, which owns a value tensor and a gradient buffer.
 
-Only three broadcasting forms are supported by the arithmetic ops: scalar
-vs. tensor, a per-channel bias over the last axis (``add_bias``), and a
-per-head term over the token axis of [n, heads, L, M] logits
-(``scale_add_heads``).  Everything else must be reshaped explicitly; shape
-mismatches raise ``ShapeError``.
+``add``, ``sub``, ``mul`` and ``div`` broadcast by one rule: either operand
+may be a single element, and the right one a per-channel [C] operand over
+the last axis (a bias, a gain).  The one other broadcast is the per-head
+term of ``scale_add_heads`` over the token axis of [n, heads, L, M] logits.
+Everything else is reshaped explicitly; mismatches raise ``ShapeError``.
 
 There is one matrix product, ``bmm``: over one or two batch axes, or
 [n, M, K] x [K, N] against a shared matrix, the form ``layers.Linear`` uses
@@ -389,17 +389,19 @@ def _over_blocks(blocks: list[slice], body: Callable[[slice, int], None]) -> Non
 # ---------------------------------------------------------------------------
 
 def _check_binary_shapes(a: Tensor, b: Tensor, opname: str) -> None:
-    if a.shape == b.shape or a.size == 1 or b.size == 1:
+    if a.shape == b.shape or a.size == 1 or b.size == 1 or b.shape == a.shape[-1:]:
         return
     raise ShapeError(f"{opname}: shapes {a.shape} and {b.shape} are incompatible "
-                     "(only scalar broadcasting is supported)")
+                     "(only a single element or a per-channel right operand broadcasts)")
 
 
 def _reduce_to(g: np.ndarray, shape: tuple) -> np.ndarray:
-    # gradient of a scalar operand broadcast against a tensor
+    # gradient of a single-element or per-channel operand broadcast against g
     if g.shape == shape:
         return g
-    return np.sum(g).reshape(shape) if np.prod(shape, dtype=int) == 1 else g.reshape(shape)
+    if math.prod(shape) == 1:
+        return np.sum(g).reshape(shape)
+    return g.sum(axis=tuple(range(g.ndim - 1)))
 
 
 def add(a, b) -> Tensor:
@@ -409,7 +411,7 @@ def add(a, b) -> Tensor:
     sa, sb = a.shape, b.shape
     shape = np.broadcast_shapes(sa, sb)
     out_d = np.empty(shape or (1,), dtype=np.result_type(a.data, b.data))
-    # a single-element operand as a view of the output's shape
+    # a single-element or per-channel operand as a view of the output's shape
     ad, bd = (np.broadcast_to(t.data, shape).reshape(out_d.shape) for t in (a, b))
     _over_blocks(_leading_blocks(len(out_d), out_d.nbytes),
                  lambda r, slot: np.add(ad[r], bd[r], out=out_d[r]))
@@ -457,13 +459,6 @@ def div(a, b) -> Tensor:
     return record(out, (a, b), bw)
 
 
-def scale(a: Tensor, s: float) -> Tensor:
-    """Multiply by a plain (non-learnable) python scalar."""
-    s = float(s)
-    out = Tensor(a.data * s)
-    return record(out, (a,), lambda g: (g * s,))
-
-
 def take_scalar(a: Tensor, index: int) -> Tensor:
     """Extract one element (by flat index) as a scalar tensor."""
     flat = a.data.reshape(-1)
@@ -478,34 +473,6 @@ def take_scalar(a: Tensor, index: int) -> Tensor:
         return (full,)
 
     return record(out, (a,), bw)
-
-
-def add_bias(x: Tensor, b: Tensor) -> Tensor:
-    """Per-channel bias over the last axis: out[..., c] = x[..., c] + b[c]."""
-    if b.ndim != 1 or b.shape[0] != x.shape[-1]:
-        raise ShapeError(f"add_bias: bias {b.shape} does not match channels of {x.shape}")
-    out = Tensor(x.data + b.data)
-    lead = tuple(range(x.ndim - 1))
-
-    def bw(g):
-        return g, g.sum(axis=lead)
-
-    return record(out, (x, b), bw)
-
-
-def channel_scale(x: Tensor, s: Tensor) -> Tensor:
-    """Per-channel gain over the last axis: out[..., c] = x[..., c] * s[c]."""
-    if s.ndim != 1 or s.shape[0] != x.shape[-1]:
-        raise ShapeError(f"channel_scale: gains {s.shape} do not match channels "
-                         f"of {x.shape}")
-    xd, sd = x.data, s.data
-    out = Tensor(xd * sd)
-    lead = tuple(range(x.ndim - 1))
-
-    def bw(g):
-        return g * sd, (g * xd).sum(axis=lead)
-
-    return record(out, (x, s), bw)
 
 
 def sqrt(a: Tensor) -> Tensor:

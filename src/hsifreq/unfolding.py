@@ -221,7 +221,7 @@ def _run_sample(net: UnfoldingNet, sensing: SensingConfig, sample, batch: int,
     y = simulate(crop, sensing, seed=seed)
     with Tape() as tape:
         z = net.forward(y)
-        sample_loss = T.scale(loss(z, crop.astype(z.dtype)), 1.0 / batch)
+        sample_loss = T.mul(loss(z, crop.astype(z.dtype)), 1.0 / batch)
         grads = tape.backward(sample_loss, params)
     return sample_loss.item(), metrics.psnr(z.data, crop)[1] / batch, grads
 

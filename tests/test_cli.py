@@ -5,6 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
+from hsifreq import cli
 from hsifreq.cassi import SensingConfig
 from hsifreq.cli import _train_config_from, build_parser, main
 from hsifreq.estimators import GapTvReconstructor, UnfoldingReconstructor
@@ -395,3 +396,40 @@ class TestSweeps:
         lines = out.read_text().splitlines()
         assert lines[0].startswith("share_params,")
         assert len(lines) == 3
+
+
+class TestMissingOutputDirectory:
+    """An output in a directory that does not exist exits 2 before any
+    training, names the path and writes nothing."""
+
+    @pytest.fixture(autouse=True)
+    def no_training(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("trained although an output directory is missing")
+
+        monkeypatch.setattr(cli, "train", refuse)
+
+    def check(self, tmp_path, capsys, argv, missing):
+        before = sorted(tmp_path.rglob("*"))
+        assert main(argv) == 2
+        assert f"output {missing}: no directory {missing.parent}" in capsys.readouterr().err
+        assert sorted(tmp_path.rglob("*")) == before
+
+    @pytest.mark.parametrize("flag", ["--out", "--log"])
+    def test_train(self, tmp_path, scene_file, capsys, flag):
+        missing = tmp_path / "nodir" / "out"
+        outputs = {"--out": tmp_path / "m.cmdw", "--log": tmp_path / "log.csv"}
+        outputs[flag] = missing
+        argv = ["train", "--data", str(scene_file), "--steps", "2", "--token", "4",
+                "--heads", "2"] + [str(a) for item in outputs.items() for a in item]
+        self.check(tmp_path, capsys, argv, missing)
+
+    def test_sweep_kernel(self, tmp_path, scene_file, capsys):
+        missing = tmp_path / "nodir" / "kernels.csv"
+        self.check(tmp_path, capsys, ["sweep-kernel", "--data", str(scene_file),
+                                      "--kernels", "2,4", "--out", str(missing)], missing)
+
+    def test_sweep_sharing(self, tmp_path, scene_file, capsys):
+        missing = tmp_path / "nodir" / "sharing.csv"
+        self.check(tmp_path, capsys, ["sweep-sharing", "--data", str(scene_file),
+                                      "--out", str(missing)], missing)

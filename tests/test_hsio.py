@@ -249,6 +249,15 @@ class TestAtomicWrites:
         assert [f.name for f in tmp_path.iterdir()] == [p.name]
 
 
+    @pytest.mark.parametrize("kind", sorted(WRITERS))
+    def test_missing_directory_names_the_destination(self, tmp_path, kind):
+        p = tmp_path / "nodir" / "out"
+        with pytest.raises(FileNotFoundError) as info:
+            self.WRITERS[kind](p)
+        assert str(p) in str(info.value) and ".tmp" not in str(info.value)
+        assert list(tmp_path.iterdir()) == []
+
+
 class TestScenes:
     def test_seeded_determinism(self):
         spec = SceneSpec(kind="rank1-smooth", height=16, width=16, bands=4, seed=9)

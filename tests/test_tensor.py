@@ -3,6 +3,7 @@
 import math
 import multiprocessing
 import os
+import re
 import subprocess
 import sys
 import threading
@@ -352,13 +353,33 @@ class TestOpGradients:
 
         def build():
             z = T.gate_blend(x.value, y.value, s.value)
-            z = T.add_bias(z, b.value)
-            z = T.channel_scale(z, c.value)
+            z = T.add(z, b.value)
+            z = T.mul(z, c.value)
             v = T.spatial_mean(z)
             picked = T.take_scalar(v, 1)
             return T.add(T.sum_all(T.mul(v, v)), T.mul(picked, picked))
 
         gradient_check(build, [x, y, s, b, c], rel_tol=1e-5, samples=8)
+
+    def test_per_channel_right_operand_of_sub_and_div(self, f64, rng):
+        x = wrap_input(rng.standard_normal((4, 4, 3)), "x")
+        b = Param(rng.standard_normal(3), name="offset")
+        c = Param(0.5 + rng.random(3), name="divisor")
+
+        def build():
+            z = T.div(T.sub(x.value, b.value), c.value)
+            return T.sum_all(T.mul(z, z))
+
+        gradient_check(build, [x, b, c], rel_tol=1e-5, samples=8)
+
+    @pytest.mark.parametrize("op", [T.add, T.sub, T.mul, T.div])
+    @pytest.mark.parametrize("left,right", [((4, 4, 3), (4,)), ((4, 4, 3), (4, 3)),
+                                            ((3,), (4, 4, 3))],
+                             ids=["channels-plus-one", "row-of-channels",
+                                  "per-channel-left"])
+    def test_other_broadcasts_name_both_shapes(self, op, left, right):
+        with pytest.raises(ShapeError, match=re.escape(f"{left} and {right}")):
+            op(Tensor(np.zeros(left)), Tensor(np.ones(right)))
 
 
 # The parent engine's formulas, kept as the bitwise reference for the blocked
@@ -443,6 +464,18 @@ def parent_layer_norm(x, gamma, beta, g, eps=1e-5):
                 - dxhat.mean(axis=-1, keepdims=True)
                 - xhat * (dxhat * xhat).mean(axis=-1, keepdims=True))
     return xhat * gamma + beta, [dx, (g * xhat).sum(axis=lead), g.sum(axis=lead)]
+
+
+def parent_add_bias(x, b, g):
+    """The per-channel bias op that ``add`` replaced: leading axes summed."""
+    lead = tuple(range(x.ndim - 1))
+    return x + b, [g, g.sum(axis=lead)]
+
+
+def parent_channel_scale(x, s, g):
+    """The per-channel gain op that ``mul`` replaced."""
+    lead = tuple(range(x.ndim - 1))
+    return x * s, [g * s, (g * x).sum(axis=lead)]
 
 
 def parent_gate_chain(a, b, s, g):
@@ -559,6 +592,12 @@ class TestBlockedOpsMatchParentFormulas:
     def test_gelu(self, rng):
         x = self.data(rng, _rows(4 * 6 * 8), 6, 8)
         self.check(T.gelu, parent_gelu, [x])
+
+    def test_per_channel_add_and_mul(self, rng):
+        x = self.data(rng, _rows(4 * 6 * 8), 6, 8)
+        c = self.data(rng, 8)
+        self.check(T.add, parent_add_bias, [x, c])
+        self.check(T.mul, parent_channel_scale, [x, c])
 
     def test_softmax_last_axis(self, rng):
         x = self.data(rng, _rows(4 * 5 * 16), 5, 16)
@@ -865,7 +904,7 @@ class TestTape:
             with Tape() as tape:
                 h = T.mul(p.value, p.value)
                 for _ in range(1000 if drop else 0):
-                    dropped.add(id(T.scale(T.reshape(h, (4, 3)), 3.0)))
+                    dropped.add(id(T.mul(T.reshape(h, (4, 3)), 3.0)))
                 out = h
                 for c in consts:
                     ct = Tensor(c)

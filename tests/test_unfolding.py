@@ -225,7 +225,7 @@ class TestTrain:
         def overflow_at_step_one(pred, target):
             calls["loss"] += 1
             out = loss(pred, target)
-            return T.scale(out, np.inf) if calls["loss"] == 2 else out
+            return T.mul(out, np.inf) if calls["loss"] == 2 else out
 
         def counted_step(opt, lr=None):
             calls["adam"] += 1
