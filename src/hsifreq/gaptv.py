@@ -8,11 +8,14 @@ clipping of the dual field.
 
 from __future__ import annotations
 
+import mmap
 import warnings
+from contextlib import nullcontext
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import forked
 from .base import check_at_least
 from .cassi import SensingConfig, phi_adjoint, phi_forward, phi_phit_diag
 
@@ -84,11 +87,58 @@ def tv_denoise(band: np.ndarray, lam: float,
     return u
 
 
+class _LaterBands:
+    """A forked child that denoises the later ``n`` bands of each iterate
+    sent to it.  The bands go to the child and come back through one
+    anonymous shared mapping made before the fork, [2, n, H, W] float64, so
+    a request and a reply are a few bytes on the pipe.  Leaving the ``with``
+    block reaps the child, as ``forked.Forked`` does.
+    """
+
+    def __init__(self, n: int, h: int, w: int, gcfg: GapTvConfig):
+        self.n = n
+        self._in, self._out = np.frombuffer(mmap.mmap(-1, 2 * n * h * w * 8)
+                                            ).reshape(2, n, h, w)
+
+        def serve(_):
+            for i in range(n):
+                self._out[i] = tv_denoise(self._in[i], gcfg.tv_weight, gcfg.tv_inner_iters)
+
+        self._child = forked.Forked(serve)
+
+    def send(self, x: np.ndarray) -> None:
+        """Start denoising the later bands of the [H, W, C] iterate ``x``."""
+        np.copyto(self._in, np.moveaxis(x[:, :, -self.n:], 2, 0))
+        self._child.send(None)
+
+    def recv(self) -> np.ndarray:
+        """The denoised bands, [n, H, W], valid until the next send."""
+        self._child.recv()
+        return self._out
+
+    def __enter__(self) -> "_LaterBands":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self._child.__exit__(*exc)
+
+
 def gap_tv(y: np.ndarray, cfg: SensingConfig, gcfg: GapTvConfig | None = None) -> np.ndarray:
     """Reconstruct a cube from one measurement by GAP iterations with a TV prior.
 
     Stops early and returns the best iterate if the data residual grows to
     10x its running minimum or is not finite (divergence guard).
+
+    Where ``forked.may_fork`` allows it (two CPUs, a platform with ``fork``,
+    and neither ``tensor.count_flops`` nor tracemalloc measuring) and there
+    are two bands or more, one forked child denoises the later ``bands // 2``
+    bands of each iteration while this process denoises the rest.  The
+    bands are stacked in band order, so the result is the same bytes as
+    from one process.  Under ``taskset -c 0`` it stays in one process.
+    While the child lives, the calling thread runs on one CPU and the child
+    on the others (see ``forked.Forked``).  The child is reaped before
+    ``gap_tv`` returns or raises, and an error in one of its bands is raised
+    here.
     """
     if gcfg is None:
         gcfg = GapTvConfig()
@@ -99,16 +149,21 @@ def gap_tv(y: np.ndarray, cfg: SensingConfig, gcfg: GapTvConfig | None = None) -
     z = phi_adjoint(y, cfg)
     best = z
     best_res = float(np.linalg.norm(y - phi_forward(z, cfg)))
-    for _ in range(gcfg.iterations):
-        r = y - phi_forward(z, cfg)
-        x = z + phi_adjoint(r / diag, cfg)
-        z = np.stack([tv_denoise(x[:, :, c], gcfg.tv_weight, gcfg.tv_inner_iters)
-                      for c in range(cfg.bands)], axis=2)
-        res = float(np.linalg.norm(y - phi_forward(z, cfg)))
-        if res < best_res:
-            best, best_res = z, res
-        elif not np.isfinite(res) or res > 10.0 * best_res:
-            warnings.warn("gap_tv residual diverging, returning best iterate",
-                          RuntimeWarning, stacklevel=2)
-            return best
+    later = cfg.bands // 2 if forked.may_fork() else 0
+    with _LaterBands(later, *z.shape[:2], gcfg) if later else nullcontext() as child:
+        for _ in range(gcfg.iterations):
+            r = y - phi_forward(z, cfg)
+            x = z + phi_adjoint(r / diag, cfg)
+            if child:
+                child.send(x)
+            z = np.stack([tv_denoise(x[:, :, c], gcfg.tv_weight, gcfg.tv_inner_iters)
+                          for c in range(cfg.bands - later)]
+                         + (list(child.recv()) if child else []), axis=2)
+            res = float(np.linalg.norm(y - phi_forward(z, cfg)))
+            if res < best_res:
+                best, best_res = z, res
+            elif not np.isfinite(res) or res > 10.0 * best_res:
+                warnings.warn("gap_tv residual diverging, returning best iterate",
+                              RuntimeWarning, stacklevel=2)
+                return best
     return z

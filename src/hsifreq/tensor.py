@@ -409,10 +409,11 @@ def add(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
     _check_binary_shapes(a, b, "add")
     sa, sb = a.shape, b.shape
-    shape = np.broadcast_shapes(sa, sb)
+    shape = sa if sa == sb else np.broadcast_shapes(sa, sb)
     out_d = np.empty(shape or (1,), dtype=np.result_type(a.data, b.data))
     # a single-element or per-channel operand as a view of the output's shape
-    ad, bd = (np.broadcast_to(t.data, shape).reshape(out_d.shape) for t in (a, b))
+    ad, bd = (t.data if t.shape == out_d.shape
+              else np.broadcast_to(t.data, shape).reshape(out_d.shape) for t in (a, b))
     _over_blocks(_leading_blocks(len(out_d), out_d.nbytes),
                  lambda r, slot: np.add(ad[r], bd[r], out=out_d[r]))
     out = Tensor(out_d.reshape(shape))
@@ -1000,7 +1001,7 @@ def conv2d(x: Tensor, k: Tensor, bias: Tensor) -> Tensor:
     if depthwise:
         # each tap's weights are repeated along a row, so numpy loops per row,
         # not per pixel
-        krows = [np.broadcast_to(kd[u, v, 0], (wout, cout)).copy() for u, v in taps]
+        krows = np.broadcast_to(kd, (s, s, wout, cout)).copy()
         tmp = np.empty((_SLOTS, step, wout, cout), dtype=out_d.dtype)
     else:
         # Each tap is one [rows*W, Cin] @ [Cin, Cout] GEMM on a contiguous copy
@@ -1016,10 +1017,10 @@ def conv2d(x: Tensor, k: Tensor, bias: Tensor) -> Tensor:
         xb = _padded_rows(xd, stride * b.start, stride * (b.stop - 1) + s, pad,
                           None if pad_buf is None else pad_buf[slot])
         ob = out_d[b]
-        for i, (u, v) in enumerate(taps):
+        for u, v in taps:
             xs = xb[u:u + stride * n:stride, v:v + stride * wout:stride]
             if depthwise:
-                tb = np.multiply(xs, krows[i], out=tmp[slot, :n])
+                tb = np.multiply(xs, krows[u, v], out=tmp[slot, :n])
             else:
                 wb = win[slot, :n * wout]
                 wb.reshape(n, wout, cin)[...] = xs

@@ -9,14 +9,13 @@ head, so gradients reach every part of the network from a single scalar loss.
 
 from __future__ import annotations
 
-import os
 import time
 from contextlib import nullcontext
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from . import metrics
+from . import forked, metrics
 from . import tensor as T
 from .base import check_at_least
 from .cassi import (SensingConfig, phi_adjoint_t, phi_forward_t, phi_phit_diag,
@@ -228,24 +227,15 @@ def _run_sample(net: UnfoldingNet, sensing: SensingConfig, sample, batch: int,
 
 def _replica(net: UnfoldingNet, sensing: SensingConfig, batch: int):
     """A forked child holding a copy of ``net`` that runs the samples it is
-    sent, where this process may use two CPUs, BLAS runs on one thread and
-    a batch has two samples; else a context that gives None.  Also None
-    while this thread counts FLOPs or tracemalloc traces: both see this
-    process only, so a measured training stays in one process, where they
-    see every sample.
+    sent, where ``forked.may_fork`` allows one, BLAS runs on one thread and
+    a batch has two samples; else a context that gives None.
 
     A request is the new parameter values (None while they are unchanged)
     and a list of samples.  The reply holds, per sample in order, its loss,
     its PSNR and the tape's gradient of each parameter (None where the tape
     reached none).
     """
-    if (T._SLOTS < 2 or batch < 2 or not hasattr(os, "fork")
-            or T._FLOP_COUNTER.get() is not None):
-        return nullcontext()
-    import tracemalloc
-
-    from .forked import Forked, blas_on_one_thread
-    if tracemalloc.is_tracing() or not blas_on_one_thread():
+    if batch < 2 or not forked.may_fork() or not forked.blas_on_one_thread():
         return nullcontext()
 
     params = net.params()
@@ -261,7 +251,7 @@ def _replica(net: UnfoldingNet, sensing: SensingConfig, batch: int):
             out.append((lo, ps, [grads.get(p.value.serial) for p in params]))
         return out
 
-    return Forked(serve)
+    return forked.Forked(serve)
 
 
 def train(cubes: list[np.ndarray], mask: np.ndarray, tcfg: TrainConfig,

@@ -1,5 +1,7 @@
-"""Shared fixtures, the finite-difference gradient checker, and the
-acceptance-criteria summary printer."""
+"""Shared fixtures, the finite-difference gradient checker, the checks on
+forked children, and the acceptance-criteria summary printer."""
+
+import os
 
 import numpy as np
 import pytest
@@ -79,3 +81,17 @@ def gradient_check(build_loss, params, rel_tol=1e-4, eps=1e-6, samples=6, seed=0
 def wrap_input(arr, name="x") -> Param:
     """Expose a test input as a Param so gradient_check can perturb it."""
     return Param(np.asarray(arr), name=name)
+
+
+def no_child_left() -> bool:
+    """Whether this process has no child, running or unreaped."""
+    try:
+        os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        return True
+    return False
+
+
+def fork_refused(serve):
+    """A stand-in for ``forked.Forked`` in a test that must stay in one process."""
+    raise AssertionError("forked a child")

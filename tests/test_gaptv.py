@@ -1,14 +1,44 @@
 """GAP-TV baseline: TV prox behaviour and reconstruction sanity anchors."""
 
+import mmap
+import os
+import tracemalloc
+from contextlib import nullcontext
+
 import numpy as np
 import pytest
 
-from hsifreq import gaptv
+from conftest import fork_refused, no_child_left
+from hsifreq import forked, gaptv
+from hsifreq import tensor as T
 from hsifreq.cassi import (SensingConfig, phi_adjoint, phi_forward, phi_phit_diag,
                            random_mask, shift_back, simulate)
+from hsifreq.forked import ChildTraceback
 from hsifreq.gaptv import GapTvConfig, gap_tv, tv_denoise
 from hsifreq.hsio import SceneSpec, gen_scene
 from hsifreq.metrics import psnr
+
+
+class SharedShapes:
+    """The shapes a patched ``tv_denoise`` was called with, in this process
+    and in a child that ``gap_tv`` forks: each process appends to its own
+    row of an anonymous shared mapping, so this process reads both."""
+
+    def __init__(self, capacity: int = 256):
+        self._parent = os.getpid()
+        # per process: the count, then one (H, W) per call
+        self._rows = np.frombuffer(mmap.mmap(-1, 2 * (capacity + 1) * 2 * 8),
+                                   dtype=np.int64).reshape(2, capacity + 1, 2)
+
+    def append(self, shape) -> None:
+        row = self._rows[int(os.getpid() != self._parent)]
+        n = row[0, 0]
+        row[n + 1] = shape
+        row[0, 0] = n + 1
+
+    def list(self) -> list[tuple[int, int]]:
+        return [tuple(int(d) for d in shape)
+                for row in self._rows for shape in row[1:row[0, 0] + 1]]
 
 
 class TestTvDenoise:
@@ -51,20 +81,23 @@ class TestGapTv:
         with pytest.raises(ValueError, match="non-finite"):
             gap_tv(y, cfg, GapTvConfig(iterations=2))
 
-    def test_divergence_warns_and_returns_best_iterate(self, monkeypatch):
+    @pytest.mark.parametrize("slots", [1, 2])
+    def test_divergence_warns_and_returns_best_iterate(self, monkeypatch, slots):
+        monkeypatch.setattr(T, "_SLOTS", slots)  # 2: a child denoises band 2
         cfg = SensingConfig(random_mask(8, 8, seed=1), dispersion_step=1, bands=3)
         y = phi_forward(np.full((8, 8, 3), 0.5), cfg)
-        calls = []
+        calls = SharedShapes()
 
         def blow_up(band, lam, iters):
-            calls.append(band)
+            calls.append(band.shape)
             return band * 1e3
 
         monkeypatch.setattr(gaptv, "tv_denoise", blow_up)
         with pytest.warns(RuntimeWarning, match="diverging"):
             rec = gap_tv(y, cfg, GapTvConfig(iterations=10))
-        assert len(calls) == cfg.bands  # stopped after the first iteration
+        assert len(calls.list()) == cfg.bands  # stopped after the first iteration
         assert np.array_equal(rec, phi_adjoint(y, cfg))
+        assert no_child_left()
 
     def test_zero_measurement_fixed_point(self):
         cfg = SensingConfig(random_mask(8, 8, seed=1), dispersion_step=1, bands=3)
@@ -122,16 +155,16 @@ class TestTvWeightAndBandChecks:
     def test_nan_residual_warns_and_returns_best_iterate(self, monkeypatch):
         cfg = SensingConfig(random_mask(8, 8, seed=1), dispersion_step=1, bands=3)
         y = phi_forward(np.full((8, 8, 3), 0.5), cfg)
-        calls = []
+        calls = SharedShapes()
 
         def nan_band(band, lam, iters):
-            calls.append(band)
+            calls.append(band.shape)
             return np.full_like(band, np.nan)
 
         monkeypatch.setattr(gaptv, "tv_denoise", nan_band)
         with pytest.warns(RuntimeWarning, match="diverging"):
             rec = gap_tv(y, cfg, GapTvConfig(iterations=10))
-        assert len(calls) == cfg.bands  # stopped after the first iteration
+        assert len(calls.list()) == cfg.bands  # stopped after the first iteration
         assert np.array_equal(rec, phi_adjoint(y, cfg))
 
 
@@ -238,7 +271,7 @@ class TestTvDenoiseMatchesParentFormula:
     def test_gap_tv_calls_tv_denoise_once_per_band_and_iteration(self, monkeypatch):
         cfg = SensingConfig(random_mask(16, 12, seed=4), dispersion_step=1, bands=5)
         y = phi_forward(np.full((16, 12, 5), 0.5), cfg)
-        shapes = []
+        shapes = SharedShapes()
 
         def counted(band, lam, iters):
             shapes.append(band.shape)
@@ -246,4 +279,72 @@ class TestTvDenoiseMatchesParentFormula:
 
         monkeypatch.setattr(gaptv, "tv_denoise", counted)
         gap_tv(y, cfg, GapTvConfig(iterations=7))
-        assert shapes == [(16, 12)] * (cfg.bands * 7)
+        assert shapes.list() == [(16, 12)] * (cfg.bands * 7)
+
+
+def small_gap_tv_input(bands: int, dtype=np.float64):
+    scene = gen_scene(SceneSpec(kind="piecewise-constant", height=24, width=20,
+                                bands=bands, seed=3))
+    # a graded mask: with a binary one, one band starts at residual 0, and
+    # the divergence guard stops at the first iteration
+    mask = 0.25 + 0.5 * random_mask(24, 20, seed=8)
+    cfg = SensingConfig(mask, dispersion_step=1, bands=bands)
+    return simulate(scene, cfg, seed=1).astype(dtype), cfg
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
+class TestTwoProcessGapTv:
+    """With two CPUs and two bands or more, a forked child denoises the later
+    half of each iteration's bands; the result is the bytes of one process."""
+
+    @pytest.fixture(autouse=True)
+    def blas_on_one_thread(self, monkeypatch):
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+
+    @pytest.mark.parametrize("bands, dtype", [(6, np.float64), (6, np.float32),
+                                              (7, np.float64)])
+    def test_two_cpus_give_the_bytes_of_one(self, monkeypatch, bands, dtype):
+        y, cfg = small_gap_tv_input(bands, dtype)
+        forks = []
+        fork = forked.Forked
+        monkeypatch.setattr(forked, "Forked", lambda serve: forks.append(1) or fork(serve))
+        out = {}
+        for slots in (1, 2):
+            monkeypatch.setattr(T, "_SLOTS", slots)
+            out[slots] = gap_tv(y, cfg, GapTvConfig(iterations=12))
+        assert forks == [1]
+        assert out[2].dtype == out[1].dtype
+        assert out[2].tobytes() == out[1].tobytes()
+        assert no_child_left()
+
+    def test_error_in_a_child_band_is_raised(self, monkeypatch):
+        monkeypatch.setattr(T, "_SLOTS", 2)
+        parent = os.getpid()
+
+        def fails_in_child(band, lam, iters):
+            if os.getpid() != parent:
+                raise ZeroDivisionError("raised in the child")
+            return tv_denoise(band, lam, iters)
+
+        monkeypatch.setattr(gaptv, "tv_denoise", fails_in_child)
+        y, cfg = small_gap_tv_input(4)
+        with pytest.raises(ZeroDivisionError, match="in the child") as info:
+            gap_tv(y, cfg, GapTvConfig(iterations=3))
+        assert isinstance(info.value.__cause__, ChildTraceback)
+        assert "fails_in_child" in str(info.value.__cause__)
+        assert no_child_left()
+
+    @pytest.mark.parametrize("measured", ["count_flops", "tracemalloc", "one band"])
+    def test_measured_or_one_band_stays_in_one_process(self, monkeypatch, measured):
+        monkeypatch.setattr(T, "_SLOTS", 2)
+        monkeypatch.setattr(forked, "Forked", fork_refused)
+        y, cfg = small_gap_tv_input(1 if measured == "one band" else 4)
+        if measured == "tracemalloc":
+            tracemalloc.start()
+        try:
+            with T.count_flops() if measured == "count_flops" else nullcontext():
+                rec = gap_tv(y, cfg, GapTvConfig(iterations=3))
+        finally:
+            if measured == "tracemalloc":
+                tracemalloc.stop()
+        assert rec.shape == (24, 20, cfg.bands)

@@ -5,11 +5,12 @@ import os
 import re
 import signal
 import tracemalloc
+from contextlib import nullcontext
 
 import numpy as np
 import pytest
 
-from conftest import gradient_check, wrap_input
+from conftest import fork_refused, gradient_check, no_child_left, wrap_input
 from hsifreq import forked, metrics
 from hsifreq import tensor as T
 from hsifreq import unfolding
@@ -286,18 +287,6 @@ class TestTrain:
         UnfoldingNet.load(ckpt)  # flushed checkpoint is readable
 
 
-def no_child_left() -> bool:
-    try:
-        os.waitpid(-1, os.WNOHANG)
-    except ChildProcessError:
-        return True
-    return False
-
-
-def fork_refused(serve):
-    raise AssertionError("train forked a child")
-
-
 def desk_train(tmp_path, name, **kw):
     """A 3-step train at the desk shape (32x32x8, width 24, K=3 shared) from
     48x48 scenes: its log and CMDW bytes."""
@@ -443,6 +432,22 @@ class TestForked:
             os.kill(child.pid, signal.SIGINT)
             child.send(2)
             assert child.recv() == 2
+        assert no_child_left()
+
+    @pytest.mark.skipif(not hasattr(os, "sched_setaffinity")
+                        or len(os.sched_getaffinity(0)) < 2, reason="needs two CPUs")
+    @pytest.mark.parametrize("raises", [False, True])
+    def test_parent_and_child_run_on_other_cpus_until_the_block_ends(self, raises):
+        cpus = os.sched_getaffinity(0)
+        with pytest.raises(ZeroDivisionError) if raises else nullcontext():
+            with Forked(lambda _: (os.sched_getaffinity(0), T._SLOTS)) as child:
+                child.send(None)
+                theirs, slots = child.recv()
+                mine = os.sched_getaffinity(0)
+                if raises:
+                    raise ZeroDivisionError
+        assert mine == {min(cpus)} and theirs == cpus - mine and slots == 1
+        assert os.sched_getaffinity(0) == cpus
         assert no_child_left()
 
 

@@ -16,7 +16,9 @@ shape and strides of every array it covers:
 * ``grad-64``: the loss and every parameter gradient, as the tape hands them
   back, of one taped step at 64x64x28, K=3;
 * ``train-b1``, ``train-b3``, ``train-b4``: the log and the weights of a
-  3-step desk train (32x32x8, width 24, K=3 shared) at batch 1, 3 and 4.
+  3-step desk train (32x32x8, width 24, K=3 shared) at batch 1, 3 and 4;
+* ``gaptv-64``: a 100-iteration ``gap_tv`` of a seeded measurement at
+  64x64x28.
 
 Compare on one machine only: OpenBLAS picks its kernels by CPU, so digests
 are not portable, and none is checked in.  To compare on one CPU, start the
@@ -122,6 +124,19 @@ def _train(batch: int) -> str:
     return h.hexdigest()
 
 
+def _gaptv() -> str:
+    from hsifreq.cassi import SensingConfig, random_mask, simulate
+    from hsifreq.gaptv import gap_tv
+    from hsifreq.hsio import SceneSpec, gen_scene
+
+    x = gen_scene(SceneSpec(kind="piecewise-constant", height=64, width=64, bands=28,
+                            seed=12))
+    cfg = SensingConfig(random_mask(64, 64, seed=20240606), 2, 28, noise_sigma=0.01)
+    h = hashlib.sha256()
+    update(h, gap_tv(simulate(x, cfg, seed=13), cfg))
+    return h.hexdigest()
+
+
 DIGESTS = {
     "reconstruct-256": lambda: _reconstruct(256),
     "reconstruct-64": lambda: _reconstruct(64),
@@ -129,6 +144,7 @@ DIGESTS = {
     "train-b1": lambda: _train(1),
     "train-b3": lambda: _train(3),
     "train-b4": lambda: _train(4),
+    "gaptv-64": _gaptv,
 }
 
 
