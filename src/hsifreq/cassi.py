@@ -115,12 +115,16 @@ def phi_forward(x: np.ndarray, cfg: SensingConfig) -> np.ndarray:
     return y
 
 
-def phi_adjoint(y: np.ndarray, cfg: SensingConfig) -> np.ndarray:
-    """Exact transpose of :func:`phi_forward`."""
+def phi_adjoint(y: np.ndarray, cfg: SensingConfig, bands: slice = slice(None),
+                out: np.ndarray | None = None) -> np.ndarray:
+    """Exact transpose of :func:`phi_forward`: the [H, W, n] cube of the
+    ``bands`` selected (all by default), written into ``out`` if given."""
     cfg.check_measurement(y)
-    # the product is taken in float64 (the mask's dtype) and stored as y.dtype
-    x = np.empty((cfg.height, cfg.width, cfg.bands), dtype=y.dtype)
-    return np.multiply(cfg.mask[:, :, None], _bands(y, cfg), out=x, casting="same_kind")
+    windows = _bands(y, cfg)[:, :, bands]
+    if out is None:
+        out = np.empty(windows.shape, dtype=y.dtype)
+    # the product is taken in float64 (the mask's dtype) and stored as out.dtype
+    return np.multiply(cfg.mask[:, :, None], windows, out=out, casting="same_kind")
 
 
 def phi_phit_diag(cfg: SensingConfig) -> np.ndarray:

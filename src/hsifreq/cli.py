@@ -47,6 +47,7 @@ def _collect_cubes(data) -> list[np.ndarray]:
 
 
 def cmd_gen_scene(args) -> int:
+    _check_out_dirs(args.out)
     spec = SceneSpec(kind=args.kind, height=args.height, width=args.width,
                      bands=args.bands, seed=args.seed, rho=args.rho)
     write_hsic(gen_scene(spec), args.out)
@@ -55,6 +56,7 @@ def cmd_gen_scene(args) -> int:
 
 
 def cmd_gen_mask(args) -> int:
+    _check_out_dirs(args.out)
     mask = random_mask(args.height, args.width, seed=args.seed,
                        binary=not args.real, density=args.density)
     write_hsic(mask[:, :, None], args.out)
@@ -63,6 +65,7 @@ def cmd_gen_mask(args) -> int:
 
 
 def cmd_simulate(args) -> int:
+    _check_out_dirs(args.out)
     cube = _load_cube(args.inp)
     mask = _load_plane(args.mask, "mask")
     cfg = SensingConfig(mask, dispersion_step=args.d, bands=cube.shape[2],
@@ -131,6 +134,7 @@ def cmd_train(args) -> int:
 
 
 def cmd_reconstruct(args) -> int:
+    _check_out_dirs(args.out)
     y = _load_plane(args.y, "measurement")
     if args.method == "gap-tv":
         if not args.mask:
@@ -150,6 +154,8 @@ def cmd_reconstruct(args) -> int:
 
 
 def cmd_metrics(args) -> int:
+    if args.out:
+        _check_out_dirs(args.out)
     gt = _load_cube(args.gt)
     pred = _load_cube(args.pred)
     rep = evaluate(pred, gt)

@@ -1,9 +1,12 @@
 """One forked child process that answers requests sent over a pipe.
 
-Two callers fork one where ``may_fork`` allows it: ``unfolding.train`` runs
-half of each batch in such a child, and ``gaptv.gap_tv`` half of each
-iteration's bands.  ``multiprocessing`` is loaded only when a child is
-forked, so a process that never forks one does not load it.
+Two callers fork one where ``may_fork`` allows it.  ``unfolding.train``
+runs half of each batch in such a child, which sends back its gradients.
+``gaptv.gap_tv`` keeps its iterate in an anonymous shared mapping made
+before the fork, and the child runs the data step and the TV prox of the
+later half of the bands in place there; each request and reply is ``None``.
+``multiprocessing`` is loaded only when a child is forked, so a process that
+never forks one does not load it.
 """
 
 from __future__ import annotations
@@ -63,7 +66,8 @@ class Forked:
     scheduler tends to wake a process on the CPU of the one that woke it, so
     unpinned, the two often took turns on one CPU.  The child counts its
     CPUs at the fork, while this thread is pinned, so its tensor ops run on
-    one slot.
+    one slot; this thread's tensor ops run every block on this thread until
+    the block ends (a context variable, so other threads still split theirs).
     """
 
     def __init__(self, serve):
@@ -88,6 +92,7 @@ class Forked:
         theirs.close()
         self.pid = pid
         self._conn = ours
+        self._blocks_here = T._CHILD_HOLDS_A_CPU.set(True)
 
     def _restore_cpus(self) -> None:
         if len(self._cpus) > 1:
@@ -117,6 +122,7 @@ class Forked:
                 os.kill(self.pid, signal.SIGKILL)
             os.waitpid(self.pid, 0)
         finally:
+            T._CHILD_HOLDS_A_CPU.reset(self._blocks_here)
             self._restore_cpus()
 
 

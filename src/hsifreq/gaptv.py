@@ -87,58 +87,27 @@ def tv_denoise(band: np.ndarray, lam: float,
     return u
 
 
-class _LaterBands:
-    """A forked child that denoises the later ``n`` bands of each iterate
-    sent to it.  The bands go to the child and come back through one
-    anonymous shared mapping made before the fork, [2, n, H, W] float64, so
-    a request and a reply are a few bytes on the pipe.  Leaving the ``with``
-    block reaps the child, as ``forked.Forked`` does.
-    """
-
-    def __init__(self, n: int, h: int, w: int, gcfg: GapTvConfig):
-        self.n = n
-        self._in, self._out = np.frombuffer(mmap.mmap(-1, 2 * n * h * w * 8)
-                                            ).reshape(2, n, h, w)
-
-        def serve(_):
-            for i in range(n):
-                self._out[i] = tv_denoise(self._in[i], gcfg.tv_weight, gcfg.tv_inner_iters)
-
-        self._child = forked.Forked(serve)
-
-    def send(self, x: np.ndarray) -> None:
-        """Start denoising the later bands of the [H, W, C] iterate ``x``."""
-        np.copyto(self._in, np.moveaxis(x[:, :, -self.n:], 2, 0))
-        self._child.send(None)
-
-    def recv(self) -> np.ndarray:
-        """The denoised bands, [n, H, W], valid until the next send."""
-        self._child.recv()
-        return self._out
-
-    def __enter__(self) -> "_LaterBands":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self._child.__exit__(*exc)
-
-
 def gap_tv(y: np.ndarray, cfg: SensingConfig, gcfg: GapTvConfig | None = None) -> np.ndarray:
     """Reconstruct a cube from one measurement by GAP iterations with a TV prior.
 
-    Stops early and returns the best iterate if the data residual grows to
-    10x its running minimum or is not finite (divergence guard).
+    Stops early and returns the best iterate if the data residual is not
+    finite or grows to 10x a positive running minimum (divergence guard).
 
-    Where ``forked.may_fork`` allows it (two CPUs, a platform with ``fork``,
-    and neither ``tensor.count_flops`` nor tracemalloc measuring) and there
-    are two bands or more, one forked child denoises the later ``bands // 2``
-    bands of each iteration while this process denoises the rest.  The
-    bands are stacked in band order, so the result is the same bytes as
-    from one process.  Under ``taskset -c 0`` it stays in one process.
-    While the child lives, the calling thread runs on one CPU and the child
-    on the others (see ``forked.Forked``).  The child is reaped before
-    ``gap_tv`` returns or raises, and an error in one of its bands is raised
-    here.
+    The iterate is one band-major [C, H, W] float64 array, updated in place.
+    Each iteration writes rd = (y - Phi z) / diag, then takes the data step
+    z + Phi^T rd and the TV prox band by band.  Where ``forked.may_fork``
+    allows it (two CPUs, a platform with ``fork``, and neither
+    ``tensor.count_flops`` nor tracemalloc measuring) and there are two
+    bands or more, the iterate and rd sit in one anonymous shared mapping
+    made before one child is forked, and each iteration the child runs the
+    data step and the prox of the later ``bands // 2`` bands while this
+    process runs the rest; the pipe carries only ``None`` each way.  Every
+    band sees the same arithmetic either way, so the result is the same
+    bytes as from one process.  Under ``taskset -c 0`` it stays in one
+    process.  While the child lives, the calling thread runs on one CPU and
+    the child on the others (see ``forked.Forked``).  The child is reaped
+    before ``gap_tv`` returns or raises, and an error in one of its bands is
+    raised here.
     """
     if gcfg is None:
         gcfg = GapTvConfig()
@@ -146,24 +115,41 @@ def gap_tv(y: np.ndarray, cfg: SensingConfig, gcfg: GapTvConfig | None = None) -
     if not np.all(np.isfinite(y)):
         raise ValueError("measurement holds non-finite values (NaN or inf)")
     diag = np.maximum(phi_phit_diag(cfg), DIAG_FLOOR)
-    z = phi_adjoint(y, cfg)
-    best = z
-    best_res = float(np.linalg.norm(y - phi_forward(z, cfg)))
+    start = phi_adjoint(y, cfg)
+    best, best_res = None, float(np.linalg.norm(y - phi_forward(start, cfg)))
     later = cfg.bands // 2 if forked.may_fork() else 0
-    with _LaterBands(later, *z.shape[:2], gcfg) if later else nullcontext() as child:
+    n = cfg.bands * cfg.height * cfg.width
+    size = n + cfg.height * cfg.meas_width
+    buf = np.frombuffer(mmap.mmap(-1, size * 8)) if later else np.empty(size)
+    z = buf[:n].reshape(cfg.bands, cfg.height, cfg.width)
+    rd = buf[n:].reshape(cfg.height, cfg.meas_width)
+    z[...] = np.moveaxis(start, 2, 0)
+    x = np.empty_like(z)  # z + Phi^T rd; each process writes its own bands
+
+    def step(lo: int, hi: int) -> None:
+        """The data step and the TV prox of bands lo..hi-1, written into z."""
+        phi_adjoint(rd, cfg, slice(lo, hi), out=np.moveaxis(x[lo:hi], 0, 2))
+        np.add(z[lo:hi], x[lo:hi], out=x[lo:hi])
+        for c in range(lo, hi):
+            z[c] = tv_denoise(x[c], gcfg.tv_weight, gcfg.tv_inner_iters)
+
+    split = cfg.bands - later  # this process runs the bands before it, a child the rest
+    with (forked.Forked(lambda _: step(split, cfg.bands)) if later
+          else nullcontext()) as child:
+        cube = start  # the first residual is taken in y's dtype
         for _ in range(gcfg.iterations):
-            r = y - phi_forward(z, cfg)
-            x = z + phi_adjoint(r / diag, cfg)
+            np.divide(y - phi_forward(cube, cfg), diag, out=rd)
             if child:
-                child.send(x)
-            z = np.stack([tv_denoise(x[:, :, c], gcfg.tv_weight, gcfg.tv_inner_iters)
-                          for c in range(cfg.bands - later)]
-                         + (list(child.recv()) if child else []), axis=2)
-            res = float(np.linalg.norm(y - phi_forward(z, cfg)))
+                child.send(None)
+            step(0, split)
+            if child:
+                child.recv()
+            cube = np.moveaxis(z, 0, 2)
+            res = float(np.linalg.norm(y - phi_forward(cube, cfg)))
             if res < best_res:
-                best, best_res = z, res
-            elif not np.isfinite(res) or res > 10.0 * best_res:
+                best, best_res = z.copy(), res
+            elif not np.isfinite(res) or (best_res > 0.0 and res > 10.0 * best_res):
                 warnings.warn("gap_tv residual diverging, returning best iterate",
                               RuntimeWarning, stacklevel=2)
-                return best
-    return z
+                return start if best is None else np.moveaxis(best, 0, 2).copy()
+        return cube.copy()

@@ -361,15 +361,23 @@ if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=_fresh_worker)
 
 
+# True while a forked child holds this process's other CPU (``forked.Forked``
+# sets it in the forking thread's context): the worker would share this
+# thread's CPU, so a split would only add switching.  Other threads keep
+# their two slots.
+_CHILD_HOLDS_A_CPU: ContextVar[bool] = ContextVar("child_holds_a_cpu", default=False)
+
+
 def _over_blocks(blocks: list[slice], body: Callable[[slice, int], None]) -> None:
     """Run ``body(block, slot)`` for every block.  With two slots the worker
     runs the later half of the blocks as slot 1 while this thread runs the
     first half as slot 0, then waits for the worker, whose error, if any, it
-    raises.  With one slot or one block every block runs here as slot 0.
-    A body writes disjoint slices of its op's output and its slot's own
-    scratch, and keeps the rules of the module docstring.
+    raises.  With one slot, one block, or a forked child holding the other
+    CPU, every block runs here as slot 0; the blocks are the same, so the
+    bytes are too.  A body writes disjoint slices of its op's output and its
+    slot's own scratch, and keeps the rules of the module docstring.
     """
-    half = -(-len(blocks) // _SLOTS)
+    half = len(blocks) if _CHILD_HOLDS_A_CPU.get() else -(-len(blocks) // _SLOTS)
 
     def later_half():
         for b in blocks[half:]:

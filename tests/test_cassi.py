@@ -193,6 +193,27 @@ class TestBandViewMatchesLoops:
             assert got.flags.c_contiguous
             assert np.array_equal(got, expect)
 
+    @given(h=st.integers(1, 9), w=st.integers(1, 9), c=st.integers(1, 6),
+           d=st.sampled_from([0, 1, 2, 3]), seed=st.integers(0, 10_000),
+           dtype=st.sampled_from([np.float32, np.float64]), data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_adjoint_of_some_bands_into_out(self, h, w, c, d, seed, dtype, data):
+        """``bands`` and ``out`` give the bytes of the matching slice of the
+        full adjoint, written into ``out`` (here a band-major scratch)."""
+        start = data.draw(st.integers(0, c - 1))
+        bands = slice(start, data.draw(st.integers(start + 1, c)))
+        gen = np.random.default_rng(seed)
+        cfg = SensingConfig(gen.random((h, w)), dispersion_step=d, bands=c)
+        y = gen.standard_normal((h, cfg.meas_width)).astype(dtype)
+        want = phi_adjoint(y, cfg)[:, :, bands]
+        scratch = np.full((want.shape[2], h, w), np.nan, dtype=dtype)
+        out = np.moveaxis(scratch, 0, 2)
+        assert phi_adjoint(y, cfg, bands, out=out) is out
+        assert out.tobytes() == want.tobytes()
+        alone = phi_adjoint(y, cfg, bands)
+        assert alone.dtype == want.dtype and alone.flags.c_contiguous
+        assert alone.tobytes() == want.tobytes()
+
 
 class TestProperties:
     def test_linearity(self, rng):

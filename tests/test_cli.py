@@ -400,14 +400,20 @@ class TestSweeps:
 
 class TestMissingOutputDirectory:
     """An output in a directory that does not exist exits 2 before any
-    training, names the path and writes nothing."""
+    input is read or any training, names the path and writes nothing."""
 
     @pytest.fixture(autouse=True)
-    def no_training(self, monkeypatch):
-        def refuse(*args, **kwargs):
-            raise AssertionError("trained although an output directory is missing")
+    def no_work(self, monkeypatch, scene_file, mask_file):
+        def refuse(what):
+            def refused(*args, **kwargs):
+                raise AssertionError(f"{what} although an output directory is missing")
+            return refused
 
-        monkeypatch.setattr(cli, "train", refuse)
+        # the input files are made first, by the fixtures this one takes
+        monkeypatch.setattr(cli, "train", refuse("trained"))
+        monkeypatch.setattr(cli, "read_hsic", refuse("read an input"))
+        monkeypatch.setattr(cli, "gen_scene", refuse("made a scene"))
+        monkeypatch.setattr(cli, "random_mask", refuse("made a mask"))
 
     def check(self, tmp_path, capsys, argv, missing):
         before = sorted(tmp_path.rglob("*"))
@@ -433,3 +439,28 @@ class TestMissingOutputDirectory:
         missing = tmp_path / "nodir" / "sharing.csv"
         self.check(tmp_path, capsys, ["sweep-sharing", "--data", str(scene_file),
                                       "--out", str(missing)], missing)
+
+    @pytest.mark.parametrize("method", ["ckpt", "gap-tv"])
+    def test_reconstruct(self, tmp_path, scene_file, mask_file, capsys, method):
+        missing = tmp_path / "nodir" / "rec.hsic"
+        self.check(tmp_path, capsys, ["reconstruct", "--y", str(mask_file), "--method", method,
+                                      "--mask", str(mask_file), "--ckpt", str(scene_file),
+                                      "--out", str(missing)], missing)
+
+    def test_metrics(self, tmp_path, scene_file, capsys):
+        missing = tmp_path / "nodir" / "metrics.csv"
+        self.check(tmp_path, capsys, ["metrics", "--gt", str(scene_file), "--pred",
+                                      str(scene_file), "--out", str(missing)], missing)
+
+    def test_simulate(self, tmp_path, scene_file, mask_file, capsys):
+        missing = tmp_path / "nodir" / "y.hsic"
+        self.check(tmp_path, capsys, ["simulate", "--in", str(scene_file), "--mask",
+                                      str(mask_file), "--out", str(missing)], missing)
+
+    def test_gen_scene(self, tmp_path, capsys):
+        missing = tmp_path / "nodir" / "scene.hsic"
+        self.check(tmp_path, capsys, ["gen-scene", "--out", str(missing)], missing)
+
+    def test_gen_mask(self, tmp_path, capsys):
+        missing = tmp_path / "nodir" / "mask.hsic"
+        self.check(tmp_path, capsys, ["gen-mask", "--out", str(missing)], missing)

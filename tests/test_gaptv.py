@@ -3,6 +3,7 @@
 import mmap
 import os
 import tracemalloc
+import warnings
 from contextlib import nullcontext
 
 import numpy as np
@@ -99,6 +100,37 @@ class TestGapTv:
         assert np.array_equal(rec, phi_adjoint(y, cfg))
         assert no_child_left()
 
+    @pytest.mark.parametrize("slots", [1, 2])
+    def test_divergence_after_improving_iterations_returns_the_last_of_them(
+            self, monkeypatch, slots):
+        monkeypatch.setattr(T, "_SLOTS", slots)  # 2: a child runs the later bands
+        y, cfg = small_gap_tv_input(5)
+        improving = 3
+        kept = [gap_tv(y, cfg, GapTvConfig(iterations=k)) for k in range(1, improving + 1)]
+        res = [np.linalg.norm(y - phi_forward(z, cfg)) for z in [phi_adjoint(y, cfg)] + kept]
+        assert all(a > b for a, b in zip(res, res[1:]))  # each iteration improves
+        # only this process calls phi_forward, once and then twice per
+        # iteration; a shared count tells a child which iteration it is in
+        count = np.frombuffer(mmap.mmap(-1, 8), dtype=np.int64)
+        forward = gaptv.phi_forward
+
+        def counted(x, sensing):
+            count[0] += 1
+            return forward(x, sensing)
+
+        def blow_up_late(band, lam, iters):
+            out = tv_denoise(band, lam, iters)
+            return out * 1e3 if count[0] > 2 * improving else out
+
+        monkeypatch.setattr(gaptv, "phi_forward", counted)
+        monkeypatch.setattr(gaptv, "tv_denoise", blow_up_late)
+        with pytest.warns(RuntimeWarning, match="diverging"):
+            rec = gap_tv(y, cfg, GapTvConfig(iterations=10))
+        assert count[0] == 1 + 2 * (improving + 1)  # stopped after the blow-up
+        assert (rec.dtype, rec.strides) == (kept[-1].dtype, kept[-1].strides)
+        assert rec.tobytes() == kept[-1].tobytes()
+        assert no_child_left()
+
     def test_zero_measurement_fixed_point(self):
         cfg = SensingConfig(random_mask(8, 8, seed=1), dispersion_step=1, bands=3)
         rec = gap_tv(np.zeros((8, cfg.meas_width)), cfg, GapTvConfig(iterations=10))
@@ -165,6 +197,45 @@ class TestTvWeightAndBandChecks:
         with pytest.warns(RuntimeWarning, match="diverging"):
             rec = gap_tv(y, cfg, GapTvConfig(iterations=10))
         assert len(calls.list()) == cfg.bands  # stopped after the first iteration
+        assert np.array_equal(rec, phi_adjoint(y, cfg))
+
+
+def exact_one_band_input():
+    """A noiseless one-band measurement through a binary mask: the
+    back-projection fits it exactly, so the start residual is 0."""
+    scene = gen_scene(SceneSpec(kind="piecewise-constant", height=24, width=20, bands=1,
+                                seed=3))
+    cfg = SensingConfig(random_mask(24, 20, seed=8), dispersion_step=1, bands=1)
+    y = simulate(scene, cfg)
+    assert np.linalg.norm(y - phi_forward(phi_adjoint(y, cfg), cfg)) == 0.0
+    return y, cfg
+
+
+class TestZeroStartResidual:
+    """The divergence guard compares against a positive running minimum
+    only; a start residual of 0 does not stop the iterations."""
+
+    def test_every_iteration_runs_without_a_warning(self, monkeypatch):
+        y, cfg = exact_one_band_input()
+        calls = SharedShapes()
+
+        def counted(band, lam, iters):
+            calls.append(band.shape)
+            return tv_denoise(band, lam, iters)
+
+        monkeypatch.setattr(gaptv, "tv_denoise", counted)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rec = gap_tv(y, cfg, GapTvConfig(iterations=10))
+        assert calls.list() == [(24, 20)] * 10
+        assert rec.shape == (24, 20, 1) and np.all(np.isfinite(rec))
+
+    def test_nan_residual_still_warns(self, monkeypatch):
+        y, cfg = exact_one_band_input()
+        monkeypatch.setattr(gaptv, "tv_denoise",
+                            lambda band, lam, iters: np.full_like(band, np.nan))
+        with pytest.warns(RuntimeWarning, match="diverging"):
+            rec = gap_tv(y, cfg, GapTvConfig(iterations=10))
         assert np.array_equal(rec, phi_adjoint(y, cfg))
 
 
@@ -294,15 +365,16 @@ def small_gap_tv_input(bands: int, dtype=np.float64):
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
 class TestTwoProcessGapTv:
-    """With two CPUs and two bands or more, a forked child denoises the later
-    half of each iteration's bands; the result is the bytes of one process."""
+    """With two CPUs and two bands or more, a forked child runs the data step
+    and the TV prox of the later half of the bands, in place in a shared
+    iterate; the result is the bytes of one process."""
 
     @pytest.fixture(autouse=True)
     def blas_on_one_thread(self, monkeypatch):
         monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
 
     @pytest.mark.parametrize("bands, dtype", [(6, np.float64), (6, np.float32),
-                                              (7, np.float64)])
+                                              (7, np.float64), (7, np.float32)])
     def test_two_cpus_give_the_bytes_of_one(self, monkeypatch, bands, dtype):
         y, cfg = small_gap_tv_input(bands, dtype)
         forks = []

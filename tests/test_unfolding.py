@@ -4,6 +4,7 @@ loss contract, training loop mechanics, checkpoint round trips."""
 import os
 import re
 import signal
+import threading
 import tracemalloc
 from contextlib import nullcontext
 
@@ -325,6 +326,30 @@ class TestTwoProcessTraining:
         assert out[2] == out[1]
         assert no_child_left()
 
+    def test_parent_runs_every_block_on_its_own_thread(self, tmp_path, monkeypatch):
+        """While the child holds the other CPU, the worker thread would share
+        the parent's: each op of the parent runs all its blocks here."""
+        monkeypatch.setattr(T, "_SLOTS", 2)
+        over_blocks = T._over_blocks
+        ran = []  # (blocks in the op, thread name, slot) per block
+
+        def spy(blocks, body):
+            def recorded(b, slot):
+                ran.append((len(blocks), threading.current_thread().name, slot))
+                body(b, slot)
+
+            over_blocks(blocks, recorded)
+
+        monkeypatch.setattr(T, "_over_blocks", spy)
+        desk_train(tmp_path, "forked", batch=4)
+        assert any(n > 1 for n, _, _ in ran)  # some op did split its blocks
+        assert {(name, slot) for _, name, slot in ran} == {
+            (threading.current_thread().name, 0)}
+        ran.clear()
+        desk_train(tmp_path, "alone", batch=1)  # no child: the worker runs slot 1
+        assert {slot for _, _, slot in ran} == {0, 1}
+        assert no_child_left()
+
     def test_counted_training_stays_in_one_process(self, tmp_path, monkeypatch):
         monkeypatch.setattr(T, "_SLOTS", 2)
         monkeypatch.setattr(forked, "Forked", fork_refused)
@@ -448,6 +473,25 @@ class TestForked:
                     raise ZeroDivisionError
         assert mine == {min(cpus)} and theirs == cpus - mine and slots == 1
         assert os.sched_getaffinity(0) == cpus
+        assert no_child_left()
+
+    def test_other_threads_split_their_blocks_while_a_child_lives(self, monkeypatch):
+        monkeypatch.setattr(T, "_SLOTS", 2)
+        blocks = T._even_blocks(8, 4)
+        slots = {"here": [], "other thread": [], "after": []}
+
+        def run(where):
+            T._over_blocks(blocks, lambda b, slot: slots[where].append(slot))
+
+        with Forked(lambda x: x):
+            run("here")
+            other = threading.Thread(target=run, args=("other thread",))
+            other.start()
+            other.join(timeout=60)
+        assert not other.is_alive()
+        run("after")
+        assert slots["here"] == [0, 0, 0, 0]
+        assert sorted(slots["other thread"]) == sorted(slots["after"]) == [0, 0, 1, 1]
         assert no_child_left()
 
 

@@ -18,7 +18,10 @@ shape and strides of every array it covers:
 * ``train-b1``, ``train-b3``, ``train-b4``: the log and the weights of a
   3-step desk train (32x32x8, width 24, K=3 shared) at batch 1, 3 and 4;
 * ``gaptv-64``: a 100-iteration ``gap_tv`` of a seeded measurement at
-  64x64x28.
+  64x64x28;
+* ``gaptv-64-f32``: the same at 64x64x27 from a float32 measurement, where
+  the first residual is taken in float32 and the two processes' band counts
+  differ.
 
 Compare on one machine only: OpenBLAS picks its kernels by CPU, so digests
 are not portable, and none is checked in.  To compare on one CPU, start the
@@ -124,16 +127,16 @@ def _train(batch: int) -> str:
     return h.hexdigest()
 
 
-def _gaptv() -> str:
+def _gaptv(bands: int, dtype) -> str:
     from hsifreq.cassi import SensingConfig, random_mask, simulate
     from hsifreq.gaptv import gap_tv
     from hsifreq.hsio import SceneSpec, gen_scene
 
-    x = gen_scene(SceneSpec(kind="piecewise-constant", height=64, width=64, bands=28,
+    x = gen_scene(SceneSpec(kind="piecewise-constant", height=64, width=64, bands=bands,
                             seed=12))
-    cfg = SensingConfig(random_mask(64, 64, seed=20240606), 2, 28, noise_sigma=0.01)
+    cfg = SensingConfig(random_mask(64, 64, seed=20240606), 2, bands, noise_sigma=0.01)
     h = hashlib.sha256()
-    update(h, gap_tv(simulate(x, cfg, seed=13), cfg))
+    update(h, gap_tv(simulate(x, cfg, seed=13).astype(dtype), cfg))
     return h.hexdigest()
 
 
@@ -144,7 +147,8 @@ DIGESTS = {
     "train-b1": lambda: _train(1),
     "train-b3": lambda: _train(3),
     "train-b4": lambda: _train(4),
-    "gaptv-64": _gaptv,
+    "gaptv-64": lambda: _gaptv(28, np.float64),
+    "gaptv-64-f32": lambda: _gaptv(27, np.float32),
 }
 
 
