@@ -6,11 +6,16 @@ shifted stack is summed into a single 2D measurement of width
 W + dispersion_step*(C-1).  The adjoint, the diagonal of the measurement-space
 Gram operator, and the shift/un-shift layout helpers all live here, in both a
 plain-ndarray form and a differentiable form used inside the unfolding network.
+
+The plain operators read a bool or integer operand as float64.
+``phi_forward`` and ``phi_adjoint`` follow their operand's memory order, so
+that on GAP-TV's column-major bands each band window is one contiguous block.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
@@ -68,6 +73,13 @@ class SensingConfig:
             raise ValueError(f"measurement shape {y.shape} does not match "
                              f"sensing config {expect}")
 
+    @cached_property
+    def _fortran_mask(self) -> np.ndarray:
+        """A read-only column-major copy of the mask, made on first use."""
+        mask = np.asfortranarray(self.mask)
+        mask.setflags(write=False)
+        return mask
+
 
 def random_mask(h: int, w: int, seed: int = 0, binary: bool = True,
                 density: float | None = None) -> np.ndarray:
@@ -92,6 +104,17 @@ def random_mask(h: int, w: int, seed: int = 0, binary: bool = True,
 # Plain-ndarray operators
 # ---------------------------------------------------------------------------
 
+def as_real(a) -> np.ndarray:
+    """``a`` as an array; a bool or integer one becomes float64."""
+    a = np.asarray(a)
+    return a.astype(np.float64) if a.dtype.kind in "biu" else a
+
+
+def _order(plane: np.ndarray) -> str:
+    """"F" for a column-major 2-D plane (F- but not C-contiguous), else "C"."""
+    return "F" if plane.flags.f_contiguous and not plane.flags.c_contiguous else "C"
+
+
 def _bands(a: np.ndarray, cfg: SensingConfig) -> np.ndarray:
     """[H,W,C] view of the band windows: band c = columns d*c .. d*c+W of ``a``.
 
@@ -106,25 +129,41 @@ def _bands(a: np.ndarray, cfg: SensingConfig) -> np.ndarray:
 
 
 def phi_forward(x: np.ndarray, cfg: SensingConfig) -> np.ndarray:
-    """Mask, shift each band by d*c columns, and integrate to a 2D measurement."""
+    """Mask, shift each band by d*c columns, and integrate to a 2D measurement.
+
+    When the bands ``x[:, :, c]`` are column-major (F- but not C-contiguous),
+    the measurement is too, and is made with a column-major copy of the
+    mask; else it is C-ordered.  Its values do not depend on the order.
+    """
+    x = as_real(x)
     cfg.check_cube(x)
     d, w = cfg.dispersion_step, cfg.width
-    y = np.zeros((cfg.height, cfg.meas_width), dtype=x.dtype)
+    order = _order(x[:, :, 0])
+    mask = cfg._fortran_mask if order == "F" else cfg.mask
+    y = np.zeros((cfg.height, cfg.meas_width), dtype=x.dtype, order=order)
     for c in range(cfg.bands):
-        y[:, d * c:d * c + w] += cfg.mask * x[:, :, c]
+        y[:, d * c:d * c + w] += mask * x[:, :, c]
     return y
 
 
 def phi_adjoint(y: np.ndarray, cfg: SensingConfig, bands: slice = slice(None),
                 out: np.ndarray | None = None) -> np.ndarray:
     """Exact transpose of :func:`phi_forward`: the [H, W, n] cube of the
-    ``bands`` selected (all by default), written into ``out`` if given."""
+    ``bands`` selected (all by default), written into ``out`` if given.
+
+    A column-major ``y`` is read with a column-major copy of the mask, and a
+    new ``out`` then has column-major bands; a given ``out`` is fastest in
+    that layout too.  The values do not depend on either order.
+    """
+    y = as_real(y)
     cfg.check_measurement(y)
+    order = _order(y)
     windows = _bands(y, cfg)[:, :, bands]
     if out is None:
-        out = np.empty(windows.shape, dtype=y.dtype)
+        out = np.empty(windows.shape, dtype=y.dtype, order=order)
     # the product is taken in float64 (the mask's dtype) and stored as out.dtype
-    return np.multiply(cfg.mask[:, :, None], windows, out=out, casting="same_kind")
+    mask = cfg._fortran_mask if order == "F" else cfg.mask
+    return np.multiply(mask[:, :, None], windows, out=out, casting="same_kind")
 
 
 def phi_phit_diag(cfg: SensingConfig) -> np.ndarray:

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import forked
 from .base import check_at_least
-from .cassi import SensingConfig, phi_adjoint, phi_forward, phi_phit_diag
+from .cassi import SensingConfig, as_real, phi_adjoint, phi_forward, phi_phit_diag
 
 DIAG_FLOOR = 1e-6
 
@@ -48,10 +48,14 @@ def tv_denoise(band: np.ndarray, lam: float,
     column (horizontal) and last row (vertical); div is its negative adjoint.
     The working arrays are allocated once and updated in place; the
     horizontal differences are one subtract over the flattened band, after
-    which the row-boundary column is overwritten.
+    which the row-boundary column is overwritten.  The anisotropic prox
+    commutes with transposition: ``tv_denoise(band.T).T`` has the bytes of
+    ``tv_denoise(band)``, so ``gap_tv`` denoises each band in its stored
+    [W, H] layout.
     """
-    if np.ndim(band) != 2:
-        raise ValueError(f"tv_denoise takes one [H, W] band, got shape {np.shape(band)}")
+    if np.ndim(band) != 2 or 0 in np.shape(band):
+        raise ValueError("tv_denoise takes one non-empty [H, W] band, "
+                         f"got shape {np.shape(band)}")
     _check_tv_weight(lam)
     f = band.astype(np.float64)
     h, w = f.shape
@@ -93,17 +97,23 @@ def gap_tv(y: np.ndarray, cfg: SensingConfig, gcfg: GapTvConfig | None = None) -
     Stops early and returns the best iterate if the data residual is not
     finite or grows to 10x a positive running minimum (divergence guard).
 
-    The iterate is one band-major [C, H, W] float64 array, updated in place.
-    Each iteration writes rd = (y - Phi z) / diag, then takes the data step
-    z + Phi^T rd and the TV prox band by band.  Where ``forked.may_fork``
-    allows it (two CPUs, a platform with ``fork``, and neither
-    ``tensor.count_flops`` nor tracemalloc measuring) and there are two
-    bands or more, the iterate and rd sit in one anonymous shared mapping
-    made before one child is forked, and each iteration the child runs the
-    data step and the prox of the later ``bands // 2`` bands while this
-    process runs the rest; the pipe carries only ``None`` each way.  Every
-    band sees the same arithmetic either way, so the result is the same
-    bytes as from one process.  Under ``taskset -c 0`` it stays in one
+    ``y`` may be any real array; a bool or integer one is read as float64.
+
+    The iterate is one band-major float64 array, updated in place.  It is
+    stored as [C, W, H], so each band is a column-major [H, W] view, and
+    rd = (y - Phi z) / diag as [W + d(C-1), H], read through its transpose,
+    so each band window of rd is one contiguous block (see ``cassi``).  Each
+    iteration writes rd, then takes the data step z + Phi^T rd and the TV
+    prox band by band.
+
+    Where ``forked.may_fork`` allows it (two CPUs, a platform with ``fork``,
+    and neither ``tensor.count_flops`` nor tracemalloc measuring) and there
+    are two bands or more, the iterate and rd sit in one anonymous shared
+    mapping made before one child is forked, and each iteration the child
+    runs the data step and the prox of the later ``bands // 2`` bands while
+    this process runs the rest; the pipe carries only ``None`` each way.
+    Every band sees the same arithmetic either way, so the result is the
+    same bytes as from one process.  Under ``taskset -c 0`` it stays in one
     process.  While the child lives, the calling thread runs on one CPU and
     the child on the others (see ``forked.Forked``).  The child is reaped
     before ``gap_tv`` returns or raises, and an error in one of its bands is
@@ -111,7 +121,8 @@ def gap_tv(y: np.ndarray, cfg: SensingConfig, gcfg: GapTvConfig | None = None) -
     """
     if gcfg is None:
         gcfg = GapTvConfig()
-    cfg.check_measurement(np.asarray(y))
+    y = np.ascontiguousarray(as_real(y))  # the residual norms sum in C order
+    cfg.check_measurement(y)
     if not np.all(np.isfinite(y)):
         raise ValueError("measurement holds non-finite values (NaN or inf)")
     diag = np.maximum(phi_phit_diag(cfg), DIAG_FLOOR)
@@ -121,14 +132,16 @@ def gap_tv(y: np.ndarray, cfg: SensingConfig, gcfg: GapTvConfig | None = None) -
     n = cfg.bands * cfg.height * cfg.width
     size = n + cfg.height * cfg.meas_width
     buf = np.frombuffer(mmap.mmap(-1, size * 8)) if later else np.empty(size)
-    z = buf[:n].reshape(cfg.bands, cfg.height, cfg.width)
-    rd = buf[n:].reshape(cfg.height, cfg.meas_width)
-    z[...] = np.moveaxis(start, 2, 0)
+    z = buf[:n].reshape(cfg.bands, cfg.width, cfg.height)
+    rd = buf[n:].reshape(cfg.meas_width, cfg.height).T
+    z[...] = start.T
     x = np.empty_like(z)  # z + Phi^T rd; each process writes its own bands
+    # y and diag in rd's order, so that rd is written from contiguous operands
+    y_f, diag_f = np.asfortranarray(y), np.asfortranarray(diag)
 
     def step(lo: int, hi: int) -> None:
         """The data step and the TV prox of bands lo..hi-1, written into z."""
-        phi_adjoint(rd, cfg, slice(lo, hi), out=np.moveaxis(x[lo:hi], 0, 2))
+        phi_adjoint(rd, cfg, slice(lo, hi), out=x[lo:hi].T)
         np.add(z[lo:hi], x[lo:hi], out=x[lo:hi])
         for c in range(lo, hi):
             z[c] = tv_denoise(x[c], gcfg.tv_weight, gcfg.tv_inner_iters)
@@ -138,18 +151,19 @@ def gap_tv(y: np.ndarray, cfg: SensingConfig, gcfg: GapTvConfig | None = None) -
           else nullcontext()) as child:
         cube = start  # the first residual is taken in y's dtype
         for _ in range(gcfg.iterations):
-            np.divide(y - phi_forward(cube, cfg), diag, out=rd)
+            np.divide(y_f - phi_forward(cube, cfg), diag_f, out=rd)
             if child:
                 child.send(None)
             step(0, split)
             if child:
                 child.recv()
-            cube = np.moveaxis(z, 0, 2)
-            res = float(np.linalg.norm(y - phi_forward(cube, cfg)))
+            cube = z.T
+            # norm sums in memory order: the residual is C-ordered, as y is
+            res = float(np.linalg.norm(np.subtract(y, phi_forward(cube, cfg), order="C")))
             if res < best_res:
                 best, best_res = z.copy(), res
             elif not np.isfinite(res) or (best_res > 0.0 and res > 10.0 * best_res):
                 warnings.warn("gap_tv residual diverging, returning best iterate",
                               RuntimeWarning, stacklevel=2)
-                return start if best is None else np.moveaxis(best, 0, 2).copy()
+                return start if best is None else best.T.copy()
         return cube.copy()

@@ -215,6 +215,82 @@ class TestBandViewMatchesLoops:
         assert alone.tobytes() == want.tobytes()
 
 
+class TestColumnMajorOperands:
+    """A cube with column-major bands, or a column-major measurement, gives
+    the bytes of the C-ordered operand, in a column-major result; h != w, so
+    a mix-up of the two axes cannot cancel out."""
+
+    @staticmethod
+    def draw_instance(data, c, d, seed, dtype):
+        h = data.draw(st.integers(1, 9), label="h")
+        w = data.draw(st.integers(1, 9).filter(lambda v: v != h), label="w")
+        gen = np.random.default_rng(seed)
+        cfg = SensingConfig(gen.random((h, w)), dispersion_step=d, bands=c)
+        x = gen.standard_normal((h, w, c)).astype(dtype)
+        y = gen.standard_normal((h, cfg.meas_width)).astype(dtype)
+        return cfg, x, y
+
+    @given(c=st.integers(1, 6), d=st.sampled_from([0, 1, 2, 3]),
+           seed=st.integers(0, 10_000), dtype=st.sampled_from([np.float32, np.float64]),
+           data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_forward_of_column_major_bands(self, c, d, seed, dtype, data):
+        cfg, x, _ = self.draw_instance(data, c, d, seed, dtype)
+        bands_f = np.ascontiguousarray(x.T).T  # [H, W, C] with F-contiguous bands
+        got, want = phi_forward(bands_f, cfg), phi_forward(x, cfg)
+        assert got.dtype == want.dtype and want.flags.c_contiguous
+        assert got.tobytes() == want.tobytes()
+        if min(x.shape[:2]) > 1:
+            assert got.flags.f_contiguous
+
+    @given(c=st.integers(1, 6), d=st.sampled_from([0, 1, 2, 3]),
+           seed=st.integers(0, 10_000), dtype=st.sampled_from([np.float32, np.float64]),
+           data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_adjoint_of_column_major_measurement(self, c, d, seed, dtype, data):
+        cfg, _, y = self.draw_instance(data, c, d, seed, dtype)
+        start = data.draw(st.integers(0, c - 1))
+        bands = slice(start, data.draw(st.integers(start + 1, c)))
+        y_f = np.asfortranarray(y)
+        want = phi_adjoint(y, cfg)
+        got = phi_adjoint(y_f, cfg)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+        if cfg.height > 1 and cfg.width > 1:
+            assert got[:, :, 0].flags.f_contiguous
+        out = np.full((bands.stop - bands.start, cfg.width, cfg.height), np.nan,
+                      dtype=dtype).T
+        assert phi_adjoint(y_f, cfg, bands, out=out) is out
+        assert out.tobytes() == want[:, :, bands].tobytes()
+        assert phi_adjoint(y_f, cfg, bands).tobytes() == want[:, :, bands].tobytes()
+
+
+class TestIntegerOperands:
+    """A bool or integer operand is read as float64, as the list it could be."""
+
+    def test_forward(self, rng):
+        cfg = small_cfg(h=3, w=4, c=3, d=1)
+        x = rng.integers(-3, 4, (3, 4, 3))
+        for given_x in (x, x.tolist(), x > 0):
+            got = phi_forward(given_x, cfg)
+            want = phi_forward(np.asarray(given_x, dtype=np.float64), cfg)
+            assert got.dtype == np.float64 and got.tobytes() == want.tobytes()
+
+    def test_adjoint(self, rng):
+        cfg = small_cfg(h=3, w=4, c=3, d=1)
+        y = rng.integers(-3, 4, (3, cfg.meas_width)).astype(np.int32)
+        want = phi_adjoint(y.astype(np.float64), cfg)
+        for given_y in (y, y.tolist()):
+            got = phi_adjoint(given_y, cfg)
+            assert got.dtype == np.float64 and got.tobytes() == want.tobytes()
+
+    def test_simulate(self, rng):
+        cfg = small_cfg(h=3, w=4, c=3, d=1, sigma=0.1)
+        x = rng.integers(0, 2, (3, 4, 3)).astype(np.uint8)
+        want = simulate(x.astype(np.float64), cfg, seed=4)
+        got = simulate(x, cfg, seed=4)
+        assert got.dtype == np.float64 and got.tobytes() == want.tobytes()
+
+
 class TestProperties:
     def test_linearity(self, rng):
         cfg = small_cfg(h=4, w=4, c=3, d=2)

@@ -2,6 +2,7 @@
 
 import mmap
 import os
+import re
 import tracemalloc
 import warnings
 from contextlib import nullcontext
@@ -161,6 +162,17 @@ class TestGapTv:
         with pytest.raises(ValueError):
             GapTvConfig(iterations=0)
 
+    def test_any_real_measurement_gives_the_float64_bytes(self):
+        y, cfg = small_gap_tv_input(4)
+        gcfg = GapTvConfig(iterations=4)
+        want = gap_tv(y, cfg, gcfg)
+        for given_y in (y.tolist(), np.asfortranarray(y)):
+            assert gap_tv(given_y, cfg, gcfg).tobytes() == want.tobytes()
+        counts = np.rint(100 * y).astype(np.int64)
+        want = gap_tv(counts.astype(np.float64), cfg, gcfg)
+        got = gap_tv(counts, cfg, gcfg)
+        assert got.dtype == np.float64 and got.tobytes() == want.tobytes()
+
     @pytest.mark.parametrize("field,bad", [("iterations", np.nan), ("iterations", np.inf),
                                            ("tv_inner_iters", np.nan)])
     def test_config_rejects_non_finite_counts(self, field, bad):
@@ -182,6 +194,13 @@ class TestTvWeightAndBandChecks:
     @pytest.mark.parametrize("shape", [(4, 4, 3), (16,)])
     def test_tv_denoise_takes_only_a_2d_band(self, shape):
         with pytest.raises(ValueError, match=r"\[H, W\] band"):
+            tv_denoise(np.zeros(shape), lam=0.1)
+
+    @pytest.mark.parametrize("shape", [(0, 5), (5, 0), (0, 0)])
+    def test_tv_denoise_rejects_an_empty_band(self, shape):
+        with pytest.raises(ValueError,
+                           match=r"non-empty \[H, W\] band, got shape "
+                           + re.escape(str(shape))):
             tv_denoise(np.zeros(shape), lam=0.1)
 
     def test_nan_residual_warns_and_returns_best_iterate(self, monkeypatch):
@@ -227,7 +246,7 @@ class TestZeroStartResidual:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             rec = gap_tv(y, cfg, GapTvConfig(iterations=10))
-        assert calls.list() == [(24, 20)] * 10
+        assert calls.list() == [(20, 24)] * 10  # each band as stored, [W, H]
         assert rec.shape == (24, 20, 1) and np.all(np.isfinite(rec))
 
     def test_nan_residual_still_warns(self, monkeypatch):
@@ -295,6 +314,8 @@ class TestTvDenoiseMatchesParentFormula:
     ITERS = (1, 5, 20)
 
     def assert_matches_parent(self, band):
+        """tv_denoise(band) matches the formula, and tv_denoise(band.T).T
+        (the other memory order) has its bytes."""
         for lam in self.LAMS:
             for iters in self.ITERS:
                 want = parent_tv_denoise(band, lam, iters)
@@ -302,6 +323,8 @@ class TestTvDenoiseMatchesParentFormula:
                 assert got.dtype == want.dtype, (lam, iters)
                 assert np.array_equal(got, want, equal_nan=True), (lam, iters)
                 assert np.array_equal(np.signbit(got), np.signbit(want)), (lam, iters)
+                flipped = tv_denoise(band.T, lam, iters).T
+                assert flipped.tobytes() == got.tobytes(), (lam, iters)
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("shape", [(1, 1), (1, 9), (9, 1), (7, 3), (64, 64)])
@@ -350,7 +373,7 @@ class TestTvDenoiseMatchesParentFormula:
 
         monkeypatch.setattr(gaptv, "tv_denoise", counted)
         gap_tv(y, cfg, GapTvConfig(iterations=7))
-        assert shapes.list() == [(16, 12)] * (cfg.bands * 7)
+        assert shapes.list() == [(12, 16)] * (cfg.bands * 7)  # as stored, [W, H]
 
 
 def small_gap_tv_input(bands: int, dtype=np.float64):
@@ -387,6 +410,23 @@ class TestTwoProcessGapTv:
         assert forks == [1]
         assert out[2].dtype == out[1].dtype
         assert out[2].tobytes() == out[1].tobytes()
+        assert no_child_left()
+
+    @pytest.mark.parametrize("slots", [1, 2])
+    def test_non_square_cube_gives_the_parent_formula_bytes(self, monkeypatch, slots):
+        """24x40: height and width differ, so a mix-up of the two axes in the
+        column-major bands cannot cancel out."""
+        monkeypatch.setattr(T, "_SLOTS", slots)
+        scene = gen_scene(SceneSpec(kind="piecewise-constant", height=24, width=40,
+                                    bands=7, seed=3))
+        cfg = SensingConfig(0.25 + 0.5 * random_mask(24, 40, seed=8), dispersion_step=2,
+                            bands=7)
+        y = simulate(scene, cfg, seed=1)
+        gcfg = GapTvConfig(iterations=12)
+        want = parent_gap_tv(y, cfg, gcfg)
+        got = gap_tv(y, cfg, gcfg)
+        assert (got.dtype, got.strides) == (want.dtype, want.strides)
+        assert got.tobytes() == want.tobytes()
         assert no_child_left()
 
     def test_error_in_a_child_band_is_raised(self, monkeypatch):

@@ -21,7 +21,10 @@ shape and strides of every array it covers:
   64x64x28;
 * ``gaptv-64-f32``: the same at 64x64x27 from a float32 measurement, where
   the first residual is taken in float32 and the two processes' band counts
-  differ.
+  differ;
+* ``gaptv-48x80``: the same at 48x80x9 with dispersion 3, from a float32
+  measurement: a non-square cube, where a mix-up of the height and width
+  axes in GAP-TV's column-major bands cannot cancel out.
 
 Compare on one machine only: OpenBLAS picks its kernels by CPU, so digests
 are not portable, and none is checked in.  To compare on one CPU, start the
@@ -127,14 +130,15 @@ def _train(batch: int) -> str:
     return h.hexdigest()
 
 
-def _gaptv(bands: int, dtype) -> str:
+def _gaptv(height: int, width: int, bands: int, step: int, dtype) -> str:
     from hsifreq.cassi import SensingConfig, random_mask, simulate
     from hsifreq.gaptv import gap_tv
     from hsifreq.hsio import SceneSpec, gen_scene
 
-    x = gen_scene(SceneSpec(kind="piecewise-constant", height=64, width=64, bands=bands,
-                            seed=12))
-    cfg = SensingConfig(random_mask(64, 64, seed=20240606), 2, bands, noise_sigma=0.01)
+    x = gen_scene(SceneSpec(kind="piecewise-constant", height=height, width=width,
+                            bands=bands, seed=12))
+    cfg = SensingConfig(random_mask(height, width, seed=20240606), step, bands,
+                        noise_sigma=0.01)
     h = hashlib.sha256()
     update(h, gap_tv(simulate(x, cfg, seed=13).astype(dtype), cfg))
     return h.hexdigest()
@@ -147,8 +151,9 @@ DIGESTS = {
     "train-b1": lambda: _train(1),
     "train-b3": lambda: _train(3),
     "train-b4": lambda: _train(4),
-    "gaptv-64": lambda: _gaptv(28, np.float64),
-    "gaptv-64-f32": lambda: _gaptv(27, np.float32),
+    "gaptv-64": lambda: _gaptv(64, 64, 28, 2, np.float64),
+    "gaptv-64-f32": lambda: _gaptv(64, 64, 27, 2, np.float32),
+    "gaptv-48x80": lambda: _gaptv(48, 80, 9, 3, np.float32),
 }
 
 
