@@ -10,7 +10,6 @@ ecosystem's tooling.
 from __future__ import annotations
 
 import dataclasses
-import inspect
 import numbers
 
 import numpy as np
@@ -21,17 +20,26 @@ class NotFittedError(RuntimeError):
 
 
 class BaseEstimator:
+    """The parameters are the fields of the dataclass ``_config``, but those
+    in ``_skip``, each starting at its default."""
+
+    _config = None
+    _skip: tuple[str, ...] = ()
+
+    def __init__(self, **params):
+        self.__dict__.update(self._defaults())
+        self.set_params(**params)
+
     @classmethod
-    def _param_names(cls) -> list[str]:
-        sig = inspect.signature(cls.__init__)
-        return [p.name for p in sig.parameters.values()
-                if p.name != "self" and p.kind == p.POSITIONAL_OR_KEYWORD]
+    def _defaults(cls) -> dict:
+        fields = dataclasses.fields(cls._config) if cls._config else ()
+        return {f.name: f.default for f in fields if f.name not in cls._skip}
 
     def get_params(self, deep: bool = True) -> dict:
-        return {name: getattr(self, name) for name in self._param_names()}
+        return {name: getattr(self, name) for name in self._defaults()}
 
     def set_params(self, **params) -> "BaseEstimator":
-        valid = set(self._param_names())
+        valid = set(self._defaults())
         for name, value in params.items():
             if name not in valid:
                 raise ValueError(f"invalid parameter {name!r} for {type(self).__name__}; "
@@ -50,19 +58,18 @@ def check_fitted(estimator, attribute: str) -> None:
                              "call fit() first")
 
 
-def check_at_least(cfg, low, *names: str) -> None:
-    """Raise ValueError naming the first field of ``cfg`` in ``names`` that is
-    not a finite number >= ``low``, or not an integer where the dataclass
-    declares it ``int``."""
-    ints = {f.name for f in dataclasses.fields(cfg) if f.type == "int"}
-    for name in names:
-        value = getattr(cfg, name)
+def check_at_least(cfg, low, *names: str, **args) -> None:
+    """Raise ValueError naming the first field of the dataclass ``cfg`` in
+    ``names`` that is not a finite number >= ``low``, or not an integer where
+    the dataclass declares it ``int``.  A function passes its own name as
+    ``cfg`` and its integer arguments by keyword."""
+    where = cfg if args else type(cfg).__name__
+    ints = set(args) if args else {f.name for f in dataclasses.fields(cfg) if f.type == "int"}
+    for name, value in (args or {n: getattr(cfg, n) for n in names}).items():
         if not (np.isfinite(value) and value >= low):
-            raise ValueError(f"{type(cfg).__name__}.{name} must be finite and >= {low}, "
-                             f"got {value!r}")
+            raise ValueError(f"{where}.{name} must be finite and >= {low}, got {value!r}")
         if name in ints and not isinstance(value, numbers.Integral):
-            raise ValueError(f"{type(cfg).__name__}.{name} must be an integer, "
-                             f"got {value!r}")
+            raise ValueError(f"{where}.{name} must be an integer, got {value!r}")
 
 
 def check_cube(x, name: str = "cube") -> np.ndarray:

@@ -88,6 +88,7 @@ def random_mask(h: int, w: int, seed: int = 0, binary: bool = True,
     density."""
     if h < 1 or w < 1:
         raise ValueError(f"random_mask: h and w must be >= 1, got {h}x{w}")
+    check_at_least("random_mask", 0, seed=seed)
     if not binary and density is not None:
         raise ValueError("random_mask: a real-valued mask takes no density, "
                          f"got {density!r}")
@@ -129,12 +130,8 @@ def _bands(a: np.ndarray, cfg: SensingConfig) -> np.ndarray:
 
 
 def phi_forward(x: np.ndarray, cfg: SensingConfig) -> np.ndarray:
-    """Mask, shift each band by d*c columns, and integrate to a 2D measurement.
-
-    When the bands ``x[:, :, c]`` are column-major (F- but not C-contiguous),
-    the measurement is too, and is made with a column-major copy of the
-    mask; else it is C-ordered.  Its values do not depend on the order.
-    """
+    """Mask, shift each band by d*c columns, and integrate to a 2D measurement,
+    column-major where the bands ``x[:, :, c]`` are (see ``_order``)."""
     x = as_real(x)
     cfg.check_cube(x)
     d, w = cfg.dispersion_step, cfg.width
@@ -149,12 +146,9 @@ def phi_forward(x: np.ndarray, cfg: SensingConfig) -> np.ndarray:
 def phi_adjoint(y: np.ndarray, cfg: SensingConfig, bands: slice = slice(None),
                 out: np.ndarray | None = None) -> np.ndarray:
     """Exact transpose of :func:`phi_forward`: the [H, W, n] cube of the
-    ``bands`` selected (all by default), written into ``out`` if given.
-
-    A column-major ``y`` is read with a column-major copy of the mask, and a
-    new ``out`` then has column-major bands; a given ``out`` is fastest in
-    that layout too.  The values do not depend on either order.
-    """
+    ``bands`` selected (all by default), written into ``out`` if given.  A
+    new ``out`` has column-major bands where ``y`` is column-major, the
+    layout in which a given ``out`` is also fastest."""
     y = as_real(y)
     cfg.check_measurement(y)
     order = _order(y)
@@ -175,6 +169,7 @@ def phi_phit_diag(cfg: SensingConfig) -> np.ndarray:
 def simulate(x: np.ndarray, cfg: SensingConfig, seed: int = 0) -> np.ndarray:
     """Noisy measurement: phi_forward(x) plus seeded zero-mean Gaussian noise.
     A scene holding NaN or inf is a ValueError."""
+    check_at_least("simulate", 0, seed=seed)
     if not np.all(np.isfinite(x)):
         raise ValueError("scene holds non-finite values (NaN or inf)")
     y = phi_forward(x, cfg)

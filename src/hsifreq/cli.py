@@ -89,8 +89,10 @@ def cmd_analyze_hfc(args) -> int:
     print(f"space_avg={rep.space_avg:.4f} freq_avg={rep.freq_avg:.4f} "
           f"tokens={len(curve.mean_corr)}")
     if len(args.inp) > 1:
-        write_corpus_csv(corpus_stats(args.inp), out / "corpus_hist.csv")
-        print(f"corpus histogram over {len(args.inp)} cubes -> corpus_hist.csv")
+        stats = corpus_stats(args.inp)
+        write_corpus_csv(stats, out / "corpus_hist.csv")
+        print(f"corpus histogram over {len(stats.rows)} cubes, {stats.skipped} skipped "
+              "-> corpus_hist.csv")
     return 0
 
 
@@ -122,8 +124,8 @@ def _check_out_dirs(*paths) -> None:
 def cmd_train(args) -> int:
     log_path = args.log or str(Path(args.out).with_suffix(".log.csv"))
     _check_out_dirs(args.out, log_path)
-    cubes = _collect_cubes(args.data)
     tcfg = _train_config_from(args)
+    cubes = _collect_cubes(args.data)
     mask = _training_mask(args, cubes)
     result = train(cubes, mask, tcfg, log_path=log_path, ckpt_path=args.out)
     last = result.log[-1] if result.log else (0, 0.0, float("nan"), float("nan"))
@@ -182,9 +184,19 @@ def _sweep(args, field: str, values, columns: str, lead) -> int:
     return 0
 
 
+def _token_list(text: str) -> list[int]:
+    """``--kernels``: comma-separated token sizes, each at least 1."""
+    try:
+        tokens = [int(v) for v in text.split(",")]
+    except ValueError:
+        tokens = [0]
+    if min(tokens) < 1:
+        raise argparse.ArgumentTypeError(f"need integers >= 1, comma-separated, got {text!r}")
+    return tokens
+
+
 def cmd_sweep_kernel(args) -> int:
-    return _sweep(args, "token", (int(v) for v in args.kernels.split(",")), "kernel",
-                  lambda k, _: k)
+    return _sweep(args, "token", args.kernels, "kernel", lambda k, _: k)
 
 
 def cmd_sweep_sharing(args) -> int:
@@ -308,7 +320,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     g = sub.add_parser("sweep-kernel", help="train small models over token sizes")
     g.add_argument("--data", required=True)
-    g.add_argument("--kernels", default="2,4,8")
+    g.add_argument("--kernels", type=_token_list, default="2,4,8")
     add_train_flags(g)
     g.add_argument("--out", required=True)
     g.set_defaults(func=cmd_sweep_kernel)

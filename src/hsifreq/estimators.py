@@ -20,24 +20,8 @@ class UnfoldingReconstructor(BaseEstimator):
     lives in ``net_`` and ``log_``.
     """
 
-    def __init__(self, stages=TrainConfig.stages, share_params=TrainConfig.share_params,
-                 token=TrainConfig.token, heads=TrainConfig.heads,
-                 base_width=TrainConfig.base_width, steps=TrainConfig.steps,
-                 batch=TrainConfig.batch, lr0=TrainConfig.lr0,
-                 noise_sigma=TrainConfig.noise_sigma, augment=TrainConfig.augment,
-                 clip_norm=TrainConfig.clip_norm, seed=TrainConfig.seed):
-        self.stages = stages
-        self.share_params = share_params
-        self.token = token
-        self.heads = heads
-        self.base_width = base_width
-        self.steps = steps
-        self.batch = batch
-        self.lr0 = lr0
-        self.noise_sigma = noise_sigma
-        self.augment = augment
-        self.clip_norm = clip_norm
-        self.seed = seed
+    _config = TrainConfig
+    _skip = ("log_every",)
 
     def fit(self, cubes, mask) -> "UnfoldingReconstructor":
         cubes = [check_cube(c) for c in (cubes if isinstance(cubes, (list, tuple)) else [cubes])]
@@ -73,11 +57,7 @@ class UnfoldingReconstructor(BaseEstimator):
 class GapTvReconstructor(BaseEstimator):
     """Training-free GAP-TV baseline with the same predict surface."""
 
-    def __init__(self, iterations=GapTvConfig.iterations, tv_weight=GapTvConfig.tv_weight,
-                 tv_inner_iters=GapTvConfig.tv_inner_iters):
-        self.iterations = iterations
-        self.tv_weight = tv_weight
-        self.tv_inner_iters = tv_inner_iters
+    _config = GapTvConfig
 
     def predict(self, y, sensing: SensingConfig) -> np.ndarray:
         return gap_tv(np.asarray(y, dtype=np.float64), sensing,

@@ -1,47 +1,62 @@
 """One forked child process that answers requests sent over a pipe.
 
-Two callers fork one where ``may_fork`` allows it.  ``unfolding.train``
-runs half of each batch in such a child, which sends back its gradients.
-``gaptv.gap_tv`` keeps its iterate in an anonymous shared mapping made
-before the fork, and the child runs the data step and the TV prox of the
-later half of the bands in place there; each request and reply is ``None``.
-``multiprocessing`` is loaded only when a child is forked, so a process that
-never forks one does not load it.
+``unfolding.train`` runs half of each batch in such a child, which sends
+back its gradients; ``gaptv.gap_tv`` has one run the data step and the TV
+prox of the later half of the bands, in place in an iterate shared with it.
+
+While a child lives, both processes run BLAS on one thread: on its default
+of a thread per CPU, the two processes' BLAS threads contended, and a
+desk-shaped training ran over twice as slow as in one process.  ``Forked``
+sets the thread count of the OpenBLAS bundled with numpy, which is opened at
+the first ``may_fork``; ``multiprocessing`` is loaded at the first fork.
 """
 
 from __future__ import annotations
 
+import ctypes
+import functools
 import os
 import signal
 import traceback
 import warnings
+from pathlib import Path
+
+import numpy as np
 
 from . import tensor as T
 
 
+@functools.cache
+def _blas():
+    """The (get, set) thread-count calls of the OpenBLAS bundled with numpy,
+    or None where numpy bundles none."""
+    for lib in sorted((Path(np.__file__).parent.parent / "numpy.libs").glob("*openblas*")):
+        try:
+            lib = ctypes.CDLL(str(lib))
+            get, put = lib.scipy_openblas_get_num_threads64_, lib.scipy_openblas_set_num_threads64_
+        except (OSError, AttributeError):
+            continue
+        get.argtypes, get.restype = [], ctypes.c_int
+        put.argtypes, put.restype = [ctypes.c_int], None
+        return get, put
+    return None
+
+
 def may_fork() -> bool:
     """Whether a forked child may take half of a job: this process may use
-    two CPUs (``tensor._SLOTS``, counted at import), the platform forks, and
-    neither ``tensor.count_flops`` in this thread nor tracemalloc measures
-    it.  Both see this process only, so a measured job stays in one process,
-    where they see all of its work.
+    two CPUs (``tensor._SLOTS``, counted at import), the platform forks,
+    neither ``tensor.count_flops`` in this thread nor tracemalloc measures it
+    (both see this process only), and BLAS can run on one thread: numpy's
+    OpenBLAS has its thread-count calls, or else the first of the variables
+    OpenBLAS reads is set to 1.
     """
-    if T._SLOTS < 2 or not hasattr(os, "fork") or T._FLOP_COUNTER.get() is not None:
-        return False
     import tracemalloc
-    return not tracemalloc.is_tracing()
-
-
-def blas_on_one_thread() -> bool:
-    """Whether BLAS started on one thread: the first of the variables that
-    OpenBLAS reads, in its order, is set to 1.  Two processes pay only then;
-    with BLAS on its default of a thread per CPU, the threads of the two
-    contend, and a desk-shaped training ran over twice as slow as in one.
-    """
-    for var in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"):
-        if os.environ.get(var):
-            return os.environ[var].strip() == "1"
-    return False
+    if (T._SLOTS < 2 or not hasattr(os, "fork") or T._FLOP_COUNTER.get() is not None
+            or tracemalloc.is_tracing()):
+        return False
+    env = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+    first = next((os.environ[v] for v in env if os.environ.get(v)), "")
+    return _blas() is not None or first.strip() == "1"
 
 
 class ChildTraceback(Exception):
@@ -52,22 +67,17 @@ class Forked:
     """A forked copy of this process that runs ``serve(request)`` for each
     request sent to it and sends the result back, one reply per request.
 
-    The child starts from the parent's state at the fork and shares nothing
-    with it afterwards.  It ignores SIGINT, so an interrupt reaches the parent
-    alone.  An exception raised by ``serve`` is sent back, and ``recv`` raises
-    it.  The child leaves through ``os._exit`` when its pipe reaches EOF.
-    Leaving the ``with`` block closes the pipe and reaps the child; when the
-    block raised, the child is killed first, so no unfinished request
-    delays the error.
+    The child starts from the parent's state at the fork, shares nothing
+    with it afterwards and ignores SIGINT.  An exception raised by ``serve``
+    is raised by ``recv``.  Leaving the ``with`` block closes the pipe, at
+    whose EOF the child exits, and reaps the child, killed first when the
+    block raised.
 
-    Where the platform pins threads to CPUs and this thread may use two or
-    more, it runs on the lowest of them while the child lives, and the child
-    on the rest; leaving the block gives the thread its CPUs back.  The
-    scheduler tends to wake a process on the CPU of the one that woke it, so
-    unpinned, the two often took turns on one CPU.  The child counts its
-    CPUs at the fork, while this thread is pinned, so its tensor ops run on
-    one slot; this thread's tensor ops run every block on this thread until
-    the block ends (a context variable, so other threads still split theirs).
+    While the child lives, this thread runs on the lowest of its CPUs and the
+    child on the rest (unpinned, the scheduler often ran the two in turn on
+    one CPU); each runs its tensor ops on one slot (in this thread only: a
+    context variable) and BLAS on one thread.  Leaving the block, or a
+    failed fork, gives this process its CPUs and BLAS threads back.
     """
 
     def __init__(self, serve):
@@ -78,6 +88,10 @@ class Forked:
         here = {min(self._cpus)} if len(self._cpus) > 1 else None
         if here:
             os.sched_setaffinity(0, here)
+        self._blas = _blas()
+        if self._blas:
+            self._blas_threads = self._blas[0]()
+            self._blas[1](1)
         try:
             with warnings.catch_warnings():
                 # Python 3.12+ warns when a process with threads forks; the child
@@ -85,7 +99,7 @@ class Forked:
                 warnings.simplefilter("ignore", DeprecationWarning)
                 pid = os.fork()
         except BaseException:
-            self._restore_cpus()
+            self._restore()
             raise
         if pid == 0:
             _serve_forever(theirs, ours, serve, self._cpus - here if here else None)
@@ -94,9 +108,11 @@ class Forked:
         self._conn = ours
         self._blocks_here = T._CHILD_HOLDS_A_CPU.set(True)
 
-    def _restore_cpus(self) -> None:
+    def _restore(self) -> None:
         if len(self._cpus) > 1:
             os.sched_setaffinity(0, self._cpus)
+        if self._blas:
+            self._blas[1](self._blas_threads)
 
     def send(self, request) -> None:
         self._conn.send(request)
@@ -123,7 +139,7 @@ class Forked:
             os.waitpid(self.pid, 0)
         finally:
             T._CHILD_HOLDS_A_CPU.reset(self._blocks_here)
-            self._restore_cpus()
+            self._restore()
 
 
 def _serve_forever(conn, parent_end, serve, cpus) -> None:

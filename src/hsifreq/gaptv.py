@@ -99,25 +99,13 @@ def gap_tv(y: np.ndarray, cfg: SensingConfig, gcfg: GapTvConfig | None = None) -
 
     ``y`` may be any real array; a bool or integer one is read as float64.
 
-    The iterate is one band-major float64 array, updated in place.  It is
-    stored as [C, W, H], so each band is a column-major [H, W] view, and
-    rd = (y - Phi z) / diag as [W + d(C-1), H], read through its transpose,
-    so each band window of rd is one contiguous block (see ``cassi``).  Each
-    iteration writes rd, then takes the data step z + Phi^T rd and the TV
-    prox band by band.
-
-    Where ``forked.may_fork`` allows it (two CPUs, a platform with ``fork``,
-    and neither ``tensor.count_flops`` nor tracemalloc measuring) and there
-    are two bands or more, the iterate and rd sit in one anonymous shared
-    mapping made before one child is forked, and each iteration the child
-    runs the data step and the prox of the later ``bands // 2`` bands while
-    this process runs the rest; the pipe carries only ``None`` each way.
-    Every band sees the same arithmetic either way, so the result is the
-    same bytes as from one process.  Under ``taskset -c 0`` it stays in one
-    process.  While the child lives, the calling thread runs on one CPU and
-    the child on the others (see ``forked.Forked``).  The child is reaped
-    before ``gap_tv`` returns or raises, and an error in one of its bands is
-    raised here.
+    The iterate is one [C, W, H] float64 array, updated in place, so each
+    band is a column-major [H, W] view and each band window of
+    rd = (y - Phi z) / diag, stored as [W + d(C-1), H], one contiguous block.
+    Where ``forked.may_fork`` allows it and there are two bands or more, the
+    iterate and rd sit in a shared mapping, and a forked child runs the data
+    step and the TV prox of the later ``bands // 2`` bands; every band sees
+    the same arithmetic, so the result is the bytes of one process.
     """
     if gcfg is None:
         gcfg = GapTvConfig()

@@ -115,6 +115,7 @@ class SceneSpec:
         if self.kind not in SCENE_KINDS:
             raise ValueError(f"unknown scene kind {self.kind!r}; choose from {SCENE_KINDS}")
         check_at_least(self, 1, "height", "width", "bands")
+        check_at_least(self, 0, "seed")
         if not 0.0 <= self.rho <= 1.0:
             raise ValueError("rho must lie in [0, 1]")
 

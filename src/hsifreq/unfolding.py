@@ -167,7 +167,7 @@ class TrainConfig(ArchConfig):
     def __post_init__(self):
         super().__post_init__()
         check_at_least(self, 1, "steps", "batch", "log_every")
-        check_at_least(self, 0, "lr0", "clip_norm", "noise_sigma")
+        check_at_least(self, 0, "lr0", "clip_norm", "noise_sigma", "seed")
 
 
 @dataclass
@@ -227,15 +227,15 @@ def _run_sample(net: UnfoldingNet, sensing: SensingConfig, sample, batch: int,
 
 def _replica(net: UnfoldingNet, sensing: SensingConfig, batch: int):
     """A forked child holding a copy of ``net`` that runs the samples it is
-    sent, where ``forked.may_fork`` allows one, BLAS runs on one thread and
-    a batch has two samples; else a context that gives None.
+    sent, where a batch has two samples and ``forked.may_fork`` allows one;
+    else a context that gives None.
 
     A request is the new parameter values (None while they are unchanged)
     and a list of samples.  The reply holds, per sample in order, its loss,
     its PSNR and the tape's gradient of each parameter (None where the tape
     reached none).
     """
-    if batch < 2 or not forked.may_fork() or not forked.blas_on_one_thread():
+    if batch < 2 or not forked.may_fork():
         return nullcontext()
 
     params = net.params()
@@ -264,16 +264,10 @@ def train(cubes: list[np.ndarray], mask: np.ndarray, tcfg: TrainConfig,
     A keyboard interrupt flushes the checkpoint and log before returning.
     Non-finite weights raise FloatingPointError before anything is written.
 
-    Where the process may use two CPUs (see :mod:`hsifreq.tensor`), BLAS
-    was started on one thread (``OPENBLAS_NUM_THREADS=1``) and ``batch`` is
-    at least 2, a forked child holding a copy of the network runs the later
-    half of each step's samples while this process runs the first half.  It
-    sends back each sample's gradients, which are added in sample order as
-    one process adds them, so the log and the weights are the same bytes.
-    Training stays in one process when started under ``taskset -c 0``, with
-    BLAS on its default threads, and while ``tensor.count_flops`` or
-    tracemalloc measures it.  The child is reaped before ``train`` returns
-    or raises, and an error in one of its samples is raised here.
+    Where ``batch`` is at least 2 and ``forked.may_fork`` allows it, a
+    forked child holding a copy of the network runs the later half of each
+    step's samples.  Their gradients are added in sample order, as one
+    process adds them, so the log and the weights are the same bytes.
     """
     if not cubes:
         raise ValueError("train: need at least one training cube")

@@ -6,7 +6,6 @@ the runtime; everything else is seconds.
 """
 
 import math
-import os
 import time
 
 import numpy as np
@@ -22,7 +21,7 @@ from hsifreq.cassi import (SensingConfig, dense_phi, phi_adjoint, phi_forward,
 from hsifreq.checkpoint import load_weights, save_weights
 from hsifreq.correlation import correlation_maps, token_correlation
 from hsifreq.dct import dct2, dct2_cube, dct2_forward, dct2_inverse, idct2_cube
-from hsifreq.forked import Forked, blas_on_one_thread
+from hsifreq.forked import Forked, may_fork
 from hsifreq.gaptv import gap_tv
 from hsifreq.hsio import SceneSpec, export_heatmap, gen_scene, read_hsic, write_hsic
 from hsifreq.layers import (DualDomainBlock, FreqLocalMixer, FreqSpectralAttention,
@@ -210,16 +209,15 @@ def test_06_gating_contract(f64, rng):
 
 @pytest.fixture(scope="module")
 def overfit_models(tmp_path_factory):
-    """Train the K=3 and K=1 models once for criteria 07 and 09.  Where the
-    platform forks and BLAS runs on one thread, a forked child trains K=1
-    while this process trains K=3, writes its weights as a checkpoint and
-    hands back its log."""
+    """Train the K=3 and K=1 models once for criteria 07 and 09.  Where
+    ``may_fork`` allows it, a forked child trains K=1 while this process
+    trains K=3, writes its weights as a checkpoint and hands back its log."""
     scene = gen_scene(OVERFIT_SCENE)
     mask = random_mask(32, 32, seed=11)
     tcfg = {k: TrainConfig(stages=k, share_params=True, **OVERFIT_TRAIN) for k in (3, 1)}
     ckpt = tmp_path_factory.mktemp("overfit") / "k1.cmdw"
     t0 = time.perf_counter()
-    if hasattr(os, "fork") and blas_on_one_thread():
+    if may_fork():
         with Forked(lambda _: train([scene], mask, tcfg[1], ckpt_path=ckpt).log) as child:
             child.send(None)
             runs = {3: train([scene], mask, tcfg[3])}

@@ -166,6 +166,7 @@ class TestTrainRejects:
         (["--token", "0"], "TrainConfig.token"),
         (["--lr0", "nan"], "TrainConfig.lr0"),
         (["--lr0", "1e300"], "non-finite"),   # finite, but overflows float32 weights
+        (["--seed", "-1"], "TrainConfig.seed"),
     ])
     def test_exit_two_and_no_output(self, tmp_path, scene_file, mask_file, capsys,
                                     flags, named):
@@ -202,6 +203,16 @@ class TestAnalyzeHfc:
                      "--token", "4", "--out-dir", str(out_dir)])
         assert code == 0
         assert (out_dir / "corpus_hist.csv").exists()
+
+    def test_corpus_counts_the_cubes_read_and_skipped(self, tmp_path, scene_file, capsys):
+        out_dir = tmp_path / "r6"
+        missing = tmp_path / "missing.hsic"
+        with pytest.warns(UserWarning, match="skipping"):
+            code = main(["analyze-hfc", "--in", str(scene_file), "--in", str(missing),
+                         "--token", "4", "--out-dir", str(out_dir)])
+        assert code == 0
+        assert "corpus histogram over 1 cubes, 1 skipped" in capsys.readouterr().out
+        assert "# skipped,1" in (out_dir / "corpus_hist.csv").read_text().splitlines()
 
     def test_bad_token_exits_two_and_makes_no_directory(self, tmp_path, scene_file, capsys):
         out_dir = tmp_path / "r3"
@@ -387,6 +398,17 @@ class TestSweeps:
         assert [r[0] for r in rows] == ["2", "4"]
         assert rows[0][1] != rows[1][1] and rows[0][2] != rows[1][2]
 
+    @pytest.mark.usefixtures("no_work")
+    @pytest.mark.parametrize("kernels", ["4,x", "2,4,0"])
+    def test_bad_kernel_list_exits_one_before_any_work(self, tmp_path, scene_file, capsys,
+                                                       kernels):
+        before = sorted(tmp_path.rglob("*"))
+        code = main(["sweep-kernel", "--data", str(scene_file), "--kernels", kernels,
+                     "--out", str(tmp_path / "kernels.csv")])
+        assert code == 1
+        assert "--kernels" in capsys.readouterr().err
+        assert sorted(tmp_path.rglob("*")) == before
+
     def test_sweep_sharing(self, tmp_path, scene_file):
         out = tmp_path / "sharing.csv"
         code = main(["sweep-sharing", "--data", str(scene_file), "--stages", "2",
@@ -398,22 +420,25 @@ class TestSweeps:
         assert len(lines) == 3
 
 
+@pytest.fixture
+def no_work(monkeypatch, scene_file, mask_file):
+    """Fail the test if the command reads an input, trains or makes data."""
+    def refuse(what):
+        def refused(*args, **kwargs):
+            raise AssertionError(f"{what} although the command must fail first")
+        return refused
+
+    # the input files are made first, by the fixtures this one takes
+    monkeypatch.setattr(cli, "train", refuse("trained"))
+    monkeypatch.setattr(cli, "read_hsic", refuse("read an input"))
+    monkeypatch.setattr(cli, "gen_scene", refuse("made a scene"))
+    monkeypatch.setattr(cli, "random_mask", refuse("made a mask"))
+
+
+@pytest.mark.usefixtures("no_work")
 class TestMissingOutputDirectory:
     """An output in a directory that does not exist exits 2 before any
     input is read or any training, names the path and writes nothing."""
-
-    @pytest.fixture(autouse=True)
-    def no_work(self, monkeypatch, scene_file, mask_file):
-        def refuse(what):
-            def refused(*args, **kwargs):
-                raise AssertionError(f"{what} although an output directory is missing")
-            return refused
-
-        # the input files are made first, by the fixtures this one takes
-        monkeypatch.setattr(cli, "train", refuse("trained"))
-        monkeypatch.setattr(cli, "read_hsic", refuse("read an input"))
-        monkeypatch.setattr(cli, "gen_scene", refuse("made a scene"))
-        monkeypatch.setattr(cli, "random_mask", refuse("made a mask"))
 
     def check(self, tmp_path, capsys, argv, missing):
         before = sorted(tmp_path.rglob("*"))

@@ -1,5 +1,7 @@
 """Estimator facade: params protocol, fit/predict surfaces, persistence."""
 
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
@@ -38,6 +40,11 @@ class TestParamsProtocol:
         assert params["stages"] == 5 and params["lr0"] == 1e-3
         clone = UnfoldingReconstructor(**params)
         assert clone.get_params() == params
+
+    def test_params_are_the_config_fields(self):
+        assert list(UnfoldingReconstructor().get_params()) == [
+            f.name for f in fields(TrainConfig) if f.name != "log_every"]
+        assert list(GapTvReconstructor().get_params()) == [f.name for f in fields(GapTvConfig)]
 
     def test_set_params_chains(self):
         est = GapTvReconstructor()

@@ -392,10 +392,6 @@ class TestTwoProcessGapTv:
     and the TV prox of the later half of the bands, in place in a shared
     iterate; the result is the bytes of one process."""
 
-    @pytest.fixture(autouse=True)
-    def blas_on_one_thread(self, monkeypatch):
-        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
-
     @pytest.mark.parametrize("bands, dtype", [(6, np.float64), (6, np.float32),
                                               (7, np.float64), (7, np.float32)])
     def test_two_cpus_give_the_bytes_of_one(self, monkeypatch, bands, dtype):

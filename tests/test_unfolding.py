@@ -301,15 +301,36 @@ def desk_train(tmp_path, name, **kw):
     return result, log.read_bytes() + ckpt.read_bytes()
 
 
+BLAS_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+
+
+@pytest.fixture
+def blas_on_two_threads(monkeypatch):
+    """The thread-count getter of numpy's OpenBLAS, with BLAS set to two
+    threads and no BLAS variable in the environment; the count is put back
+    after the test."""
+    if forked._blas() is None:
+        pytest.skip("numpy bundles no OpenBLAS with thread-count calls")
+    get, set_threads = forked._blas()
+    before = get()
+    for var in BLAS_VARS:
+        monkeypatch.delenv(var, raising=False)
+    set_threads(2)
+    yield get
+    set_threads(before)
+
+
+def spy_forks(monkeypatch) -> list:
+    """Count the children forked through ``forked.Forked`` from now on."""
+    forks, fork = [], forked.Forked
+    monkeypatch.setattr(forked, "Forked", lambda serve: forks.append(1) or fork(serve))
+    return forks
+
+
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
 class TestTwoProcessTraining:
-    """With two CPUs, BLAS on one thread and batch >= 2, a forked child runs
-    the later half of each batch; the log and the weights are those of one
-    process."""
-
-    @pytest.fixture(autouse=True)
-    def blas_on_one_thread(self, monkeypatch):
-        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    """With two CPUs and batch >= 2, a forked child runs the later half of
+    each batch; the log and the weights are those of one process."""
 
     @pytest.mark.parametrize("batch, augment", [(3, True), (4, False)])
     def test_two_cpus_write_the_bytes_of_one(self, tmp_path, monkeypatch, batch, augment):
@@ -360,26 +381,65 @@ class TestTwoProcessTraining:
             desk_train(tmp_path, "counted", batch=4)
         assert flops[0] == 3 * 4 * per_step
 
-    @pytest.mark.parametrize("env, traced", [
-        ({"OPENBLAS_NUM_THREADS": "1"}, True), ({}, False),
-        ({"OPENBLAS_NUM_THREADS": "2"}, False),
-        ({"OMP_NUM_THREADS": "1", "GOTO_NUM_THREADS": "2"}, False)])
-    def test_threaded_blas_or_tracemalloc_stays_in_one_process(self, rng, monkeypatch,
-                                                              env, traced):
+    def test_unpinned_blas_forks_and_gets_its_threads_back(self, tmp_path, rng,
+                                                           monkeypatch, blas_on_two_threads):
+        forks = spy_forks(monkeypatch)
+        out = {}
+        for slots in (1, 2):
+            monkeypatch.setattr(T, "_SLOTS", slots)
+            out[slots] = desk_train(tmp_path, f"slots{slots}", batch=4)[1]
+        assert forks == [1]
+        assert out[2] == out[1]
+        assert blas_on_two_threads() == 2
+        parent = os.getpid()
+
+        def fails_in_child(pred, target):
+            if os.getpid() != parent:
+                raise ZeroDivisionError("raised in the child")
+            return loss(pred, target)
+
+        monkeypatch.setattr(unfolding, "loss", fails_in_child)
+        with pytest.raises(ZeroDivisionError, match="in the child"):
+            train([TestTrain().scene(rng)], random_mask(16, 16, seed=2),
+                  TestTrain().tcfg(batch=2))
+        assert forks == [1, 1]
+        assert blas_on_two_threads() == 2
+        assert no_child_left()
+
+    @pytest.mark.parametrize("handle, env, forks", [
+        (True, {}, 1), (True, {"OPENBLAS_NUM_THREADS": "2"}, 1),
+        (False, {"OPENBLAS_NUM_THREADS": "1"}, 1), (False, {}, 0),
+        (False, {"OPENBLAS_NUM_THREADS": "2"}, 0),
+        (False, {"OMP_NUM_THREADS": "1", "GOTO_NUM_THREADS": "2"}, 0)])
+    def test_blas_handle_or_else_environment_decides_the_fork(self, rng, monkeypatch,
+                                                              handle, env, forks):
+        """With numpy's OpenBLAS thread calls, training forks whatever the
+        environment says; without them, only where BLAS started on one thread."""
+        if handle and forked._blas() is None:
+            pytest.skip("numpy bundles no OpenBLAS with thread-count calls")
+        if not handle:
+            monkeypatch.setattr(forked, "_blas", lambda: None)
         monkeypatch.setattr(T, "_SLOTS", 2)
-        monkeypatch.setattr(forked, "Forked", fork_refused)
-        for var in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"):
+        for var in BLAS_VARS:
             monkeypatch.delenv(var, raising=False)
         for var, value in env.items():
             monkeypatch.setenv(var, value)
-        if traced:
-            tracemalloc.start()
+        spied = spy_forks(monkeypatch)
+        result = train([TestTrain().scene(rng)], random_mask(16, 16, seed=2),
+                       TestTrain().tcfg(batch=2))
+        assert len(result.log) == 3
+        assert len(spied) == forks
+        assert no_child_left()
+
+    def test_traced_training_stays_in_one_process(self, rng, monkeypatch):
+        monkeypatch.setattr(T, "_SLOTS", 2)
+        monkeypatch.setattr(forked, "Forked", fork_refused)
+        tracemalloc.start()
         try:
             result = train([TestTrain().scene(rng)], random_mask(16, 16, seed=2),
                            TestTrain().tcfg(batch=2))
         finally:
-            if traced:
-                tracemalloc.stop()
+            tracemalloc.stop()
         assert len(result.log) == 3
 
     @pytest.mark.parametrize("batch", [1, 2])
@@ -475,6 +535,29 @@ class TestForked:
         assert os.sched_getaffinity(0) == cpus
         assert no_child_left()
 
+    @pytest.mark.parametrize("ends", ["normally", "raising", "failing to fork"])
+    def test_blas_runs_on_one_thread_in_both_until_the_block_ends(
+            self, monkeypatch, blas_on_two_threads, ends):
+        cpus = os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity") else None
+        if ends == "failing to fork":
+            def no_fork():
+                raise OSError("fork failed")
+
+            monkeypatch.setattr(os, "fork", no_fork)
+            with pytest.raises(OSError, match="fork failed"):
+                Forked(lambda _: None)
+        else:
+            with pytest.raises(ZeroDivisionError) if ends == "raising" else nullcontext():
+                with Forked(lambda _: blas_on_two_threads()) as child:
+                    child.send(None)
+                    counts = (blas_on_two_threads(), child.recv())
+                    if ends == "raising":
+                        raise ZeroDivisionError
+            assert counts == (1, 1)
+        assert blas_on_two_threads() == 2
+        assert cpus is None or os.sched_getaffinity(0) == cpus
+        assert no_child_left()
+
     def test_other_threads_split_their_blocks_while_a_child_lives(self, monkeypatch):
         monkeypatch.setattr(T, "_SLOTS", 2)
         blocks = T._even_blocks(8, 4)
@@ -498,9 +581,11 @@ class TestForked:
 class TestConfigChecks:
     """Every config rejects an out-of-range field at construction, by name."""
 
-    REQUIRED = {TrainConfig: {},
+    REQUIRED = {TrainConfig: {}, SceneSpec: {},
                 NetConfig: dict(height=16, width=16, bands=4, token=4, heads=2),
-                SensingConfig: dict(mask=np.ones((2, 2)))}
+                SensingConfig: dict(mask=np.ones((2, 2))),
+                random_mask: dict(h=2, w=2),
+                simulate: dict(x=np.zeros((2, 2, 2)), cfg=SensingConfig(np.ones((2, 2)), bands=2))}
 
     @pytest.mark.parametrize("cls, field, value", [
         (TrainConfig, "token", 0), (TrainConfig, "heads", 0), (TrainConfig, "stages", 0),
@@ -513,6 +598,8 @@ class TestConfigChecks:
         (NetConfig, "token", 0), (NetConfig, "heads", 0), (NetConfig, "stages", 0),
         (NetConfig, "bands", 0),
         (SensingConfig, "noise_sigma", np.nan), (SensingConfig, "noise_sigma", np.inf),
+        (TrainConfig, "seed", -1), (SceneSpec, "seed", -1), (random_mask, "seed", -5),
+        (simulate, "seed", -1),
     ])
     def test_bad_value_named(self, cls, field, value):
         with pytest.raises(ValueError, match=re.escape(f"{cls.__name__}.{field}")):
