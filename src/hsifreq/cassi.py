@@ -7,15 +7,13 @@ W + dispersion_step*(C-1).  The adjoint, the diagonal of the measurement-space
 Gram operator, and the shift/un-shift layout helpers all live here, in both a
 plain-ndarray form and a differentiable form used inside the unfolding network.
 
-The plain operators read a bool or integer operand as float64.
-``phi_forward`` and ``phi_adjoint`` follow their operand's memory order, so
-that on GAP-TV's column-major bands each band window is one contiguous block.
+The plain operators read a bool or integer operand as float64.  Results
+follow the operand's memory order; ``gap_tv`` passes a column-major mask.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
@@ -73,13 +71,6 @@ class SensingConfig:
             raise ValueError(f"measurement shape {y.shape} does not match "
                              f"sensing config {expect}")
 
-    @cached_property
-    def _fortran_mask(self) -> np.ndarray:
-        """A read-only column-major copy of the mask, made on first use."""
-        mask = np.asfortranarray(self.mask)
-        mask.setflags(write=False)
-        return mask
-
 
 def random_mask(h: int, w: int, seed: int = 0, binary: bool = True,
                 density: float | None = None) -> np.ndarray:
@@ -111,11 +102,6 @@ def as_real(a) -> np.ndarray:
     return a.astype(np.float64) if a.dtype.kind in "biu" else a
 
 
-def _order(plane: np.ndarray) -> str:
-    """"F" for a column-major 2-D plane (F- but not C-contiguous), else "C"."""
-    return "F" if plane.flags.f_contiguous and not plane.flags.c_contiguous else "C"
-
-
 def _bands(a: np.ndarray, cfg: SensingConfig) -> np.ndarray:
     """[H,W,C] view of the band windows: band c = columns d*c .. d*c+W of ``a``.
 
@@ -130,16 +116,14 @@ def _bands(a: np.ndarray, cfg: SensingConfig) -> np.ndarray:
 
 
 def phi_forward(x: np.ndarray, cfg: SensingConfig) -> np.ndarray:
-    """Mask, shift each band by d*c columns, and integrate to a 2D measurement,
-    column-major where the bands ``x[:, :, c]`` are (see ``_order``)."""
+    """Mask, shift each band by d*c columns, and integrate to a 2D measurement
+    in the memory order of the bands ``x[:, :, c]``."""
     x = as_real(x)
     cfg.check_cube(x)
     d, w = cfg.dispersion_step, cfg.width
-    order = _order(x[:, :, 0])
-    mask = cfg._fortran_mask if order == "F" else cfg.mask
-    y = np.zeros((cfg.height, cfg.meas_width), dtype=x.dtype, order=order)
+    y = np.zeros_like(x[:, :, 0], shape=(cfg.height, cfg.meas_width))
     for c in range(cfg.bands):
-        y[:, d * c:d * c + w] += mask * x[:, :, c]
+        y[:, d * c:d * c + w] += cfg.mask * x[:, :, c]
     return y
 
 
@@ -147,17 +131,16 @@ def phi_adjoint(y: np.ndarray, cfg: SensingConfig, bands: slice = slice(None),
                 out: np.ndarray | None = None) -> np.ndarray:
     """Exact transpose of :func:`phi_forward`: the [H, W, n] cube of the
     ``bands`` selected (all by default), written into ``out`` if given.  A
-    new ``out`` has column-major bands where ``y`` is column-major, the
-    layout in which a given ``out`` is also fastest."""
+    new ``out`` has column-major bands where ``y`` is column-major (F- but
+    not C-contiguous)."""
     y = as_real(y)
     cfg.check_measurement(y)
-    order = _order(y)
     windows = _bands(y, cfg)[:, :, bands]
     if out is None:
-        out = np.empty(windows.shape, dtype=y.dtype, order=order)
+        column_major = y.flags.f_contiguous and not y.flags.c_contiguous
+        out = np.empty(windows.shape, dtype=y.dtype, order="F" if column_major else "C")
     # the product is taken in float64 (the mask's dtype) and stored as out.dtype
-    mask = cfg._fortran_mask if order == "F" else cfg.mask
-    return np.multiply(mask[:, :, None], windows, out=out, casting="same_kind")
+    return np.multiply(cfg.mask[:, :, None], windows, out=out, casting="same_kind")
 
 
 def phi_phit_diag(cfg: SensingConfig) -> np.ndarray:
@@ -181,12 +164,14 @@ def simulate(x: np.ndarray, cfg: SensingConfig, seed: int = 0) -> np.ndarray:
 
 def shift_back(y: np.ndarray, cfg: SensingConfig) -> np.ndarray:
     """Un-disperse a measurement into a C-band cube (band c = columns d*c .. d*c+W)."""
+    y = np.asarray(y)
     cfg.check_measurement(y)
     return _bands(y, cfg).copy()
 
 
 def shift(x: np.ndarray, cfg: SensingConfig) -> np.ndarray:
     """Inverse layout of :func:`shift_back`: place band c at column offset d*c."""
+    x = np.asarray(x)
     cfg.check_cube(x)
     out = np.zeros((cfg.height, cfg.meas_width, cfg.bands), dtype=x.dtype)
     _bands(out, cfg)[...] = x

@@ -75,6 +75,7 @@ def correlation_maps(x: np.ndarray) -> CorrelationReport:
     """C x C Pearson maps over vectorized bands, raw and DCT-transformed.
     A cube with fewer than two varying bands in a domain is a ValueError
     naming its constant bands: none of its pairs has a correlation."""
+    x = np.asarray(x)
     if x.ndim != 3 or x.shape[2] < 2:
         raise ValueError(f"correlation_maps needs an [H,W,C>=2] cube, got {x.shape}")
     c = x.shape[2]
@@ -114,6 +115,7 @@ def token_correlation(x: np.ndarray, token_size: int) -> TokenCorrelationCurve:
     token's score is the mean pairwise Pearson between its C spectral slices,
     NaN where no pair has one.
     """
+    x = np.asarray(x)
     if x.ndim != 3 or x.shape[2] < 2:
         raise ValueError(f"token_correlation needs an [H,W,C>=2] cube, got {x.shape}")
     h, w, c = x.shape

@@ -19,6 +19,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import tensor as T
+from .cassi import as_real
 from .tensor import Tensor
 
 
@@ -38,12 +39,12 @@ def dct_basis(n: int) -> np.ndarray:
 
 def dct2(band: np.ndarray) -> np.ndarray:
     """Forward orthonormal 2D DCT-II of one [H,W] band."""
-    return _cube_dct(band[:, :, None], inverse=False)[:, :, 0]
+    return _cube_dct(as_real(band)[:, :, None], inverse=False)[:, :, 0]
 
 
 def idct2(coeffs: np.ndarray) -> np.ndarray:
     """Inverse (DCT-III) of :func:`dct2`."""
-    return _cube_dct(coeffs[:, :, None], inverse=True)[:, :, 0]
+    return _cube_dct(as_real(coeffs)[:, :, None], inverse=True)[:, :, 0]
 
 
 def _cube_dct(data: np.ndarray, inverse: bool) -> np.ndarray:
@@ -79,7 +80,9 @@ def _cube_dct(data: np.ndarray, inverse: bool) -> np.ndarray:
 
 
 def dct2_cube(data: np.ndarray) -> np.ndarray:
-    """Band-wise forward transform of an [H,W,C] cube (plain ndarray path)."""
+    """Band-wise forward transform of an [H,W,C] cube (plain ndarray path);
+    a bool or integer cube is read as float64."""
+    data = as_real(data)
     if not np.all(np.isfinite(data)):
         raise ValueError("dct2_cube: input contains non-finite values")
     return _cube_dct(data, inverse=False)
@@ -87,7 +90,7 @@ def dct2_cube(data: np.ndarray) -> np.ndarray:
 
 def idct2_cube(coeffs: np.ndarray) -> np.ndarray:
     """Band-wise inverse transform of an [H,W,C] coefficient cube."""
-    return _cube_dct(coeffs, inverse=True)
+    return _cube_dct(as_real(coeffs), inverse=True)
 
 
 def _dct_flops(h: int, w: int, c: int) -> int:

@@ -11,7 +11,7 @@ from __future__ import annotations
 import mmap
 import warnings
 from contextlib import nullcontext
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -57,7 +57,7 @@ def tv_denoise(band: np.ndarray, lam: float,
         raise ValueError("tv_denoise takes one non-empty [H, W] band, "
                          f"got shape {np.shape(band)}")
     _check_tv_weight(lam)
-    f = band.astype(np.float64)
+    f = np.asarray(band).astype(np.float64)
     h, w = f.shape
     n = h * w
     u = f.copy()  # f - lam * div p at p = 0; also div's scratch below
@@ -102,6 +102,8 @@ def gap_tv(y: np.ndarray, cfg: SensingConfig, gcfg: GapTvConfig | None = None) -
     The iterate is one [C, W, H] float64 array, updated in place, so each
     band is a column-major [H, W] view and each band window of
     rd = (y - Phi z) / diag, stored as [W + d(C-1), H], one contiguous block.
+    The CASSI operators' results follow the operand's memory order; ``gap_tv``
+    passes a column-major mask, so each of their products is column-major.
     Where ``forked.may_fork`` allows it and there are two bands or more, the
     iterate and rd sit in a shared mapping, and a forked child runs the data
     step and the TV prox of the later ``bands // 2`` bands; every band sees
@@ -111,6 +113,7 @@ def gap_tv(y: np.ndarray, cfg: SensingConfig, gcfg: GapTvConfig | None = None) -
         gcfg = GapTvConfig()
     y = np.ascontiguousarray(as_real(y))  # the residual norms sum in C order
     cfg.check_measurement(y)
+    cfg = replace(cfg, mask=np.asfortranarray(cfg.mask))
     if not np.all(np.isfinite(y)):
         raise ValueError("measurement holds non-finite values (NaN or inf)")
     diag = np.maximum(phi_phit_diag(cfg), DIAG_FLOOR)

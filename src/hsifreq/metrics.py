@@ -29,16 +29,18 @@ SSIM_K1 = 0.01
 SSIM_K2 = 0.03
 
 
-def _check_pair(pred: np.ndarray, gt: np.ndarray) -> None:
+def _check_pair(pred, gt) -> tuple[np.ndarray, np.ndarray]:
+    pred, gt = np.asarray(pred), np.asarray(gt)
     if pred.shape != gt.shape:
         raise ValueError(f"metric inputs differ in shape: {pred.shape} vs {gt.shape}")
     if pred.ndim != 3:
         raise ValueError(f"metrics expect [H,W,C] cubes, got {pred.shape}")
+    return pred, gt
 
 
 def psnr(pred: np.ndarray, gt: np.ndarray) -> tuple[np.ndarray, float]:
     """Per-band PSNR in dB plus the band mean; identical bands report the cap."""
-    _check_pair(pred, gt)
+    pred, gt = _check_pair(pred, gt)
     diff = pred.astype(np.float64) - gt.astype(np.float64)
     mse = np.mean(diff * diff, axis=(0, 1))
     with np.errstate(divide="ignore"):
@@ -60,7 +62,7 @@ def _sep_filter_valid(img: np.ndarray, g: np.ndarray) -> np.ndarray:
 
 def ssim(pred: np.ndarray, gt: np.ndarray) -> tuple[np.ndarray, float]:
     """Per-band single-scale SSIM plus the band mean."""
-    _check_pair(pred, gt)
+    pred, gt = _check_pair(pred, gt)
     h, w, c = pred.shape
     if h < SSIM_WIN or w < SSIM_WIN:
         raise ValueError(f"bands {h}x{w} smaller than the {SSIM_WIN}x{SSIM_WIN} SSIM window")
@@ -84,7 +86,7 @@ def ssim(pred: np.ndarray, gt: np.ndarray) -> tuple[np.ndarray, float]:
 
 def fdg(pred: np.ndarray, gt: np.ndarray) -> float:
     """Substitute frequency-domain gap: 100 * mean |DCT(pred) - DCT(gt)|."""
-    _check_pair(pred, gt)
+    pred, gt = _check_pair(pred, gt)
     diff = dct2_cube(pred.astype(np.float64)) - dct2_cube(gt.astype(np.float64))
     return float(100.0 * np.mean(np.abs(diff)))
 

@@ -7,6 +7,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .base import check_at_least
 from .tensor import Param
 
 # Adam's moment decay rates and denominator guard
@@ -17,6 +18,7 @@ EPS = 1e-8
 
 def cosine_lr(t: int, total: int, lr0: float) -> float:
     """Cosine annealing from lr0 at t=0 down to 0 at t=total."""
+    check_at_least("cosine_lr", 1, total=total)
     if not 0 <= t <= total:
         raise ValueError(f"cosine_lr: step {t} outside [0, {total}]")
     return lr0 * (1.0 + math.cos(math.pi * t / total)) / 2.0

@@ -26,10 +26,11 @@ views as operands, and their products with a head view of v are head views
 of new [n, L, C'] arrays, so the heads merge back into the token layout
 without a copy.
 
-The forward passes of ``gelu``, ``layer_norm``, ``attention``, ``gate_blend``
-and every ``conv2d`` but the dense 1 x 1 one run over blocks of the leading
-axis, so that their temporaries stay in cache and no full-size temporary is
-made.  So does the backward of ``attention``, over blocks of whole tokens.
+The forward passes of the arithmetic ops, ``gelu``, ``layer_norm``,
+``attention``, ``gate_blend`` and every ``conv2d`` but the dense 1 x 1 one
+run over blocks of the leading axis, so that their temporaries stay in
+cache and no full-size temporary is made.  So does the backward of
+``attention``, over blocks of whole tokens.
 Every block repeats the un-blocked arithmetic element for element, so the
 results are bit for bit those of one pass over the whole array:
 ``attention``'s blocks run the in-place kernels of ``scale_add_heads`` and
@@ -39,10 +40,11 @@ array per operation, again with the same operations in the same order, and
 the same GEMMs.
 
 Forward passes use up to two CPUs.  Where the process may run on two or
-more, the blocks of ``add``, ``gelu``, ``layer_norm``, ``gate_blend``,
-``attention`` and the k x k ``conv2d`` are split in two: the calling
-thread runs the first half and one worker thread per process, started at
-its first use, the later half, and the op returns only after both.  The 1 x 1 ``conv2d``, ``bmm`` over its
+more, the blocks of ``add``, ``sub``, ``mul``, ``div``, ``gelu``,
+``layer_norm``, ``gate_blend``, ``attention`` and the k x k ``conv2d`` are
+split in two: the calling thread runs the first half and one worker thread
+per process, started at its first use, the later half, and the op returns
+only after both.  The 1 x 1 ``conv2d``, ``bmm`` over its
 leading batch axis and both GEMMs of the DCT split their output rows the
 same way, each half written through ``out=`` into a C-contiguous slice, when
 each half's GEMM stays above BLAS's small-matrix cut, above which a block of
@@ -396,13 +398,6 @@ def _over_blocks(blocks: list[slice], body: Callable[[slice, int], None]) -> Non
 # Elementwise and arithmetic ops
 # ---------------------------------------------------------------------------
 
-def _check_binary_shapes(a: Tensor, b: Tensor, opname: str) -> None:
-    if a.shape == b.shape or a.size == 1 or b.size == 1 or b.shape == a.shape[-1:]:
-        return
-    raise ShapeError(f"{opname}: shapes {a.shape} and {b.shape} are incompatible "
-                     "(only a single element or a per-channel right operand broadcasts)")
-
-
 def _reduce_to(g: np.ndarray, shape: tuple) -> np.ndarray:
     # gradient of a single-element or per-channel operand broadcast against g
     if g.shape == shape:
@@ -412,60 +407,49 @@ def _reduce_to(g: np.ndarray, shape: tuple) -> np.ndarray:
     return g.sum(axis=tuple(range(g.ndim - 1)))
 
 
-def add(a, b) -> Tensor:
-    """a + b, over leading-axis blocks."""
+def _arith(a, b, ufunc, grad_a, grad_b, opname: str) -> Tensor:
+    """``ufunc(a, b)`` over leading-axis blocks; the backward sums
+    ``grad_a(g)`` and ``grad_b(g)`` to the operands' shapes."""
     a, b = as_tensor(a), as_tensor(b)
-    _check_binary_shapes(a, b, "add")
     sa, sb = a.shape, b.shape
-    shape = sa if sa == sb else np.broadcast_shapes(sa, sb)
-    out_d = np.empty(shape or (1,), dtype=np.result_type(a.data, b.data))
-    # a single-element or per-channel operand as a view of the output's shape
-    ad, bd = (t.data if t.shape == out_d.shape
-              else np.broadcast_to(t.data, shape).reshape(out_d.shape) for t in (a, b))
+    if not (sa == sb or a.size == 1 or b.size == 1 or sb == sa[-1:]):
+        raise ShapeError(f"{opname}: shapes {sa} and {sb} are incompatible (only a "
+                         "single element or a per-channel right operand broadcasts)")
+    ad, bd = a.data, b.data
+    shape = sa if sa == sb else np.broadcast(ad, bd).shape
+    out_d = np.empty(shape or (1,), dtype=np.result_type(ad, bd))
+    # an operand of the output's shape is cut into the blocks; a single-element
+    # or per-channel one broadcasts against each block whole
+    cut_a, cut_b = sa == out_d.shape, sb == out_d.shape
     _over_blocks(_leading_blocks(len(out_d), out_d.nbytes),
-                 lambda r, slot: np.add(ad[r], bd[r], out=out_d[r]))
-    out = Tensor(out_d.reshape(shape))
+                 lambda r, slot: ufunc(ad[r] if cut_a else ad, bd[r] if cut_b else bd,
+                                       out=out_d[r]))
+    out = _view_tensor(out_d.reshape(shape))
+    return record(out, (a, b), lambda g: (_reduce_to(grad_a(g), sa), _reduce_to(grad_b(g), sb)))
 
-    def bw(g):
-        return _reduce_to(g, sa), _reduce_to(g, sb)
 
-    return record(out, (a, b), bw)
+def _same(g):
+    return g
+
+
+def add(a, b) -> Tensor:
+    return _arith(a, b, np.add, _same, _same, "add")
 
 
 def sub(a, b) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
-    _check_binary_shapes(a, b, "sub")
-    out = Tensor(a.data - b.data)
-    sa, sb = a.shape, b.shape
-
-    def bw(g):
-        return _reduce_to(g, sa), _reduce_to(-g, sb)
-
-    return record(out, (a, b), bw)
+    return _arith(a, b, np.subtract, _same, np.negative, "sub")
 
 
 def mul(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
-    _check_binary_shapes(a, b, "mul")
     ad, bd = a.data, b.data
-    out = Tensor(ad * bd)
-
-    def bw(g):
-        return _reduce_to(g * bd, ad.shape), _reduce_to(g * ad, bd.shape)
-
-    return record(out, (a, b), bw)
+    return _arith(a, b, np.multiply, lambda g: g * bd, lambda g: g * ad, "mul")
 
 
 def div(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
-    _check_binary_shapes(a, b, "div")
     ad, bd = a.data, b.data
-    out = Tensor(ad / bd)
-
-    def bw(g):
-        return _reduce_to(g / bd, ad.shape), _reduce_to(-g * ad / (bd * bd), bd.shape)
-
-    return record(out, (a, b), bw)
+    return _arith(a, b, np.divide, lambda g: g / bd, lambda g: -g * ad / (bd * bd), "div")
 
 
 def take_scalar(a: Tensor, index: int) -> Tensor:

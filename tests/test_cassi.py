@@ -1,5 +1,7 @@
 """Sensing operator: forward/adjoint/diagonal against dense oracles."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -217,8 +219,20 @@ class TestBandViewMatchesLoops:
 
 class TestColumnMajorOperands:
     """A cube with column-major bands, or a column-major measurement, gives
-    the bytes of the C-ordered operand, in a column-major result; h != w, so
-    a mix-up of the two axes cannot cancel out."""
+    the bytes of the C-ordered operand, in a column-major result, with a
+    row-major or a column-major mask; h != w, so a mix-up of the two axes
+    cannot cancel out."""
+
+    def test_config_keeps_a_column_major_mask(self, rng):
+        given = np.asfortranarray(rng.random((3, 5)))
+        cfg = SensingConfig(given, dispersion_step=1, bands=2)
+        assert cfg.mask is not given and np.array_equal(cfg.mask, given)
+        assert cfg.mask.flags.f_contiguous and not cfg.mask.flags.c_contiguous
+        assert not cfg.mask.flags.writeable
+
+    @staticmethod
+    def mask_orders(cfg):
+        return (cfg, replace(cfg, mask=np.asfortranarray(cfg.mask)))
 
     @staticmethod
     def draw_instance(data, c, d, seed, dtype):
@@ -237,11 +251,14 @@ class TestColumnMajorOperands:
     def test_forward_of_column_major_bands(self, c, d, seed, dtype, data):
         cfg, x, _ = self.draw_instance(data, c, d, seed, dtype)
         bands_f = np.ascontiguousarray(x.T).T  # [H, W, C] with F-contiguous bands
-        got, want = phi_forward(bands_f, cfg), phi_forward(x, cfg)
-        assert got.dtype == want.dtype and want.flags.c_contiguous
-        assert got.tobytes() == want.tobytes()
-        if min(x.shape[:2]) > 1:
-            assert got.flags.f_contiguous
+        want = phi_forward(x, cfg)
+        assert want.flags.c_contiguous
+        for masked in self.mask_orders(cfg):
+            assert phi_forward(x, masked).tobytes() == want.tobytes()
+            got = phi_forward(bands_f, masked)
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+            if min(x.shape[:2]) > 1:
+                assert got.flags.f_contiguous
 
     @given(c=st.integers(1, 6), d=st.sampled_from([0, 1, 2, 3]),
            seed=st.integers(0, 10_000), dtype=st.sampled_from([np.float32, np.float64]),
@@ -253,15 +270,17 @@ class TestColumnMajorOperands:
         bands = slice(start, data.draw(st.integers(start + 1, c)))
         y_f = np.asfortranarray(y)
         want = phi_adjoint(y, cfg)
-        got = phi_adjoint(y_f, cfg)
-        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
-        if cfg.height > 1 and cfg.width > 1:
-            assert got[:, :, 0].flags.f_contiguous
-        out = np.full((bands.stop - bands.start, cfg.width, cfg.height), np.nan,
-                      dtype=dtype).T
-        assert phi_adjoint(y_f, cfg, bands, out=out) is out
-        assert out.tobytes() == want[:, :, bands].tobytes()
-        assert phi_adjoint(y_f, cfg, bands).tobytes() == want[:, :, bands].tobytes()
+        for masked in self.mask_orders(cfg):
+            assert phi_adjoint(y, masked).tobytes() == want.tobytes()
+            got = phi_adjoint(y_f, masked)
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+            if cfg.height > 1 and cfg.width > 1:
+                assert got[:, :, 0].flags.f_contiguous
+            out = np.full((bands.stop - bands.start, cfg.width, cfg.height), np.nan,
+                          dtype=dtype).T
+            assert phi_adjoint(y_f, masked, bands, out=out) is out
+            assert out.tobytes() == want[:, :, bands].tobytes()
+            assert phi_adjoint(y_f, masked, bands).tobytes() == want[:, :, bands].tobytes()
 
 
 class TestIntegerOperands:

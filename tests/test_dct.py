@@ -180,3 +180,25 @@ class TestRoundTripTolerances:
         back = idct2_cube(dct2_cube(x))
         rel = np.linalg.norm(back - x) / np.linalg.norm(x)
         assert rel < 1e-10
+
+
+class TestIntegerAndBoolCubes:
+    """A bool or integer cube is read as float64: its coefficients are those
+    of the float64 cube, not rounded to the cube's dtype."""
+
+    @pytest.mark.parametrize("kind", ["int64", "uint8", "bool"])
+    def test_cube_transforms_and_correlations(self, rng, kind):
+        from hsifreq.correlation import correlation_maps, token_correlation
+
+        ints = rng.integers(0, 10, (8, 8, 3))
+        x = ints > 4 if kind == "bool" else ints.astype(kind)
+        real = x.astype(np.float64)
+        for fn, arg in [(dct2_cube, x), (idct2_cube, x), (dct2, x[:, :, 0]),
+                        (idct2, x[:, :, 0])]:
+            got, want = fn(arg), fn(arg.astype(np.float64))
+            assert got.dtype == np.float64 and got.tobytes() == want.tobytes()
+        got, want = correlation_maps(x), correlation_maps(real)
+        for field in ("space_map", "freq_map"):
+            assert np.array_equal(getattr(got, field), getattr(want, field), equal_nan=True)
+        assert np.array_equal(token_correlation(x, 4).mean_corr,
+                              token_correlation(real, 4).mean_corr, equal_nan=True)

@@ -456,3 +456,37 @@ class TestTwoProcessGapTv:
             if measured == "tracemalloc":
                 tracemalloc.stop()
         assert rec.shape == (24, 20, cfg.bands)
+
+
+class TestColumnMajorMask:
+    """``gap_tv`` runs the CASSI operators on its own column-major copy of
+    the mask, by the names the benchmark wraps."""
+
+    @pytest.mark.parametrize("column_major", [False, True])
+    @pytest.mark.parametrize("slots", [1, 2])
+    def test_caller_config_is_unchanged(self, monkeypatch, column_major, slots):
+        monkeypatch.setattr(T, "_SLOTS", slots)
+        y, cfg = small_gap_tv_input(4)
+        if column_major:
+            cfg = SensingConfig(np.asfortranarray(cfg.mask), cfg.dispersion_step, cfg.bands)
+        mask, flags = cfg.mask, repr(cfg.mask.flags)
+        saved = mask.copy()
+        gap_tv(y, cfg, GapTvConfig(iterations=3))
+        assert cfg.mask is mask and repr(mask.flags) == flags
+        assert mask.flags.f_contiguous == column_major and not mask.flags.writeable
+        assert mask.tobytes() == saved.tobytes()
+
+    def test_operator_calls_by_name(self, monkeypatch):
+        monkeypatch.setattr(T, "_SLOTS", 1)  # one process sees every call
+        calls = {"phi_forward": [], "phi_adjoint": []}
+        for name, seen in calls.items():
+            fn = getattr(gaptv, name)
+            monkeypatch.setattr(gaptv, name, lambda *a, fn=fn, seen=seen, **k:
+                                seen.append(a[1]) or fn(*a, **k))
+        y, cfg = small_gap_tv_input(4)
+        gap_tv(y, cfg, GapTvConfig(iterations=7))
+        assert len(calls["phi_forward"]) == 1 + 2 * 7
+        assert len(calls["phi_adjoint"]) == 1 + 7
+        for passed in calls["phi_forward"] + calls["phi_adjoint"]:
+            assert passed.mask.flags.f_contiguous and not passed.mask.flags.c_contiguous
+            assert np.array_equal(passed.mask, cfg.mask)

@@ -1,5 +1,7 @@
 """Metrics: closed-form anchors, loop oracles, and cost-count consistency."""
 
+import pickle
+
 import numpy as np
 import pytest
 
@@ -155,3 +157,40 @@ class TestCounts:
         print(f"full config: {params_m:.3f}M params, {flops_g:.2f}G flops "
               f"(published reference point: 0.90M / 92.59G)")
         assert params_m > 0 and flops_g > 0
+
+
+def _entry_points():
+    """(name, function, array arguments, other arguments) of each public entry
+    point that takes array operands."""
+    from hsifreq.cassi import SensingConfig, shift, shift_back
+    from hsifreq.correlation import correlation_maps, token_correlation
+    from hsifreq.dct import dct2_cube, idct2_cube
+    from hsifreq.gaptv import tv_denoise
+
+    gen = np.random.default_rng(4)
+    cube, other = gen.random((12, 12, 3)), gen.random((12, 12, 3))
+    cfg = SensingConfig(gen.random((12, 12)), dispersion_step=1, bands=3)
+    return {
+        "psnr": (psnr, [cube, other], []),
+        "ssim": (ssim, [cube, other], []),
+        "fdg": (fdg, [cube, other], []),
+        "evaluate": (evaluate, [cube, other], []),
+        "shift_back": (shift_back, [gen.random((12, 14))], [cfg]),
+        "shift": (shift, [cube], [cfg]),
+        "correlation_maps": (correlation_maps, [cube], []),
+        "token_correlation": (token_correlation, [cube], [4]),
+        "dct2_cube": (dct2_cube, [cube], []),
+        "idct2_cube": (idct2_cube, [cube], []),
+        "tv_denoise": (tv_denoise, [cube[:, :, 0]], [0.1]),
+    }
+
+
+class TestNestedListOperands:
+    """Each public entry point reads a nested list as the array it lists."""
+
+    @pytest.mark.parametrize("name", list(_entry_points()))
+    def test_list_gives_the_array_result(self, name):
+        fn, arrays, rest = _entry_points()[name]
+        want = fn(*arrays, *rest)
+        got = fn(*[a.tolist() for a in arrays], *rest)
+        assert pickle.dumps(got) == pickle.dumps(want)

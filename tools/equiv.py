@@ -17,6 +17,8 @@ shape and strides of every array it covers:
   back, of one taped step at 64x64x28, K=3;
 * ``train-b1``, ``train-b3``, ``train-b4``: the log and the weights of a
   3-step desk train (32x32x8, width 24, K=3 shared) at batch 1, 3 and 4;
+* ``ops-256``: the forward bytes and taped gradients of ``add``, ``sub``,
+  ``mul`` and ``div`` on [256, 256, 28] operands, full and per-channel;
 * ``gaptv-64``: a 100-iteration ``gap_tv`` of a seeded measurement at
   64x64x28;
 * ``gaptv-64-f32``: the same at 64x64x27 from a float32 measurement, where
@@ -130,6 +132,28 @@ def _train(batch: int) -> str:
     return h.hexdigest()
 
 
+def _ops() -> str:
+    from hsifreq import tensor as T
+    from hsifreq.tensor import Tape, Tensor
+
+    rng = np.random.default_rng(20240607)
+    a, b = (rng.standard_normal((256, 256, 28)).astype(np.float32) for _ in range(2))
+    b += np.where(b < 0, -1.0, 1.0).astype(np.float32)  # no divisor near 0
+    c = (1.0 + rng.random(28)).astype(np.float32)
+    g = rng.standard_normal((256, 256, 28)).astype(np.float32)
+    h = hashlib.sha256()
+    for op in (T.add, T.sub, T.mul, T.div):
+        for right in (b, c):
+            ta, tb = Tensor(a), Tensor(right)
+            with Tape() as tape:
+                out = op(ta, tb)
+                grads = tape.backward(T.sum_all(T.mul(out, Tensor(g))))
+            update(h, out.data)
+            update(h, grads[ta.serial])
+            update(h, grads[tb.serial])
+    return h.hexdigest()
+
+
 def _gaptv(height: int, width: int, bands: int, step: int, dtype) -> str:
     from hsifreq.cassi import SensingConfig, random_mask, simulate
     from hsifreq.gaptv import gap_tv
@@ -151,6 +175,7 @@ DIGESTS = {
     "train-b1": lambda: _train(1),
     "train-b3": lambda: _train(3),
     "train-b4": lambda: _train(4),
+    "ops-256": _ops,
     "gaptv-64": lambda: _gaptv(64, 64, 28, 2, np.float64),
     "gaptv-64-f32": lambda: _gaptv(64, 64, 27, 2, np.float32),
     "gaptv-48x80": lambda: _gaptv(48, 80, 9, 3, np.float32),
