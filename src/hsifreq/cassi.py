@@ -39,8 +39,8 @@ class SensingConfig:
     def __post_init__(self):
         self.mask = np.array(self.mask, dtype=np.float64)
         self.mask.setflags(write=False)
-        if self.mask.ndim != 2:
-            raise ValueError(f"mask must be 2D, got shape {self.mask.shape}")
+        if self.mask.ndim != 2 or self.mask.size == 0:
+            raise ValueError(f"mask must be a non-empty 2D array, got shape {self.mask.shape}")
         if not np.all(np.isfinite(self.mask)):
             raise ValueError("mask holds non-finite values (NaN or inf)")
         if self.mask.min() < 0.0 or self.mask.max() > 1.0:

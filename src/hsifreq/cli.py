@@ -47,7 +47,6 @@ def _collect_cubes(data) -> list[np.ndarray]:
 
 
 def cmd_gen_scene(args) -> int:
-    _check_out_dirs(args.out)
     spec = SceneSpec(kind=args.kind, height=args.height, width=args.width,
                      bands=args.bands, seed=args.seed, rho=args.rho)
     write_hsic(gen_scene(spec), args.out)
@@ -56,7 +55,6 @@ def cmd_gen_scene(args) -> int:
 
 
 def cmd_gen_mask(args) -> int:
-    _check_out_dirs(args.out)
     mask = random_mask(args.height, args.width, seed=args.seed,
                        binary=not args.real, density=args.density)
     write_hsic(mask[:, :, None], args.out)
@@ -65,7 +63,6 @@ def cmd_gen_mask(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    _check_out_dirs(args.out)
     cube = _load_cube(args.inp)
     mask = _load_plane(args.mask, "mask")
     cfg = SensingConfig(mask, dispersion_step=args.d, bands=cube.shape[2],
@@ -115,15 +112,15 @@ def _training_mask(args, cubes) -> np.ndarray:
 
 
 def _check_out_dirs(*paths) -> None:
-    """Fail before any work when the directory of an output does not exist."""
-    for path in paths:
+    """Fail before any work when the directory of an output does not exist;
+    a ``None`` path (an output not asked for) is skipped."""
+    for path in filter(None, paths):
         if not Path(path).parent.is_dir():
             raise FileNotFoundError(f"output {path}: no directory {Path(path).parent}")
 
 
 def cmd_train(args) -> int:
     log_path = args.log or str(Path(args.out).with_suffix(".log.csv"))
-    _check_out_dirs(args.out, log_path)
     tcfg = _train_config_from(args)
     cubes = _collect_cubes(args.data)
     mask = _training_mask(args, cubes)
@@ -136,7 +133,6 @@ def cmd_train(args) -> int:
 
 
 def cmd_reconstruct(args) -> int:
-    _check_out_dirs(args.out)
     y = _load_plane(args.y, "measurement")
     if args.method == "gap-tv":
         if not args.mask:
@@ -156,8 +152,6 @@ def cmd_reconstruct(args) -> int:
 
 
 def cmd_metrics(args) -> int:
-    if args.out:
-        _check_out_dirs(args.out)
     gt = _load_cube(args.gt)
     pred = _load_cube(args.pred)
     rep = evaluate(pred, gt)
@@ -171,7 +165,6 @@ def _sweep(args, field: str, values, columns: str, lead) -> int:
     """Train one model per value of the train flag ``field``, print and write
     one CSV row each: ``lead(value, result)`` under ``columns``, then the
     last logged psnr and loss."""
-    _check_out_dirs(args.out)
     cubes = _collect_cubes(args.data)
     rows = [f"{columns},psnr,loss"]
     for value in values:
@@ -348,6 +341,7 @@ def main(argv=None) -> int:
     except SystemExit as e:
         return 0 if e.code in (0, None) else 1
     try:
+        _check_out_dirs(getattr(args, "out", None), getattr(args, "log", None))
         return args.func(args) or 0
     except Exception as exc:  # noqa: BLE001 - CLI boundary
         print(f"error: {exc}", file=sys.stderr)

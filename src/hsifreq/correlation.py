@@ -76,8 +76,9 @@ def correlation_maps(x: np.ndarray) -> CorrelationReport:
     A cube with fewer than two varying bands in a domain is a ValueError
     naming its constant bands: none of its pairs has a correlation."""
     x = np.asarray(x)
-    if x.ndim != 3 or x.shape[2] < 2:
-        raise ValueError(f"correlation_maps needs an [H,W,C>=2] cube, got {x.shape}")
+    if x.ndim != 3 or x.shape[2] < 2 or x.size == 0:
+        raise ValueError("correlation_maps needs a non-empty [H,W,C>=2] cube, "
+                         f"got shape {x.shape}")
     c = x.shape[2]
     flat = x.reshape(-1, c).T  # [C, HW]
     space = _corr_matrix(flat)

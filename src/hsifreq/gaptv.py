@@ -57,6 +57,7 @@ def tv_denoise(band: np.ndarray, lam: float,
         raise ValueError("tv_denoise takes one non-empty [H, W] band, "
                          f"got shape {np.shape(band)}")
     _check_tv_weight(lam)
+    check_at_least("tv_denoise", 1, iters=iters)
     f = np.asarray(band).astype(np.float64)
     h, w = f.shape
     n = h * w

@@ -186,8 +186,8 @@ def export_heatmap(matrix: np.ndarray, path, vmin: float | None = None,
     floor(norm * 255) with norm clipped to [0, 1].
     """
     m = np.asarray(matrix, dtype=np.float64)
-    if m.ndim != 2:
-        raise ValueError(f"export_heatmap expects a 2D matrix, got {m.shape}")
+    if m.ndim != 2 or m.size == 0:
+        raise ValueError(f"export_heatmap expects a non-empty 2D matrix, got shape {m.shape}")
     if not np.all(np.isfinite(m)):
         raise ValueError("export_heatmap: matrix has non-finite entries")
     if vmin is None or vmax is None:

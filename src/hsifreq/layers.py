@@ -191,7 +191,9 @@ class FreqSpectralAttention(TokenAttention):
         # q^T is a copy: a GEMM on its transposed view sums in another order
         logits = T.bmm(T.transpose(q, (0, 1, 3, 2)), kk)
         del q, kk
-        logits = T.scale_add_heads(logits, 1.0 / math.sqrt(c), self.pos.value)
+        # rebound, so bmm's logits are freed before add allocates (peak RSS)
+        logits = T.mul(logits, 1.0 / math.sqrt(c))
+        logits = T.add(logits, self.pos.value)
         attn = T.softmax(logits)
         del logits
         maps = _ATTENTION_MAPS.get()

@@ -33,8 +33,8 @@ def _check_pair(pred, gt) -> tuple[np.ndarray, np.ndarray]:
     pred, gt = np.asarray(pred), np.asarray(gt)
     if pred.shape != gt.shape:
         raise ValueError(f"metric inputs differ in shape: {pred.shape} vs {gt.shape}")
-    if pred.ndim != 3:
-        raise ValueError(f"metrics expect [H,W,C] cubes, got {pred.shape}")
+    if pred.ndim != 3 or pred.size == 0:
+        raise ValueError(f"metrics expect non-empty [H,W,C] cubes, got shape {pred.shape}")
     return pred, gt
 
 

@@ -40,6 +40,8 @@ class Adam:
 
     def step(self, lr: float) -> None:
         """One update at rate ``lr`` from the grads currently stored in the params."""
+        if not (math.isfinite(lr) and lr >= 0):
+            raise ValueError(f"Adam.step: lr must be finite and >= 0, got {lr!r}")
         self.t += 1
         bc1 = 1.0 - BETA1 ** self.t
         bc2 = 1.0 - BETA2 ** self.t

@@ -11,10 +11,10 @@ Tensors are treated as immutable values once created.  Training mutability
 lives in :class:`Param`, which owns a value tensor and a gradient buffer.
 
 ``add``, ``sub``, ``mul`` and ``div`` broadcast by one rule: either operand
-may be a single element, and the right one a per-channel [C] operand over
-the last axis (a bias, a gain).  The one other broadcast is the per-head
-term of ``scale_add_heads`` over the token axis of [n, heads, L, M] logits.
-Everything else is reshaped explicitly; mismatches raise ``ShapeError``.
+may be a single element, and the right one may have the trailing axes of
+the left one's shape (a [C] bias or gain, a [heads, L, M] position bias on
+[n, heads, L, M] logits).  Everything else is reshaped explicitly;
+mismatches raise ``ShapeError``.
 
 There is one matrix product, ``bmm``: over one or two batch axes, or
 [n, M, K] x [K, N] against a shared matrix, the form ``layers.Linear`` uses
@@ -33,8 +33,8 @@ cache and no full-size temporary is made.  So does the backward of
 ``attention``, over blocks of whole tokens.
 Every block repeats the un-blocked arithmetic element for element, so the
 results are bit for bit those of one pass over the whole array:
-``attention``'s blocks run the in-place kernels of ``scale_add_heads`` and
-``softmax``.  The backward passes of ``gelu``, those convs and
+``attention``'s blocks run ``mul`` and ``add``'s arithmetic in place and
+``softmax``'s kernel.  The backward passes of ``gelu``, those convs and
 ``conv2d_transpose`` write into a few reused buffers instead of one new
 array per operation, again with the same operations in the same order, and
 the same GEMMs.
@@ -399,12 +399,12 @@ def _over_blocks(blocks: list[slice], body: Callable[[slice, int], None]) -> Non
 # ---------------------------------------------------------------------------
 
 def _reduce_to(g: np.ndarray, shape: tuple) -> np.ndarray:
-    # gradient of a single-element or per-channel operand broadcast against g
+    # gradient of a single-element or trailing-axes operand broadcast against g
     if g.shape == shape:
         return g
     if math.prod(shape) == 1:
         return np.sum(g).reshape(shape)
-    return g.sum(axis=tuple(range(g.ndim - 1)))
+    return g.sum(axis=tuple(range(g.ndim - len(shape))))
 
 
 def _arith(a, b, ufunc, grad_a, grad_b, opname: str) -> Tensor:
@@ -412,14 +412,14 @@ def _arith(a, b, ufunc, grad_a, grad_b, opname: str) -> Tensor:
     ``grad_a(g)`` and ``grad_b(g)`` to the operands' shapes."""
     a, b = as_tensor(a), as_tensor(b)
     sa, sb = a.shape, b.shape
-    if not (sa == sb or a.size == 1 or b.size == 1 or sb == sa[-1:]):
-        raise ShapeError(f"{opname}: shapes {sa} and {sb} are incompatible (only a "
-                         "single element or a per-channel right operand broadcasts)")
+    if not (sa == sb or a.size == 1 or b.size == 1 or sb == sa[len(sa) - len(sb):]):
+        raise ShapeError(f"{opname}: shapes {sa} and {sb} are incompatible (only a single "
+                         "element or a right operand of the left's trailing axes broadcasts)")
     ad, bd = a.data, b.data
     shape = sa if sa == sb else np.broadcast(ad, bd).shape
     out_d = np.empty(shape or (1,), dtype=np.result_type(ad, bd))
     # an operand of the output's shape is cut into the blocks; a single-element
-    # or per-channel one broadcasts against each block whole
+    # or trailing-axes one broadcasts against each block whole
     cut_a, cut_b = sa == out_d.shape, sb == out_d.shape
     _over_blocks(_leading_blocks(len(out_d), out_d.nbytes),
                  lambda r, slot: ufunc(ad[r] if cut_a else ad, bd[r] if cut_b else bd,
@@ -751,34 +751,6 @@ def concat(parts: Sequence[Tensor]) -> Tensor:
     return record(out, parts, bw)
 
 
-def _scale_add_into(x: np.ndarray, s: float, pos: np.ndarray, y: np.ndarray) -> None:
-    """y = x*s + pos for [n, heads, L, M] logits and a [heads, L, M] bias;
-    ``y`` may be ``x`` itself."""
-    np.multiply(x, s, out=y)
-    y += pos
-
-
-def scale_add_heads(logits: Tensor, s: float, pos: Tensor) -> Tensor:
-    """Scaled attention logits plus a per-head bias: logits*s + pos[head].
-
-    ``logits`` is [n, heads, L, M], as a product of head views is (see
-    :func:`head_view`), and ``pos`` is [heads, L, M]; the bias is broadcast
-    over the n tokens, never copied n times.
-    """
-    if logits.ndim != 4 or pos.ndim != 3 or logits.shape[1:] != pos.shape:
-        raise ShapeError(f"scale_add_heads: bias {pos.shape} does not match "
-                         f"logits {logits.shape}")
-    s = float(s)
-    out_d = np.empty_like(logits.data)
-    _scale_add_into(logits.data, s, pos.data, out_d)
-    out = Tensor(out_d)
-
-    def bw(g):
-        return g * s, g.sum(axis=0)
-
-    return record(out, (logits, pos), bw)
-
-
 def attention(q: Tensor, k: Tensor, v: Tensor, s: float, pos: Tensor,
               probs: Optional[np.ndarray] = None) -> Tensor:
     """Positional attention softmax(q @ k^T * s + pos[head]) @ v, fused.
@@ -788,7 +760,7 @@ def attention(q: Tensor, k: Tensor, v: Tensor, s: float, pos: Tensor,
     :func:`head_view`), and the output is the head view of a new
     [n, L, heads*Cv] array.  The forward runs over blocks of whole tokens
     holding about _BLOCK_BYTES of logits, each with the arithmetic of the
-    unfused transpose, bmm, scale_add_heads, softmax and bmm chain, so the
+    unfused transpose, bmm, mul, add, softmax and bmm chain, so the
     [n, heads, L, M] logits are never held whole, and k^T is never copied
     whole.  The probabilities are kept whole only for a tape's
     backward, or when the caller passes ``probs``, a C-contiguous
@@ -826,7 +798,8 @@ def attention(q: Tensor, k: Tensor, v: Tensor, s: float, pos: Tensor,
         # k^T as a transposed view sums as the chain's contiguous kt did at
         # every head width the network runs; the parent-formula tests pin it
         np.matmul(qd[b], kd[b].swapaxes(-1, -2), out=pb)
-        _scale_add_into(pb, s, pd, pb)
+        np.multiply(pb, s, out=pb)
+        pb += pd
         _softmax_into(pb, pb, rows_t[slot, :nb])
         np.matmul(pb, vd[b], out=out_d[b])
 

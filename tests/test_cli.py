@@ -489,3 +489,21 @@ class TestMissingOutputDirectory:
     def test_gen_mask(self, tmp_path, capsys):
         missing = tmp_path / "nodir" / "mask.hsic"
         self.check(tmp_path, capsys, ["gen-mask", "--out", str(missing)], missing)
+
+    @pytest.mark.parametrize("argv", [
+        ["gen-scene"], ["gen-mask"], ["simulate", "--in", "{scene}", "--mask", "{mask}"],
+        ["reconstruct", "--y", "{mask}", "--ckpt", "{scene}"],
+        ["metrics", "--gt", "{scene}", "--pred", "{scene}"],
+    ], ids=lambda argv: argv[0])
+    def test_checked_before_dispatch(self, monkeypatch, tmp_path, scene_file, mask_file,
+                                     capsys, argv):
+        # main checks --out once, so no command function starts
+        def dispatched(args):
+            raise AssertionError(f"{args.command} ran although --out has no directory")
+
+        for name in ("cmd_gen_scene", "cmd_gen_mask", "cmd_simulate", "cmd_reconstruct",
+                     "cmd_metrics"):
+            monkeypatch.setattr(cli, name, dispatched)
+        missing = tmp_path / "nodir" / "out"
+        argv = [a.format(scene=scene_file, mask=mask_file) for a in argv]
+        self.check(tmp_path, capsys, argv + ["--out", str(missing)], missing)

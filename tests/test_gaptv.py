@@ -196,6 +196,12 @@ class TestTvWeightAndBandChecks:
         with pytest.raises(ValueError, match=r"\[H, W\] band"):
             tv_denoise(np.zeros(shape), lam=0.1)
 
+    @pytest.mark.parametrize("iters,why", [(0, "finite and >= 1"), (-1, "finite and >= 1"),
+                                           (2.5, "an integer")])
+    def test_tv_denoise_rejects_a_bad_iteration_count(self, iters, why):
+        with pytest.raises(ValueError, match=rf"tv_denoise\.iters must be {why}"):
+            tv_denoise(np.ones((4, 4)), lam=0.1, iters=iters)
+
     @pytest.mark.parametrize("shape", [(0, 5), (5, 0), (0, 0)])
     def test_tv_denoise_rejects_an_empty_band(self, shape):
         with pytest.raises(ValueError,

@@ -316,8 +316,9 @@ class TestSpaceAttention:
 
 
 # The parent's attention layers, composed from the tape ops as they ran
-# before head views: head copies, the transpose, bmm, scale_add_heads,
-# softmax and bmm chain, and the one-copy head/token merge.
+# before head views: head copies, the transpose, bmm, the scaled logits plus
+# the position bias (mul, then a trailing-axes add), softmax and bmm chain,
+# and the one-copy head/token merge.
 
 def parent_split_heads(x, heads):
     """[n, L, C] -> [n*heads, L, C/heads]; batch index is token*heads + head."""
@@ -339,7 +340,7 @@ def parent_merge_heads_tokens(x, h, w, k):
 def parent_scale_add_heads(logits, s, pos):
     """logits*s + pos[i % heads] for [n*heads, L, M] logits."""
     split = (logits.shape[0] // pos.shape[0],) + pos.shape
-    return T.reshape(T.scale_add_heads(T.reshape(logits, split), s, pos), logits.shape)
+    return T.reshape(T.add(T.mul(T.reshape(logits, split), s), pos), logits.shape)
 
 
 def parent_attention_layer(layer, x):
@@ -360,7 +361,7 @@ def parent_attention_layer(layer, x):
 
 def composed_attention_probs(layer, x):
     """The probabilities of an attention layer's call on ``x``, by the composed
-    transpose, bmm, scale_add_heads and softmax ops."""
+    transpose, bmm, mul, add and softmax ops."""
     return parent_attention_layer(layer, x)[1].data
 
 

@@ -194,3 +194,33 @@ class TestNestedListOperands:
         want = fn(*arrays, *rest)
         got = fn(*[a.tolist() for a in arrays], *rest)
         assert pickle.dumps(got) == pickle.dumps(want)
+
+
+class TestEmptyInputs:
+    """An empty mask, matrix or cube is a ValueError naming the input and its
+    shape, not a numpy reduction error, a NaN or a DCT basis error."""
+
+    @pytest.mark.parametrize("name,shape", [
+        ("SensingConfig", (0, 5)), ("export_heatmap", (0, 3)), ("psnr", (0, 4, 3)),
+        ("ssim", (4, 0, 3)), ("fdg", (0, 4, 3)), ("evaluate", (4, 4, 0)),
+        ("correlation_maps", (0, 4, 3)),
+    ])
+    def test_raises_naming_the_shape(self, tmp_path, name, shape):
+        from hsifreq.cassi import SensingConfig
+        from hsifreq.correlation import correlation_maps
+        from hsifreq.hsio import export_heatmap
+
+        calls = {
+            "SensingConfig": (SensingConfig, "mask"),
+            "export_heatmap": (lambda a: export_heatmap(a, tmp_path / "m.pgm"),
+                               "export_heatmap"),
+            "psnr": (lambda a: psnr(a, a), "metrics"),
+            "ssim": (lambda a: ssim(a, a), "metrics"),
+            "fdg": (lambda a: fdg(a, a), "metrics"),
+            "evaluate": (lambda a: evaluate(a, a), "metrics"),
+            "correlation_maps": (correlation_maps, "correlation_maps"),
+        }
+        call, named = calls[name]
+        with pytest.raises(ValueError, match=rf"{named} .*non-empty.*shape \({shape[0]}, "):
+            call(np.zeros(shape))
+        assert not list(tmp_path.iterdir())

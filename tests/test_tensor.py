@@ -225,6 +225,22 @@ class TestBackward:
         gradient_check(build, [w, x], rel_tol=1e-5, eps=1e-6, samples=9)
 
 
+@st.composite
+def operand_shapes(draw):
+    """A left shape of rank 1-4, and a right shape that is a single element,
+    a trailing suffix of the left one, or any other shape."""
+    dims = st.integers(1, 4)
+    left = tuple(draw(st.lists(dims, min_size=1, max_size=4)))
+    kind = draw(st.sampled_from(["single", "suffix", "other"]))
+    if kind == "single":
+        right = (1,) * draw(st.integers(0, 4))
+    elif kind == "suffix":
+        right = left[draw(st.integers(0, len(left))):]
+    else:
+        right = tuple(draw(st.lists(dims, min_size=1, max_size=4)))
+    return left, right
+
+
 class TestOpGradients:
     """Central finite differences for each differentiable op at 64-bit."""
 
@@ -285,7 +301,7 @@ class TestOpGradients:
             t = T.transpose(T.reshape(x.value, (2, 2, 6, 2)), (1, 0, 2, 3))
             t = T.reshape(t, (4, 6, 2))
             cat = T.concat([t, x.value])
-            biased = T.scale_add_heads(lg.value, 0.7, p.value)
+            biased = T.add(T.mul(lg.value, 0.7), p.value)
             return T.add(T.sum_all(T.mul(cat, cat)), T.sum_all(T.mul(biased, biased)))
 
         gradient_check(build, [x, p, lg], rel_tol=1e-5, samples=8)
@@ -373,13 +389,47 @@ class TestOpGradients:
         gradient_check(build, [x, b, c], rel_tol=1e-5, samples=8)
 
     @pytest.mark.parametrize("op", [T.add, T.sub, T.mul, T.div])
-    @pytest.mark.parametrize("left,right", [((4, 4, 3), (4,)), ((4, 4, 3), (4, 3)),
-                                            ((3,), (4, 4, 3))],
-                             ids=["channels-plus-one", "row-of-channels",
+    @pytest.mark.parametrize("left,right", [((4, 4, 3), (4,)), ((4, 4, 3), (4, 4)),
+                                            ((4, 4, 3), (1, 3)), ((3,), (4, 4, 3))],
+                             ids=["channels-plus-one", "leading-axes", "leading-one",
                                   "per-channel-left"])
     def test_other_broadcasts_name_both_shapes(self, op, left, right):
         with pytest.raises(ShapeError, match=re.escape(f"{left} and {right}")):
             op(Tensor(np.zeros(left)), Tensor(np.ones(right)))
+
+    @given(shapes=operand_shapes(), name=st.sampled_from(["add", "sub", "mul", "div"]))
+    @settings(max_examples=200, deadline=None)
+    def test_one_broadcasting_rule(self, shapes, name):
+        # a single element on either side, or a right operand of the left's
+        # trailing axes, gives numpy's bytes and gradients summed back to each
+        # operand's shape; every other pair raises, naming both shapes
+        left, right = shapes
+        gen = np.random.default_rng(len(left) * 10 + len(right))
+        a = gen.standard_normal(left)
+        b = np.asarray(gen.standard_normal(right) + 2.0)  # no 0 divisor
+        allowed = (left == right or a.size == 1 or b.size == 1
+                   or (len(right) <= len(left) and left[len(left) - len(right):] == right))
+        op, (formula, grad_a, grad_b) = getattr(T, name), PARENT_ARITH[name]
+        ta, tb = Tensor(a), Tensor(b)
+        if not allowed:
+            with pytest.raises(ShapeError, match=re.escape(f"{left} and {right}")):
+                op(ta, tb)
+            return
+        with Tape() as tape:
+            out = op(ta, tb)
+            upstream = gen.standard_normal(out.shape)
+            grads = tape.backward(T.sum_all(T.mul(out, Tensor(upstream))))
+        expect = np.asarray(formula(a, b))
+        assert (out.dtype, out.shape) == (expect.dtype, expect.shape)
+        assert out.data.tobytes() == expect.tobytes()
+        for t, grad in ((ta, grad_a), (tb, grad_b)):
+            full = np.broadcast_to(grad(upstream, a, b), out.shape)
+            lead = full.ndim - t.ndim
+            kept = tuple(i + lead for i, n in enumerate(t.shape) if n == 1)
+            want = full.sum(axis=tuple(range(lead)) + kept, keepdims=True)
+            got = grads[t.serial]
+            assert got.shape == t.shape
+            assert np.allclose(got, want.reshape(t.shape), rtol=1e-12, atol=1e-12)
 
 
 # The parent engine's formulas, kept as the bitwise reference for the blocked
@@ -401,15 +451,16 @@ def parent_softmax(x, g, axis):
 
 
 def parent_scale_add_tiled(logits, pos, s, g):
-    """Over [n*heads, L, M] logits, or [n, heads, L, M] ones: the same
-    arithmetic in the same memory order."""
+    """The parent's scale_add_heads, logits*s + pos[head], over [n*heads, L, M]
+    logits, or [n, heads, L, M] ones: the same arithmetic in the same memory
+    order."""
     n = logits.size // pos.size
     out = logits * s + np.tile(pos, (n, 1, 1)).reshape(logits.shape)
     return out, [g * s, g.reshape((n,) + pos.shape).sum(axis=0)]
 
 
 def parent_attention(q, k, v, pos, s, g):
-    """The composed chain transpose, bmm, scale_add_heads, softmax, bmm, over
+    """The composed chain transpose, bmm, logits*s + pos, softmax, bmm, over
     one batch axis [n*heads] or two [n, heads]."""
     kt = np.ascontiguousarray(k.swapaxes(-1, -2))
     logits = q @ kt
@@ -479,12 +530,14 @@ def parent_channel_scale(x, s, g):
 
 
 def parent_reduce_to(g, shape):
-    """The parent's sum of a broadcast operand's gradient back to its shape."""
+    """The parent's sum of a broadcast operand's gradient back to its shape:
+    over the leading axes, as the per-channel ops summed a [C] operand's and
+    scale_add_heads the token axis of a [heads, L, M] bias."""
     if g.shape == shape:
         return g
     if math.prod(shape) == 1:
         return np.sum(g).reshape(shape)
-    return g.sum(axis=tuple(range(g.ndim - 1)))
+    return g.sum(axis=tuple(range(g.ndim - len(shape))))
 
 
 # the parent's four arithmetic ops: forward formula and the unreduced
@@ -547,7 +600,7 @@ def parent_space_chain(tq, tk, tv, pos, g, s, h, w, k, heads):
 
 def parent_freq_chain(tq, tk, tv, pos, g, s, h, w, k, heads):
     """The parent's spectral attention from the q/k/v projections to the
-    image: head copies, the transpose, bmm, scale_add_heads, softmax and bmm
+    image: head copies, the transpose, bmm, logits*s + pos, softmax and bmm
     ops, the head/token merge, and the tape's backward of each in turn."""
     q, kk, v = (parent_split_heads(t, heads) for t in (tq, tk, tv))
     qt = np.ascontiguousarray(q.transpose(0, 2, 1))
@@ -624,6 +677,7 @@ class TestBlockedOpsMatchParentFormulas:
     ARITH_FORMS = {
         "full": ((7, 6, 8), (7, 6, 8)),
         "per-channel": ((7, 6, 8), (8,)),
+        "trailing-axes": ((7, 6, 8), (6, 8)),
         "single-element": ((7, 6, 8), (1,)),
         "0-d": ((7, 6, 8), ()),
         "left single-element": ((1,), (7, 6, 8)),
@@ -691,12 +745,28 @@ class TestBlockedOpsMatchParentFormulas:
             expect, _ = parent_softmax(x, x, -1)
         assert out.tobytes() == expect.tobytes()
 
-    def test_scale_add_heads(self, rng):
+    @pytest.mark.parametrize("slots", [1, 2])
+    @pytest.mark.parametrize("several", [False, True], ids=["one-block", "several-blocks"])
+    def test_scaled_logits_plus_head_bias(self, monkeypatch, rng, several, slots):
+        # the spectral layer's mul by a scalar and trailing-axes add of a
+        # [heads, L, M] bias equal the parent's scale_add_heads formula
         heads, length = 2, 8
         logits = self.data(rng, _rows(4 * heads * length * length), heads, length, length)
         pos = self.data(rng, heads, length, length)
-        self.check(lambda a, b: T.scale_add_heads(a, 0.125, b),
+        if not several:
+            monkeypatch.setattr(T, "_BLOCK_BYTES", 2 * logits.nbytes)
+        monkeypatch.setattr(T, "_SLOTS", slots)
+        seen = []
+        over_blocks = T._over_blocks
+
+        def spy(blocks, body):
+            seen.append(len(blocks))
+            over_blocks(blocks, body)
+
+        monkeypatch.setattr(T, "_over_blocks", spy)
+        self.check(lambda a, b: T.add(T.mul(a, 0.125), b),
                    lambda a, b, g: parent_scale_add_tiled(a, b, 0.125, g), [logits, pos])
+        assert seen and all((n > 1) == several for n in seen)
 
     @pytest.mark.parametrize("heads", [1, 4])
     def test_attention(self, rng, heads):
@@ -879,7 +949,7 @@ class TestBlockedOpsMatchParentFormulas:
                 mixed = T.attention(q, kk, v, s, t[3])
             else:
                 logits = T.bmm(T.transpose(q, (0, 1, 3, 2)), kk)
-                mixed = T.bmm(v, T.softmax(T.scale_add_heads(logits, s, t[3])))
+                mixed = T.bmm(v, T.softmax(T.add(T.mul(logits, s), t[3])))
             return merge_tokens(mixed, h, w, k)
 
         chain = parent_space_chain if space else parent_freq_chain
@@ -1366,6 +1436,18 @@ class TestAdam:
         # with zero state and bias correction: update = lr * g / (|g| + eps)
         expect = -0.01 * g / (np.abs(g) + 1e-8)
         assert np.allclose(p.value.data, expect, atol=1e-9)
+
+    @pytest.mark.parametrize("lr", [np.nan, np.inf, -0.01])
+    def test_step_rejects_a_bad_rate_and_leaves_the_weights(self, lr):
+        p = Param(np.array([1.0, -2.0]))
+        opt = Adam([p])
+        p.grad[...] = [0.3, -0.7]
+        before = p.value.data.copy()
+        with pytest.raises(ValueError, match="lr must be finite and >= 0"):
+            opt.step(lr)
+        assert np.array_equal(p.value.data, before) and opt.t == 0
+        opt.step(0.0)
+        assert np.array_equal(p.value.data, before)
 
     def test_minimizes_quadratic(self):
         p = Param(np.array([1.0]))

@@ -19,6 +19,11 @@ shape and strides of every array it covers:
   3-step desk train (32x32x8, width 24, K=3 shared) at batch 1, 3 and 4;
 * ``ops-256``: the forward bytes and taped gradients of ``add``, ``sub``,
   ``mul`` and ``div`` on [256, 256, 28] operands, full and per-channel;
+* ``freq-attn-256``: the output and the taped input and parameter gradients
+  of a seeded ``FreqSpectralAttention`` (token 8, heads 4) at [256, 256, 28]
+  and at [128, 128, 56], whose logits span several blocks: the scalar ``mul``
+  and the trailing-axes ``add`` of the position bias, blocked over two
+  slots where there are two CPUs;
 * ``gaptv-64``: a 100-iteration ``gap_tv`` of a seeded measurement at
   64x64x28;
 * ``gaptv-64-f32``: the same at 64x64x27 from a float32 measurement, where
@@ -154,6 +159,29 @@ def _ops() -> str:
     return h.hexdigest()
 
 
+def _freq_attn() -> str:
+    from hsifreq import tensor as T
+    from hsifreq.layers import FreqSpectralAttention
+    from hsifreq.tensor import Tape, Tensor
+
+    h = hashlib.sha256()
+    for side, channels in ((256, 28), (128, 56)):
+        rng = np.random.default_rng(20240608)
+        layer = FreqSpectralAttention(channels, 8, 4, rng)
+        params = layer.params()
+        for p in params:
+            p.assign((p.value.data + 0.1 * rng.standard_normal(p.shape)).astype(p.value.dtype))
+        x, g = (Tensor(rng.standard_normal((side, side, channels)).astype(np.float32))
+                for _ in range(2))
+        with Tape() as tape:
+            out = layer(x)
+            grads = tape.backward(T.sum_all(T.mul(out, g)))
+        update(h, out.data)
+        for t in [x] + [p.value for p in params]:
+            update(h, grads[t.serial])
+    return h.hexdigest()
+
+
 def _gaptv(height: int, width: int, bands: int, step: int, dtype) -> str:
     from hsifreq.cassi import SensingConfig, random_mask, simulate
     from hsifreq.gaptv import gap_tv
@@ -176,6 +204,7 @@ DIGESTS = {
     "train-b3": lambda: _train(3),
     "train-b4": lambda: _train(4),
     "ops-256": _ops,
+    "freq-attn-256": _freq_attn,
     "gaptv-64": lambda: _gaptv(64, 64, 28, 2, np.float64),
     "gaptv-64-f32": lambda: _gaptv(64, 64, 27, 2, np.float32),
     "gaptv-48x80": lambda: _gaptv(48, 80, 9, 3, np.float32),
