@@ -2,7 +2,7 @@
 
 ``unfolding.train`` runs half of each batch in such a child, which sends
 back its gradients; ``gaptv.gap_tv`` has one run the data step and the TV
-prox of the later half of the bands, in place in an iterate shared with it.
+prox of the later bands, in place in an iterate shared with it.
 
 While a child lives, both processes run BLAS on one thread: on its default
 of a thread per CPU, the two processes' BLAS threads contended, and a
@@ -17,6 +17,7 @@ import ctypes
 import functools
 import os
 import signal
+import threading
 import traceback
 import warnings
 from pathlib import Path
@@ -59,6 +60,42 @@ def may_fork() -> bool:
     return _blas() is not None or first.strip() == "1"
 
 
+class _Children:
+    """This process's live ``Forked`` children, across its threads.
+
+    ``parent_ends`` holds this process's end of each child's pipe, which
+    every later child closes first.  ``lock`` guards it and the count, and
+    is held from making a pipe until its child's end is closed here, so no
+    child inherits a pipe end that it does not close.  The count runs from
+    before each fork to after its reap: the first child caps BLAS at one
+    thread, and the last gives back the count that the first found.
+    """
+
+    def __init__(self):
+        self.lock = threading.RLock()
+        self.parent_ends = []
+        self._count = 0
+        self._blas = self._blas_threads = None
+
+    def count_in(self) -> None:
+        with self.lock:
+            if self._count == 0:
+                self._blas = _blas()
+                if self._blas:
+                    self._blas_threads = self._blas[0]()
+                    self._blas[1](1)
+            self._count += 1
+
+    def count_out(self) -> None:
+        with self.lock:
+            self._count -= 1
+            if self._count == 0 and self._blas:
+                self._blas[1](self._blas_threads)
+
+
+_LIVE = _Children()
+
+
 class ChildTraceback(Exception):
     """The traceback of an error raised in the forked child, as text."""
 
@@ -77,33 +114,35 @@ class Forked:
     child on the rest (unpinned, the scheduler often ran the two in turn on
     one CPU); each runs its tensor ops on one slot (in this thread only: a
     context variable) and BLAS on one thread.  Leaving the block, or a
-    failed fork, gives this process its CPUs and BLAS threads back.
+    failed fork, gives this thread its CPUs back, and BLAS its threads once
+    no other thread's child lives.  Blocks in several threads may overlap
+    and end in any order: each ends when its own child does.
     """
 
     def __init__(self, serve):
         from multiprocessing.connection import Pipe
 
-        ours, theirs = Pipe()
         self._cpus = os.sched_getaffinity(0) if hasattr(os, "sched_setaffinity") else set()
         here = {min(self._cpus)} if len(self._cpus) > 1 else None
         if here:
             os.sched_setaffinity(0, here)
-        self._blas = _blas()
-        if self._blas:
-            self._blas_threads = self._blas[0]()
-            self._blas[1](1)
-        try:
-            with warnings.catch_warnings():
-                # Python 3.12+ warns when a process with threads forks; the child
-                # runs serve alone, and tensor replaces its block worker at fork
-                warnings.simplefilter("ignore", DeprecationWarning)
-                pid = os.fork()
-        except BaseException:
-            self._restore()
-            raise
-        if pid == 0:
-            _serve_forever(theirs, ours, serve, self._cpus - here if here else None)
-        theirs.close()
+        with _LIVE.lock:
+            ours, theirs = Pipe()
+            _LIVE.count_in()
+            try:
+                with warnings.catch_warnings():
+                    # Python 3.12+ warns when a process with threads forks; the child
+                    # runs serve alone, and tensor replaces its block worker at fork
+                    warnings.simplefilter("ignore", DeprecationWarning)
+                    pid = os.fork()
+            except BaseException:
+                self._restore()
+                raise
+            if pid == 0:
+                _serve_forever(theirs, _LIVE.parent_ends + [ours], serve,
+                               self._cpus - here if here else None)
+            theirs.close()
+            _LIVE.parent_ends.append(ours)
         self.pid = pid
         self._conn = ours
         self._blocks_here = T._CHILD_HOLDS_A_CPU.set(True)
@@ -111,8 +150,7 @@ class Forked:
     def _restore(self) -> None:
         if len(self._cpus) > 1:
             os.sched_setaffinity(0, self._cpus)
-        if self._blas:
-            self._blas[1](self._blas_threads)
+        _LIVE.count_out()
 
     def send(self, request) -> None:
         self._conn.send(request)
@@ -133,7 +171,9 @@ class Forked:
 
     def __exit__(self, exc_type, exc, tb) -> None:
         try:
-            self._conn.close()
+            with _LIVE.lock:  # a fork meanwhile would copy the end being closed
+                _LIVE.parent_ends.remove(self._conn)
+                self._conn.close()
             if exc_type is not None:
                 os.kill(self.pid, signal.SIGKILL)
             os.waitpid(self.pid, 0)
@@ -142,15 +182,17 @@ class Forked:
             self._restore()
 
 
-def _serve_forever(conn, parent_end, serve, cpus) -> None:
-    """The child's whole life: move to ``cpus`` (unless None), answer
-    requests until EOF, then exit."""
+def _serve_forever(conn, parent_ends, serve, cpus) -> None:
+    """The child's whole life: close the parent's ends of its own and every
+    older child's pipe (each older child sees EOF when its block ends), move
+    to ``cpus`` (unless None), answer requests until EOF, then exit."""
     code = 1
     try:
+        for end in parent_ends:
+            end.close()
         if cpus:
             os.sched_setaffinity(0, cpus)
         signal.signal(signal.SIGINT, signal.SIG_IGN)
-        parent_end.close()
         while True:
             try:
                 request = conn.recv()

@@ -9,6 +9,7 @@ clipping of the dual field.
 from __future__ import annotations
 
 import mmap
+import time
 import warnings
 from contextlib import nullcontext
 from dataclasses import dataclass, replace
@@ -48,7 +49,8 @@ def tv_denoise(band: np.ndarray, lam: float,
     column (horizontal) and last row (vertical); div is its negative adjoint.
     The working arrays are allocated once and updated in place; the
     horizontal differences are one subtract over the flattened band, after
-    which the row-boundary column is overwritten.  The anisotropic prox
+    which the row-boundary column is overwritten, and the clip is one
+    in-place pass over both components of p.  The anisotropic prox
     commutes with transposition: ``tv_denoise(band.T).T`` has the bytes of
     ``tv_denoise(band)``, so ``gap_tv`` denoises each band in its stored
     [W, H] layout.
@@ -75,12 +77,11 @@ def tv_denoise(band: np.ndarray, lam: float,
         gx[:, -1] = 0.0
         np.subtract(uf[w:], uf[:n - w], out=gyf[:n - w])
         # dual descent paired with u = f - lam*div(p); the clip is the
-        # projection onto the anisotropic unit ball (maximum then minimum is
-        # np.clip's value, NaN and -0.0 included, without its Python wrapper)
+        # projection onto the anisotropic unit ball, in one pass (the method
+        # gives np.clip's value, NaN and -0.0 included, without its wrapper)
         np.multiply(g, step, out=t)
         np.subtract(p, t, out=p)
-        np.maximum(p, -1.0, out=p)
-        np.minimum(p, 1.0, out=p)
+        p.clip(-1.0, 1.0, out=p)
         # u = f - lam * div p, with div's vertical differences held in u
         np.subtract(pxf[1:], pxf[:-1], out=df[1:])
         d[:, 0] = px[:, 0]
@@ -107,8 +108,14 @@ def gap_tv(y: np.ndarray, cfg: SensingConfig, gcfg: GapTvConfig | None = None) -
     passes a column-major mask, so each of their products is column-major.
     Where ``forked.may_fork`` allows it and there are two bands or more, the
     iterate and rd sit in a shared mapping, and a forked child runs the data
-    step and the TV prox of the later ``bands // 2`` bands; every band sees
-    the same arithmetic, so the result is the bytes of one process.
+    step and the TV prox of the bands from ``split`` on, which each request
+    names; the child replies with its step's seconds.  ``split`` starts at
+    ``bands - bands // 2`` and stays in [1, bands - 1].  After each iteration
+    one band moves toward the process that finished first, when the other
+    took longer by more than one of this process's band-times
+    (``mine / split``): only then does one move shrink the gap.  Each band's
+    data step and prox read only rd and that band, so any split gives the
+    bytes of one process.
     """
     if gcfg is None:
         gcfg = GapTvConfig()
@@ -131,24 +138,29 @@ def gap_tv(y: np.ndarray, cfg: SensingConfig, gcfg: GapTvConfig | None = None) -
     # y and diag in rd's order, so that rd is written from contiguous operands
     y_f, diag_f = np.asfortranarray(y), np.asfortranarray(diag)
 
-    def step(lo: int, hi: int) -> None:
-        """The data step and the TV prox of bands lo..hi-1, written into z."""
+    def step(lo: int, hi: int) -> float:
+        """The data step and the TV prox of bands lo..hi-1, written into z;
+        returns its seconds."""
+        t0 = time.perf_counter()
         phi_adjoint(rd, cfg, slice(lo, hi), out=x[lo:hi].T)
         np.add(z[lo:hi], x[lo:hi], out=x[lo:hi])
         for c in range(lo, hi):
             z[c] = tv_denoise(x[c], gcfg.tv_weight, gcfg.tv_inner_iters)
+        return time.perf_counter() - t0
 
     split = cfg.bands - later  # this process runs the bands before it, a child the rest
-    with (forked.Forked(lambda _: step(split, cfg.bands)) if later
+    with (forked.Forked(lambda lo: step(lo, cfg.bands)) if later
           else nullcontext()) as child:
         cube = start  # the first residual is taken in y's dtype
         for _ in range(gcfg.iterations):
             np.divide(y_f - phi_forward(cube, cfg), diag_f, out=rd)
             if child:
-                child.send(None)
-            step(0, split)
+                child.send(split)
+            mine = step(0, split)
             if child:
-                child.recv()
+                gap = child.recv() - mine  # > 0: this process finished first
+                if abs(gap) > mine / split:
+                    split = min(max(split + (1 if gap > 0 else -1), 1), cfg.bands - 1)
             cube = z.T
             # norm sums in memory order: the residual is C-ordered, as y is
             res = float(np.linalg.norm(np.subtract(y, phi_forward(cube, cfg), order="C")))

@@ -3,6 +3,7 @@
 import mmap
 import os
 import re
+import time
 import tracemalloc
 import warnings
 from contextlib import nullcontext
@@ -38,9 +39,13 @@ class SharedShapes:
         row[n + 1] = shape
         row[0, 0] = n + 1
 
+    def rows(self) -> list[list[tuple[int, int]]]:
+        """This process's shapes, then the child's."""
+        return [[tuple(int(d) for d in shape) for shape in row[1:row[0, 0] + 1]]
+                for row in self._rows]
+
     def list(self) -> list[tuple[int, int]]:
-        return [tuple(int(d) for d in shape)
-                for row in self._rows for shape in row[1:row[0, 0] + 1]]
+        return [shape for row in self.rows() for shape in row]
 
 
 class TestTvDenoise:
@@ -395,8 +400,9 @@ def small_gap_tv_input(bands: int, dtype=np.float64):
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
 class TestTwoProcessGapTv:
     """With two CPUs and two bands or more, a forked child runs the data step
-    and the TV prox of the later half of the bands, in place in a shared
-    iterate; the result is the bytes of one process."""
+    and the TV prox of the later bands, in place in a shared iterate, and the
+    split follows both processes' step times; the result is the bytes of one
+    process."""
 
     @pytest.mark.parametrize("bands, dtype", [(6, np.float64), (6, np.float32),
                                               (7, np.float64), (7, np.float32)])
@@ -429,6 +435,50 @@ class TestTwoProcessGapTv:
         got = gap_tv(y, cfg, gcfg)
         assert (got.dtype, got.strides) == (want.dtype, want.strides)
         assert got.tobytes() == want.tobytes()
+        assert no_child_left()
+
+    @pytest.mark.parametrize("slowed", ["child", "parent"])
+    @pytest.mark.parametrize("bands", [2, 6, 7])
+    def test_the_split_moves_bands_away_from_the_slower_process(self, monkeypatch,
+                                                                 bands, slowed):
+        """Each step's band range is read from its ``phi_adjoint`` call (the
+        start's whole-cube call has no range), one row per process."""
+        y, cfg = small_gap_tv_input(bands)
+        gcfg = GapTvConfig(iterations=12)
+        monkeypatch.setattr(T, "_SLOTS", 1)
+        want = gap_tv(y, cfg, gcfg)
+        monkeypatch.setattr(T, "_SLOTS", 2)
+        parent = os.getpid()
+        ranges, denoised = SharedShapes(), SharedShapes()
+        adjoint = gaptv.phi_adjoint
+
+        def recorded_adjoint(meas, cfg, bands=slice(None), out=None):
+            if bands.start is not None:
+                ranges.append((bands.start, bands.stop))
+            return adjoint(meas, cfg, bands, out=out)
+
+        def slowed_denoise(band, lam, iters):
+            denoised.append(band.shape)
+            if (os.getpid() == parent) == (slowed == "parent"):
+                time.sleep(1e-3)
+            return tv_denoise(band, lam, iters)
+
+        monkeypatch.setattr(gaptv, "phi_adjoint", recorded_adjoint)
+        monkeypatch.setattr(gaptv, "tv_denoise", slowed_denoise)
+        got = gap_tv(y, cfg, gcfg)
+        assert got.tobytes() == want.tobytes()
+        ours, theirs = ranges.rows()
+        assert len(ours) == len(theirs) == gcfg.iterations
+        for (lo, split), (child_lo, hi) in zip(ours, theirs):
+            assert (lo, child_lo, hi) == (0, split, bands)  # every band, once
+        assert [len(row) for row in denoised.rows()] == [
+            sum(hi - lo for lo, hi in row) for row in (ours, theirs)]
+        counts = [hi - lo for lo, hi in (ours if slowed == "parent" else theirs)]
+        assert counts[0] == (bands - bands // 2 if slowed == "parent" else bands // 2)
+        if bands == 2:
+            assert counts == [1] * gcfg.iterations
+        else:
+            assert counts[-1] < counts[0]
         assert no_child_left()
 
     def test_error_in_a_child_band_is_raised(self, monkeypatch):

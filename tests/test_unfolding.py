@@ -500,6 +500,42 @@ class TestTwoProcessTraining:
 
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
+class BlockInAThread:
+    """A ``Forked`` block in a thread of its own, open until ``end``; its
+    child replies with its BLAS thread count, kept as ``child_blas``, and
+    ``affinity_kept`` tells whether the thread's CPUs after the block are
+    those from before it."""
+
+    def __init__(self, blas_threads):
+        self._entered, self._leave, self._exited = (threading.Event() for _ in range(3))
+        self._thread = threading.Thread(target=self._run, args=(blas_threads,))
+        self._thread.start()
+        assert self._entered.wait(timeout=30)
+
+    def _run(self, blas_threads):
+        cpus = os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity") else None
+        with Forked(lambda _: blas_threads()) as child:
+            child.send(None)
+            self.child_blas = child.recv()
+            self._entered.set()
+            self._leave.wait(timeout=30)
+        self.affinity_kept = cpus is None or os.sched_getaffinity(0) == cpus
+        self._exited.set()
+
+    def lives(self) -> bool:
+        return not self._exited.is_set()
+
+    def end(self, within: float) -> bool:
+        """Let the block end; whether it ended within ``within`` seconds."""
+        self._leave.set()
+        return self._exited.wait(timeout=within)
+
+    def join(self) -> None:
+        self._leave.set()
+        self._thread.join(timeout=60)
+        assert not self._thread.is_alive()
+
+
 class TestForked:
     def test_replies_in_order_and_exits_at_eof(self):
         with Forked(lambda x: (os.getpid(), x * 2)) as child:
@@ -575,6 +611,65 @@ class TestForked:
         run("after")
         assert slots["here"] == [0, 0, 0, 0]
         assert sorted(slots["other thread"]) == sorted(slots["after"]) == [0, 0, 1, 1]
+        assert no_child_left()
+
+    def test_an_older_block_ends_while_a_younger_one_lives(self, blas_on_two_threads):
+        older = BlockInAThread(blas_on_two_threads)
+        younger = BlockInAThread(blas_on_two_threads)
+        try:
+            ended = older.end(within=1.0)
+            younger_lives = younger.lives()
+        finally:
+            older.join()
+            younger.join()
+        assert ended and younger_lives
+        assert no_child_left()
+
+    def test_blas_gets_its_threads_back_after_overlapping_blocks_end_in_either_order(
+            self, blas_on_two_threads):
+        for first in ("older", "younger"):
+            blocks = {"older": BlockInAThread(blas_on_two_threads)}
+            blocks["younger"] = BlockInAThread(blas_on_two_threads)
+            try:
+                both_live = blas_on_two_threads()
+                ended = blocks[first].end(within=1.0)
+                one_lives = blas_on_two_threads()
+            finally:
+                for block in blocks.values():
+                    block.join()
+            assert (both_live, ended, one_lives) == (1, True, 1), first
+            for block in blocks.values():
+                assert block.child_blas == 1 and block.affinity_kept
+            assert blas_on_two_threads() == 2, first
+            assert no_child_left()
+
+    def test_a_train_and_gap_tv_calls_in_two_threads_give_the_serial_bytes(
+            self, tmp_path, monkeypatch):
+        from hsifreq.gaptv import GapTvConfig, gap_tv
+
+        monkeypatch.setattr(T, "_SLOTS", 2)
+        forks = spy_forks(monkeypatch)
+        scene = gen_scene(SceneSpec(kind="piecewise-constant", height=24, width=20,
+                                    bands=5, seed=3))
+        cfg = SensingConfig(0.25 + 0.5 * random_mask(24, 20, seed=8), 1, 5)
+        y = simulate(scene, cfg, seed=1)
+
+        def denoise():
+            return gap_tv(y, cfg, GapTvConfig(iterations=12)).tobytes()
+
+        want = (desk_train(tmp_path, "serial", batch=4)[1], denoise())
+        assert len(forks) == 2
+        trained = []
+        trainer = threading.Thread(
+            target=lambda: trained.append(desk_train(tmp_path, "threaded", batch=4)[1]))
+        trainer.start()
+        denoised = [denoise()]
+        while trainer.is_alive() and len(denoised) < 200:
+            denoised.append(denoise())
+        trainer.join(timeout=120)
+        assert not trainer.is_alive()
+        assert trained == [want[0]]
+        assert set(denoised) == {want[1]} and len(forks) == 3 + len(denoised)
         assert no_child_left()
 
 

@@ -231,10 +231,11 @@ def _git(*args) -> bytes:
     return proc.stdout
 
 
-def extract_src(ref: str, dest: Path) -> str:
-    """Write REF's ``src`` tree under ``dest``; return REF's short hash."""
+def extract(ref: str, dest: Path, *paths: str) -> str:
+    """Write REF's ``paths`` (its whole tree by default) under ``dest``;
+    return REF's short hash."""
     commit = _git("rev-parse", "--short", f"{ref}^{{commit}}").decode().strip()
-    tar = _git("archive", "--format=tar", commit, "src")
+    tar = _git("archive", "--format=tar", commit, *paths)
     # the "data" filter where this Python has it (3.10.12, 3.11.4 and later)
     safe = {"filter": "data"} if hasattr(tarfile, "data_filter") else {}
     with tarfile.open(fileobj=io.BytesIO(tar)) as archive:
@@ -279,7 +280,7 @@ def main(argv=None) -> int:
         return digest_main()
     with tempfile.TemporaryDirectory(prefix="equiv-") as tmp:
         try:
-            commit = extract_src(args.against, Path(tmp))
+            commit = extract(args.against, Path(tmp), "src")
             ref = run_side(Path(tmp) / "src")
             new = run_side(ROOT / "src")
         except RuntimeError as exc:
