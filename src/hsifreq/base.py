@@ -5,6 +5,10 @@ protocol matches scikit-learn's (constructor args are hyperparameters,
 ``get_params``/``set_params`` round-trip them, fitted state ends in
 underscore-suffixed attributes), so the estimators compose with that
 ecosystem's tooling.
+
+Public entry points read each array they take (a cube, band, mask or
+measurement) through :func:`as_real`, which names the input and its shape.
+Inner helpers (``_cube_dct``, ``_corr_matrix``, the tensor ops) check nothing.
 """
 
 from __future__ import annotations
@@ -72,10 +76,20 @@ def check_at_least(cfg, low, *names: str, **args) -> None:
             raise ValueError(f"{where}.{name} must be an integer, got {value!r}")
 
 
-def check_cube(x, name: str = "cube") -> np.ndarray:
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 3:
-        raise ValueError(f"{name} must be a 3D [H,W,C] array, got shape {x.shape}")
-    if not np.all(np.isfinite(x)):
-        raise ValueError(f"{name} contains non-finite values")
+def as_real(x, name: str = "array", ndim: int | None = None,
+            finite: bool = False) -> np.ndarray:
+    """``x`` as an array: bool or integer read as float64, floating not copied.
+    With ``ndim`` (2 or 3) anything but a non-empty [H, W] or [H, W, C] array,
+    and with ``finite`` a NaN or inf, is a ValueError naming ``name`` and the shape."""
+    x = np.asarray(x)
+    x = x.astype(np.float64) if x.dtype.kind in "biu" else x
+    if ndim is not None and (x.ndim != ndim or x.size == 0):
+        layout = "[H, W]" if ndim == 2 else "[H, W, C]"
+        raise ValueError(f"{name} must be a non-empty {layout} array, got shape {x.shape}")
+    if finite and not np.all(np.isfinite(x)):
+        raise ValueError(f"{name} of shape {x.shape} holds non-finite values (NaN or inf)")
     return x
+
+
+def check_cube(x, name: str = "cube") -> np.ndarray:
+    return as_real(np.asarray(x, dtype=np.float64), name, ndim=3, finite=True)

@@ -19,7 +19,7 @@ import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
 from . import tensor as T
-from .base import check_at_least
+from .base import as_real, check_at_least
 from .tensor import Tensor
 
 
@@ -37,12 +37,9 @@ class SensingConfig:
     noise_sigma: float = 0.0
 
     def __post_init__(self):
-        self.mask = np.array(self.mask, dtype=np.float64)
+        self.mask = as_real(np.array(self.mask, dtype=np.float64), "SensingConfig.mask",
+                            ndim=2, finite=True)
         self.mask.setflags(write=False)
-        if self.mask.ndim != 2 or self.mask.size == 0:
-            raise ValueError(f"mask must be a non-empty 2D array, got shape {self.mask.shape}")
-        if not np.all(np.isfinite(self.mask)):
-            raise ValueError("mask holds non-finite values (NaN or inf)")
         if self.mask.min() < 0.0 or self.mask.max() > 1.0:
             raise ValueError("mask transmittances must lie in [0, 1]")
         check_at_least(self, 0, "dispersion_step", "noise_sigma")
@@ -95,12 +92,6 @@ def random_mask(h: int, w: int, seed: int = 0, binary: bool = True,
 # ---------------------------------------------------------------------------
 # Plain-ndarray operators
 # ---------------------------------------------------------------------------
-
-def as_real(a) -> np.ndarray:
-    """``a`` as an array; a bool or integer one becomes float64."""
-    a = np.asarray(a)
-    return a.astype(np.float64) if a.dtype.kind in "biu" else a
-
 
 def _bands(a: np.ndarray, cfg: SensingConfig) -> np.ndarray:
     """[H,W,C] view of the band windows: band c = columns d*c .. d*c+W of ``a``.

@@ -107,7 +107,7 @@ def _training_mask(args, cubes) -> np.ndarray:
     wmin = min(c.shape[1] for c in cubes)
     side = min(hmin, wmin, args.crop) // (2 * args.token) * (2 * args.token)
     if side < 2 * args.token:
-        raise ValueError(f"cubes too small for token size {args.token}")
+        raise ValueError(f"--crop {args.crop} or cubes {hmin}x{wmin} < 2 x --token {args.token}")
     return random_mask(side, side, seed=args.seed)
 
 
@@ -165,6 +165,7 @@ def _sweep(args, field: str, values, columns: str, lead) -> int:
     """Train one model per value of the train flag ``field``, print and write
     one CSV row each: ``lead(value, result)`` under ``columns``, then the
     last logged psnr and loss."""
+    _train_config_from(args)  # checks every flag, as cmd_train does, before any work
     cubes = _collect_cubes(args.data)
     rows = [f"{columns},psnr,loss"]
     for value in values:

@@ -20,7 +20,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .dct import dct2_cube
+from .base import as_real
+from .dct import _cube_dct
 from .hsio import write_lines
 
 
@@ -75,14 +76,13 @@ def correlation_maps(x: np.ndarray) -> CorrelationReport:
     """C x C Pearson maps over vectorized bands, raw and DCT-transformed.
     A cube with fewer than two varying bands in a domain is a ValueError
     naming its constant bands: none of its pairs has a correlation."""
-    x = np.asarray(x)
-    if x.ndim != 3 or x.shape[2] < 2 or x.size == 0:
-        raise ValueError("correlation_maps needs a non-empty [H,W,C>=2] cube, "
-                         f"got shape {x.shape}")
+    x = as_real(x, "correlation_maps.x", ndim=3, finite=True)
+    if x.shape[2] < 2:
+        raise ValueError(f"correlation_maps.x needs C >= 2 bands, got shape {x.shape}")
     c = x.shape[2]
     flat = x.reshape(-1, c).T  # [C, HW]
     space = _corr_matrix(flat)
-    freq = _corr_matrix(dct2_cube(x).reshape(-1, c).T)
+    freq = _corr_matrix(_cube_dct(x, inverse=False).reshape(-1, c).T)
     for domain, corr in (("space", space), ("frequency", freq)):
         constant = np.flatnonzero(np.isnan(np.diag(corr)))
         if c - constant.size < 2:
@@ -116,14 +116,14 @@ def token_correlation(x: np.ndarray, token_size: int) -> TokenCorrelationCurve:
     token's score is the mean pairwise Pearson between its C spectral slices,
     NaN where no pair has one.
     """
-    x = np.asarray(x)
-    if x.ndim != 3 or x.shape[2] < 2:
-        raise ValueError(f"token_correlation needs an [H,W,C>=2] cube, got {x.shape}")
+    x = as_real(x, "token_correlation.x", ndim=3, finite=True)
+    if x.shape[2] < 2:
+        raise ValueError(f"token_correlation.x needs C >= 2 bands, got shape {x.shape}")
     h, w, c = x.shape
     k = token_size
     if k < 1 or h % k or w % k:
         raise ValueError(f"token size {k} must divide spatial dims {h}x{w}")
-    coeffs = dct2_cube(x)
+    coeffs = _cube_dct(x, inverse=False)
     coords = sorted(((u, v) for u in range(0, h, k) for v in range(0, w, k)),
                     key=lambda uv: (uv[0] + uv[1], uv[0]))
     iu, ju = np.triu_indices(c, k=1)

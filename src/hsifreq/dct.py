@@ -19,7 +19,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import tensor as T
-from .cassi import as_real
+from .base import as_real
 from .tensor import Tensor
 
 
@@ -39,12 +39,12 @@ def dct_basis(n: int) -> np.ndarray:
 
 def dct2(band: np.ndarray) -> np.ndarray:
     """Forward orthonormal 2D DCT-II of one [H,W] band."""
-    return _cube_dct(as_real(band)[:, :, None], inverse=False)[:, :, 0]
+    return _cube_dct(as_real(band, "dct2.band", ndim=2)[:, :, None], inverse=False)[:, :, 0]
 
 
 def idct2(coeffs: np.ndarray) -> np.ndarray:
     """Inverse (DCT-III) of :func:`dct2`."""
-    return _cube_dct(as_real(coeffs)[:, :, None], inverse=True)[:, :, 0]
+    return _cube_dct(as_real(coeffs, "idct2.coeffs", ndim=2)[:, :, None], inverse=True)[:, :, 0]
 
 
 def _cube_dct(data: np.ndarray, inverse: bool) -> np.ndarray:
@@ -82,15 +82,12 @@ def _cube_dct(data: np.ndarray, inverse: bool) -> np.ndarray:
 def dct2_cube(data: np.ndarray) -> np.ndarray:
     """Band-wise forward transform of an [H,W,C] cube (plain ndarray path);
     a bool or integer cube is read as float64."""
-    data = as_real(data)
-    if not np.all(np.isfinite(data)):
-        raise ValueError("dct2_cube: input contains non-finite values")
-    return _cube_dct(data, inverse=False)
+    return _cube_dct(as_real(data, "dct2_cube.data", ndim=3, finite=True), inverse=False)
 
 
 def idct2_cube(coeffs: np.ndarray) -> np.ndarray:
     """Band-wise inverse transform of an [H,W,C] coefficient cube."""
-    return _cube_dct(as_real(coeffs), inverse=True)
+    return _cube_dct(as_real(coeffs, "idct2_cube.coeffs", ndim=3, finite=True), inverse=True)
 
 
 def _dct_flops(h: int, w: int, c: int) -> int:

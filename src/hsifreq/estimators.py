@@ -6,7 +6,7 @@ import numpy as np
 
 from .base import BaseEstimator, check_cube, check_fitted
 from .cassi import SensingConfig
-from .dct import dct2_cube, idct2_cube
+from .dct import _cube_dct
 from .gaptv import GapTvConfig, gap_tv
 from .metrics import psnr
 from .unfolding import TrainConfig, UnfoldingNet, train
@@ -71,7 +71,7 @@ class BandwiseDct(BaseEstimator):
         return self
 
     def transform(self, cube) -> np.ndarray:
-        return dct2_cube(check_cube(cube))
+        return _cube_dct(check_cube(cube), inverse=False)
 
     def inverse_transform(self, coeffs) -> np.ndarray:
-        return idct2_cube(check_cube(coeffs, name="coefficient cube"))
+        return _cube_dct(check_cube(coeffs, name="coefficient cube"), inverse=True)

@@ -17,8 +17,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import forked
-from .base import check_at_least
-from .cassi import SensingConfig, as_real, phi_adjoint, phi_forward, phi_phit_diag
+from .base import as_real, check_at_least
+from .cassi import SensingConfig, phi_adjoint, phi_forward, phi_phit_diag
 
 DIAG_FLOOR = 1e-6
 

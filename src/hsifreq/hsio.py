@@ -23,7 +23,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .base import check_at_least
+from .base import as_real, check_at_least
 from .dct import dct_basis
 
 HSIC_MAGIC = b"HSIC"
@@ -61,10 +61,7 @@ def write_lines(path, lines: Iterable[str]) -> None:
 
 
 def write_hsic(cube: np.ndarray, path) -> None:
-    cube = np.asarray(cube)
-    if cube.ndim != 3 or 0 in cube.shape:
-        raise ValueError(f"write_hsic expects an [H,W,C] cube of at least 1x1x1, "
-                         f"got shape {cube.shape}")
+    cube = as_real(cube, "write_hsic.cube", ndim=3)
     h, w, c = cube.shape
     header = HSIC_MAGIC + struct.pack("<H3IBH", HSIC_VERSION, h, w, c, DTYPE_F32, 0)
     payload = np.ascontiguousarray(np.moveaxis(cube, 2, 0), dtype="<f4")
@@ -185,16 +182,12 @@ def export_heatmap(matrix: np.ndarray, path, vmin: float | None = None,
     comparability of gate heatmaps), min-max otherwise.  Quantization is
     floor(norm * 255) with norm clipped to [0, 1].
     """
-    m = np.asarray(matrix, dtype=np.float64)
-    if m.ndim != 2 or m.size == 0:
-        raise ValueError(f"export_heatmap expects a non-empty 2D matrix, got shape {m.shape}")
-    if not np.all(np.isfinite(m)):
-        raise ValueError("export_heatmap: matrix has non-finite entries")
+    m = as_real(np.asarray(matrix, dtype=np.float64), "export_heatmap.matrix", ndim=2, finite=True)
     if vmin is None or vmax is None:
         vmin, vmax = float(m.min()), float(m.max())
     span = vmax - vmin
     norm = np.clip((m - vmin) / span, 0.0, 1.0) if span > 0 else np.zeros_like(m)
-    data = np.floor(norm * 255.0).astype(np.uint8)
+    data = np.floor(norm * 255.0).astype(np.uint8, order="C")  # rows in file order
     h, w = m.shape
     header = f"P5\n{w} {h}\n255\n".encode("ascii")
     write_atomic(path, (header, data))

@@ -17,7 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .dct import _dct_flops, dct2_cube
+from .base import as_real
+from .dct import _cube_dct, _dct_flops
 from .hsio import write_lines
 from .layers import FFN_EXPAND
 from .network import NetConfig
@@ -29,18 +30,17 @@ SSIM_K1 = 0.01
 SSIM_K2 = 0.03
 
 
-def _check_pair(pred, gt) -> tuple[np.ndarray, np.ndarray]:
+def _check_pair(pred, gt, where: str, finite: bool = False) -> tuple[np.ndarray, np.ndarray]:
     pred, gt = np.asarray(pred), np.asarray(gt)
     if pred.shape != gt.shape:
-        raise ValueError(f"metric inputs differ in shape: {pred.shape} vs {gt.shape}")
-    if pred.ndim != 3 or pred.size == 0:
-        raise ValueError(f"metrics expect non-empty [H,W,C] cubes, got shape {pred.shape}")
-    return pred, gt
+        raise ValueError(f"{where}: inputs differ in shape: {pred.shape} vs {gt.shape}")
+    return (as_real(pred, f"{where}.pred", ndim=3, finite=finite),
+            as_real(gt, f"{where}.gt", ndim=3, finite=finite))
 
 
 def psnr(pred: np.ndarray, gt: np.ndarray) -> tuple[np.ndarray, float]:
     """Per-band PSNR in dB plus the band mean; identical bands report the cap."""
-    pred, gt = _check_pair(pred, gt)
+    pred, gt = _check_pair(pred, gt, "psnr")
     diff = pred.astype(np.float64) - gt.astype(np.float64)
     mse = np.mean(diff * diff, axis=(0, 1))
     with np.errstate(divide="ignore"):
@@ -62,7 +62,7 @@ def _sep_filter_valid(img: np.ndarray, g: np.ndarray) -> np.ndarray:
 
 def ssim(pred: np.ndarray, gt: np.ndarray) -> tuple[np.ndarray, float]:
     """Per-band single-scale SSIM plus the band mean."""
-    pred, gt = _check_pair(pred, gt)
+    pred, gt = _check_pair(pred, gt, "ssim")
     h, w, c = pred.shape
     if h < SSIM_WIN or w < SSIM_WIN:
         raise ValueError(f"bands {h}x{w} smaller than the {SSIM_WIN}x{SSIM_WIN} SSIM window")
@@ -86,8 +86,11 @@ def ssim(pred: np.ndarray, gt: np.ndarray) -> tuple[np.ndarray, float]:
 
 def fdg(pred: np.ndarray, gt: np.ndarray) -> float:
     """Substitute frequency-domain gap: 100 * mean |DCT(pred) - DCT(gt)|."""
-    pred, gt = _check_pair(pred, gt)
-    diff = dct2_cube(pred.astype(np.float64)) - dct2_cube(gt.astype(np.float64))
+    return _fdg(*_check_pair(pred, gt, "fdg", finite=True))
+
+
+def _fdg(pred: np.ndarray, gt: np.ndarray) -> float:
+    diff = _cube_dct(pred.astype(np.float64), False) - _cube_dct(gt.astype(np.float64), False)
     return float(100.0 * np.mean(np.abs(diff)))
 
 
@@ -101,10 +104,11 @@ class MetricReport:
 
 
 def evaluate(pred: np.ndarray, gt: np.ndarray) -> MetricReport:
+    pred, gt = _check_pair(pred, gt, "evaluate", finite=True)
     pb, pm = psnr(pred, gt)
     sb, sm = ssim(pred, gt)
     return MetricReport(psnr_band=pb, psnr_mean=pm, ssim_band=sb, ssim_mean=sm,
-                        fdg=fdg(pred, gt))
+                        fdg=_fdg(pred, gt))
 
 
 def write_metrics_csv(rows: list[tuple[str, MetricReport]], path) -> None:

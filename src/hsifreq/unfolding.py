@@ -17,7 +17,7 @@ import numpy as np
 
 from . import forked, metrics
 from . import tensor as T
-from .base import check_at_least
+from .base import as_real, check_at_least
 from .cassi import (SensingConfig, phi_adjoint_t, phi_forward_t, phi_phit_diag,
                     shift_back, simulate)
 from .checkpoint import CheckpointError, load_weights, save_weights
@@ -75,10 +75,8 @@ class UnfoldingNet(Layer):
         return self.priors[0] if self.config.share_params else self.priors[stage]
 
     def forward(self, y: np.ndarray) -> Tensor:
-        y = np.asarray(y)
+        y = as_real(y, "UnfoldingNet.forward.y", finite=True)
         self.sensing.check_measurement(y)
-        if not np.all(np.isfinite(y)):
-            raise ValueError("measurement holds non-finite values (NaN or inf)")
         dt = T.get_default_dtype()
         z = Tensor(shift_back(y, self.sensing), dtype=dt)
         alphas, betas = self.estimator(z, self.sensing.mask)
@@ -90,7 +88,7 @@ class UnfoldingNet(Layer):
         return z
 
     def reconstruct(self, y: np.ndarray) -> np.ndarray:
-        return self.forward(np.asarray(y)).data
+        return self.forward(y).data
 
     def state_tensors(self) -> dict[str, np.ndarray]:
         tensors = {name: p.value.data for name, p in self.named_params()}
@@ -269,12 +267,13 @@ def train(cubes: list[np.ndarray], mask: np.ndarray, tcfg: TrainConfig,
     step's samples.  Their gradients are added in sample order, as one
     process adds them, so the log and the weights are the same bytes.
     """
+    cubes = [as_real(c, f"train.cubes[{i}]", ndim=3) for i, c in enumerate(cubes)]
     if not cubes:
         raise ValueError("train: need at least one training cube")
     bands = cubes[0].shape[2]
     if any(c.shape[2] != bands for c in cubes):
         raise ValueError("train: all cubes must share the band count")
-    mask = np.asarray(mask, dtype=np.float64)
+    mask = as_real(mask, "train.mask", ndim=2)
     h, w = mask.shape
     net = UnfoldingNet(NetConfig(height=h, width=w, bands=bands, **tcfg.architecture()),
                        mask, seed=tcfg.seed)

@@ -178,6 +178,36 @@ class TestTrainRejects:
         assert named in capsys.readouterr().err
         assert not ckpt.exists() and not ckpt.with_suffix(".log.csv").exists()
 
+    def test_crop_below_the_token_names_the_crop_and_the_cube(self, tmp_path, scene_file,
+                                                             capsys):
+        ckpt = tmp_path / "model.cmdw"
+        code = main(["train", "--data", str(scene_file), "--crop", "0", "--out", str(ckpt)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "--crop 0 or cubes 16x16 < 2 x --token 8" in err
+        assert not ckpt.exists() and not ckpt.with_suffix(".log.csv").exists()
+
+
+@pytest.mark.usefixtures("no_work")
+class TestTrainFlagsCheckedFirst:
+    """A bad train flag exits 2 naming its TrainConfig field, before any
+    cube is read, mask made or model trained, in each training command."""
+
+    @pytest.mark.parametrize("command", ["train", "sweep-kernel", "sweep-sharing"])
+    @pytest.mark.parametrize("flag, value, field", [
+        ("--token", "0", "token"), ("--heads", "0", "heads"), ("--steps", "0", "steps"),
+        ("--lr0", "nan", "lr0"), ("--sigma", "-1", "noise_sigma"),
+    ])
+    def test_exit_two_naming_the_field(self, tmp_path, scene_file, capsys, command, flag,
+                                       value, field):
+        before = sorted(tmp_path.rglob("*"))
+        code = main([command, "--data", str(scene_file), flag, value,
+                     "--out", str(tmp_path / "out.csv")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"TrainConfig.{field}" in err and "Traceback" not in err
+        assert sorted(tmp_path.rglob("*")) == before
+
 
 class TestAnalyzeHfc:
     def test_products(self, tmp_path, scene_file, capsys):

@@ -66,8 +66,10 @@ class TestHsic:
                                                     hsio.DTYPE_F32, 0))
         with pytest.raises(HsicError, match=f"{field} is 0 at byte {offset}"):
             read_hsic(p)
-        with pytest.raises(ValueError, match="at least 1x1x1"):
-            write_hsic(np.zeros((dims["H"], dims["W"], dims["C"])), tmp_path / "w.hsic")
+        shape = (dims["H"], dims["W"], dims["C"])
+        with pytest.raises(ValueError, match=r"write_hsic\.cube must be a non-empty \[H, W, C\] "
+                                             rf"array, got shape \({shape[0]}, {shape[1]}, "):
+            write_hsic(np.zeros(shape), tmp_path / "w.hsic")
         assert not (tmp_path / "w.hsic").exists()
 
     def test_band_major_layout(self, tmp_path):
@@ -327,3 +329,9 @@ class TestHeatmaps:
     def test_nonfinite_rejected(self, tmp_path):
         with pytest.raises(ValueError):
             export_heatmap(np.array([[np.inf, 0.0]]), tmp_path / "m.pgm")
+
+    def test_column_major_matrix_writes_its_rows(self, tmp_path, rng):
+        m = rng.random((5, 4)).T  # column-major [4, 5]
+        export_heatmap(m, tmp_path / "f.pgm")
+        export_heatmap(np.ascontiguousarray(m), tmp_path / "c.pgm")
+        assert (tmp_path / "f.pgm").read_bytes() == (tmp_path / "c.pgm").read_bytes()

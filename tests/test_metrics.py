@@ -213,12 +213,12 @@ class TestEmptyInputs:
         calls = {
             "SensingConfig": (SensingConfig, "mask"),
             "export_heatmap": (lambda a: export_heatmap(a, tmp_path / "m.pgm"),
-                               "export_heatmap"),
-            "psnr": (lambda a: psnr(a, a), "metrics"),
-            "ssim": (lambda a: ssim(a, a), "metrics"),
-            "fdg": (lambda a: fdg(a, a), "metrics"),
-            "evaluate": (lambda a: evaluate(a, a), "metrics"),
-            "correlation_maps": (correlation_maps, "correlation_maps"),
+                               r"export_heatmap\.matrix"),
+            "psnr": (lambda a: psnr(a, a), r"psnr\.pred"),
+            "ssim": (lambda a: ssim(a, a), r"ssim\.pred"),
+            "fdg": (lambda a: fdg(a, a), r"fdg\.pred"),
+            "evaluate": (lambda a: evaluate(a, a), r"evaluate\.pred"),
+            "correlation_maps": (correlation_maps, r"correlation_maps\.x"),
         }
         call, named = calls[name]
         with pytest.raises(ValueError, match=rf"{named} .*non-empty.*shape \({shape[0]}, "):
